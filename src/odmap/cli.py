@@ -27,14 +27,11 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="odmap", description=__doc__)
     p.add_argument("--tol", type=float, default=1e-9, help="validation tolerance")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; 1 guarantees reproducibility")
     # the global flags are also accepted after the subcommand; SUPPRESS keeps
     # the subparser from clobbering values given before it
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
@@ -63,7 +60,7 @@ def _build_parser() -> _Parser:
     pk.add_argument("--eta", type=float, default=None)
 
     dp = add_parser("doublepack", help="double circle packing of a 3-connected map")
-    dp.add_argument("--shape", choices=["k4", "prism", "cube", "octahedron"])
+    dp.add_argument("--shape", choices=list(generators.SHAPES))
     dp.add_argument("--in", dest="input", help="planar map JSON (vertex count + face cycles)")
     dp.add_argument("--outer-face", type=int, default=0)
     dp.add_argument("-o", "--output", required=True)
@@ -180,9 +177,7 @@ def _run(args) -> int:
 
     if args.command == "doublepack":
         if args.shape:
-            builders = {"k4": generators.k4_map, "prism": generators.prism_map,
-                        "cube": generators.cube_map, "octahedron": generators.octahedron_map}
-            h = builders[args.shape]()
+            h = generators.SHAPES[args.shape]()
         elif args.input:
             with open(args.input) as fh:
                 data = json.load(fh)

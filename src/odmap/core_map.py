@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .errors import DegenerateFaceError, GeometryError, StructuralError
 from .geometry import dist, hull_diameter, signed_area
-from .network import Network
+from .network import Network, edge_graph
 
 PRIMAL = True
 DUAL = False
@@ -380,23 +381,11 @@ def validate(omap: OrthodiagonalMap, tol: float = 1e-9) -> ValidationReport:
         report.add("boundary/single_simple_walk", False, str(exc))
 
     # connectivity over G-edges, including isolated vertices
-    try:
-        adj: dict = {}
-        for a, b in omap.edges:
-            adj.setdefault(int(a), []).append(int(b))
-            adj.setdefault(int(b), []).append(int(a))
-        seen = set()
-        stack = [0] if omap.n_vertices else []
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adj.get(v, []))
-        report.add("graph/connected", len(seen) == omap.n_vertices,
-                   f"{omap.n_vertices - len(seen)} unreachable vertices")
-    except StructuralError as exc:
-        report.add("graph/connected", False, str(exc))
+    n = omap.n_vertices
+    e = omap.edges
+    _, comp = csgraph.connected_components(edge_graph(n, e[:, 0], e[:, 1]), directed=False)
+    unreachable = n - np.count_nonzero(comp == comp[0]) if n else 0
+    report.add("graph/connected", unreachable == 0, f"{unreachable} unreachable vertices")
 
     return report
 
@@ -477,14 +466,6 @@ class AugmentedDuals:
     def augmented_edge_indices(self) -> np.ndarray:
         return np.arange(self.n_core_edges, len(self.dual_pairs))
 
-    def dual_adjacency(self) -> dict:
-        """Adjacency over dual vertices through core dual edges (apex excluded)."""
-        adj: dict = {}
-        for w1, w2 in self.dual_pairs[: self.n_core_edges]:
-            adj.setdefault(int(w1), []).append(int(w2))
-            adj.setdefault(int(w2), []).append(int(w1))
-        return adj
-
 
 def augmented_duals(omap: OrthodiagonalMap, apex_norm: float | None = None) -> AugmentedDuals:
     """Build the augmented primal graph and its exact plane dual.
@@ -550,22 +531,14 @@ def augmented_duals(omap: OrthodiagonalMap, apex_norm: float | None = None) -> A
 # block decomposition
 
 
-def blocks(omap: OrthodiagonalMap) -> list:
-    """2-connected components of the map, each re-emitted as a map.
-
-    Accepts quad meshes whose outer boundary is not simple (e.g. clipped
-    maps with pinch points).  Faces are partitioned among the blocks; the
-    union of the returned face sets is the original face set.
-    """
-    omap._check_face_indices()
-    edges = omap.edges
-    n = omap.n_vertices
+def _biconnected_components(n: int, edges: np.ndarray):
+    """Iterative Hopcroft-Tarjan over the undirected edges (k, 2) of a graph
+    on n vertices: (biconnected component of each edge, component count)."""
     adj: list = [[] for _ in range(n)]
     for idx, (a, b) in enumerate(edges):
         adj[a].append((int(b), idx))
         adj[b].append((int(a), idx))
 
-    # iterative Hopcroft-Tarjan biconnected components over edges
     visited = np.zeros(n, bool)
     depth = np.zeros(n, int)
     low = np.zeros(n, int)
@@ -619,15 +592,27 @@ def blocks(omap: OrthodiagonalMap) -> list:
                 comp_of_edge[e] = n_comps
             n_comps += 1
             edge_stack = []
+    return comp_of_edge, n_comps
 
+
+def blocks(omap: OrthodiagonalMap) -> list:
+    """2-connected components of the map, each re-emitted as a map.
+
+    Accepts quad meshes whose outer boundary is not simple (e.g. clipped
+    maps with pinch points).  Faces are partitioned among the blocks; the
+    union of the returned face sets is the original face set.
+    """
+    omap._check_face_indices()
+    edges = omap.edges
+    comp_of_edge, n_comps = _biconnected_components(omap.n_vertices, edges)
     if n_comps == 0:
         return []
 
-    edge_pos = {(int(a), int(b)): i for i, (a, b) in enumerate(edges)}
-    face_comp = np.zeros(omap.n_faces, int)
-    for i, f in enumerate(omap.faces):
-        a, b = int(f[0]), int(f[1])
-        face_comp[i] = comp_of_edge[edge_pos[(min(a, b), max(a, b))]]
+    # each face goes with its first side; edges are sorted, so look it up by key
+    n = omap.n_vertices
+    f0, f1 = omap.faces[:, 0], omap.faces[:, 1]
+    side = np.minimum(f0, f1) * n + np.maximum(f0, f1)
+    face_comp = comp_of_edge[np.searchsorted(edges[:, 0] * n + edges[:, 1], side)]
 
     out = []
     for comp in range(n_comps):

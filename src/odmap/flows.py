@@ -15,11 +15,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .core_map import AugmentedDuals, OrthodiagonalMap, augmented_duals
 from .errors import GeometryError, RhoPathError
 from .geometry import cross2, seg_point_distance
-from .network import EdgeField, VertexFunction, energy, energy_of_function, strength
+from .network import (EdgeField, VertexFunction, edge_graph, energy, energy_of_function,
+                      strength)
 
 
 @dataclass
@@ -58,20 +60,30 @@ class RhoEdgeSet:
 # argument flow
 
 
-def _face_corner_reflex(quad: np.ndarray) -> int:
-    """Index of the reflex corner of a simple CCW quad, or -1 if convex."""
-    for k in range(4):
-        a = quad[(k - 1) % 4]
-        b = quad[k]
-        c = quad[(k + 1) % 4]
-        if cross2(b - a, c - b) < 0:
-            return k
-    return -1
+def _face_corner_reflex(quad: np.ndarray) -> np.ndarray:
+    """Index of the first reflex corner of each simple CCW quad (..., 4, 2),
+    or -1 where the quad is convex."""
+    side = quad - np.roll(quad, 1, axis=-2)                  # corner k-1 -> k
+    turn = cross2(side, np.roll(side, -1, axis=-2)) < 0
+    return np.where(turn.any(axis=-1), turn.argmax(axis=-1), -1)
 
 
-def _delta_arg(a: np.ndarray, b: np.ndarray) -> float:
-    """Change of the angular coordinate along the segment a -> b (|.| < pi)."""
-    return float(np.arctan2(cross2(a, b), float(a @ b)))
+def _delta_arg(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Change of the angular coordinate along each segment a -> b (|.| < pi)."""
+    dot = (a[..., None, :] @ b[..., :, None])[..., 0, 0]  # row-wise a . b
+    return np.arctan2(cross2(a, b), dot)
+
+
+def _argument_increments(omap: OrthodiagonalMap, xp: np.ndarray) -> np.ndarray:
+    """Per face, the change of arg (about xp) from w1 to w2 along the dual
+    edge, which bends through the midpoint of the primal diagonal when the
+    quad's reflex corner is a primal one (so |increment| may pass pi)."""
+    quad = omap.positions[omap.faces]
+    bend = np.isin(_face_corner_reflex(quad), (0, 2))
+    rel = quad - xp
+    w1, w2 = rel[:, 1], rel[:, 3]
+    mid = 0.5 * (rel[:, 0] + rel[:, 2])
+    return np.where(bend, _delta_arg(w1, mid) + _delta_arg(mid, w2), _delta_arg(w1, w2))
 
 
 def argument_flow(omap: OrthodiagonalMap, x: int, r: float,
@@ -112,35 +124,20 @@ def argument_flow(omap: OrthodiagonalMap, x: int, r: float,
             f"disk of radius {r} reaches the boundary near ({p[0]:.6g}, {p[1]:.6g})")
 
     net = omap.primal_network()
-    phi = np.zeros(omap.n_faces)
+    phi = _argument_increments(omap, xp)
     f = omap.faces
-    for i in range(omap.n_faces):
-        quad = pos[f[i]] - xp
-        w1 = quad[1]
-        w2 = quad[3]
-        if _face_corner_reflex(pos[f[i]]) in (0, 2):
-            mid = 0.5 * (quad[0] + quad[2])  # dual edge bends through the primal midpoint
-            phi[i] = _delta_arg(w1, mid) + _delta_arg(mid, w2)
-        else:
-            phi[i] = _delta_arg(w1, w2)
-
-    A_mask = np.hypot(*(pos[omap.primal_vertices] - xp).T) <= r
-    A = set(int(v) for v in omap.primal_vertices[A_mask])
-    phi1 = phi.copy()
-    for i in range(omap.n_faces):
-        if int(f[i, 0]) in A and int(f[i, 2]) in A:
-            phi1[i] = 0.0
-    theta = EdgeField(net, phi1 / (2.0 * np.pi))
+    in_A = np.zeros(omap.n_vertices, bool)
+    in_A[omap.primal_vertices] = np.hypot(*(pos[omap.primal_vertices] - xp).T) <= r
+    theta = EdgeField(net, np.where(in_A[f[:, 0]] & in_A[f[:, 2]], 0.0, phi) / (2.0 * np.pi))
 
     bdry_primal, _ = omap.boundary_vertices()
-    A_labels = sorted(A)
-    sink = [int(v) for v in bdry_primal if int(v) not in A]
+    A_labels = np.flatnonzero(in_A).tolist()
+    sink = bdry_primal[~in_A[bdry_primal]]
     s = strength(net, theta, A_labels, sink)
     en = energy(net, theta)
     shape = float(np.log(omap.diameter() / r))
     div = theta.divergence()
-    off = [k for k, lab in enumerate(net.labels)
-           if int(lab) not in A and not omap.boundary_vertex_mask[int(lab)]]
+    off = ~in_A[net.labels] & ~omap.boundary_vertex_mask[net.labels]
     return FlowReport(
         flow=theta,
         strength=s,
@@ -151,7 +148,7 @@ def argument_flow(omap: OrthodiagonalMap, x: int, r: float,
             "x": int(x),
             "r": float(r),
             "A": A_labels,
-            "max_divergence_off_A": float(np.abs(div[off]).max()) if off else 0.0,
+            "max_divergence_off_A": float(np.abs(div[off]).max(initial=0.0)),
             "raw_field": phi,
         },
     )
@@ -163,18 +160,7 @@ def argument_field(omap: OrthodiagonalMap, x: int) -> EdgeField:
     Its divergence is 2 pi at x and 0 at every other interior primal vertex,
     by the winding number of the dual cycle around each vertex.
     """
-    pos = omap.positions
-    xp = pos[x]
-    f = omap.faces
-    phi = np.zeros(omap.n_faces)
-    for i in range(omap.n_faces):
-        quad = pos[f[i]] - xp
-        if _face_corner_reflex(pos[f[i]]) in (0, 2):
-            mid = 0.5 * (quad[0] + quad[2])
-            phi[i] = _delta_arg(quad[1], mid) + _delta_arg(mid, quad[3])
-        else:
-            phi[i] = _delta_arg(quad[1], quad[3])
-    return EdgeField(omap.primal_network(), phi)
+    return EdgeField(omap.primal_network(), _argument_increments(omap, omap.positions[x]))
 
 
 # ---------------------------------------------------------------------------
@@ -232,112 +218,68 @@ def rho_path(aug: AugmentedDuals, rho: float, A, B_prime, center=(0.0, 0.0)) -> 
         raise RhoPathError("A and B' must be disjoint")
 
     pos = omap.positions
+    n = omap.n_vertices
     bdry = omap.boundary_vertex_mask
 
-    # connectivity-to-boundary hypotheses
-    net = aug.primal
-    adj_primal: dict = {}
-    for t, h in zip(net.tails_labels, net.heads_labels):
-        adj_primal.setdefault(int(t), set()).add(int(h))
-        adj_primal.setdefault(int(h), set()).add(int(t))
-
-    def reaches_boundary(inside: set) -> bool:
-        seen = set()
-        for s in inside:
-            if s in seen:
-                continue
-            stack = [s]
-            seen.add(s)
-            while stack:
-                v = stack.pop()
-                if bdry[v]:
-                    return True
-                for u in adj_primal.get(v, ()):  # paths stay inside the set
-                    if u in inside and u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-        return False
-
-    if not reaches_boundary(A):
+    # connectivity-to-boundary hypotheses: a path from a set to the map
+    # boundary that stays inside the set exists iff the set meets the boundary
+    if not bdry[list(A)].any():
         raise RhoPathError("no path from A to the map boundary stays inside A")
-    if not reaches_boundary(Bp):
+    if not bdry[list(Bp)].any():
         raise RhoPathError("no path from B' to the map boundary stays inside B'")
 
     # x: most central A-vertex; u: its most central dual neighbor
     x = min(A, key=lambda v: (np.hypot(*(pos[v] - center)), v))
-    dual_nbs = set()
-    for a, b in omap.edges:
-        if int(a) == x:
-            dual_nbs.add(int(b))
-        elif int(b) == x:
-            dual_nbs.add(int(a))
-    dual_nbs = sorted(dual_nbs, key=lambda w: (np.hypot(*(pos[w] - center)), w))
+    e = omap.edges
+    dual_nbs = np.concatenate([e[e[:, 0] == x, 1], e[e[:, 1] == x, 0]])
+    dual_nbs = sorted(dual_nbs.tolist(), key=lambda w: (np.hypot(*(pos[w] - center)), w))
     if not dual_nbs or np.hypot(*(pos[dual_nbs[0]] - center)) >= rho:
         raise RhoPathError(
             f"no dual vertex within radius {rho} next to the central A-vertex; "
             "the construction degenerates")
     u = dual_nbs[0]
 
-    # S_rho: dual BFS inside the open rho-disk
-    norms = np.hypot(*(pos - center).T)
-    dual_adj = aug.dual_adjacency()
-    S = {u}
-    stack = [u]
-    while stack:
-        w = stack.pop()
-        for w2 in dual_adj.get(w, ()):
-            if w2 not in S and norms[w2] < rho:
-                S.add(w2)
-                stack.append(w2)
+    # S_rho: the dual vertices reachable from u inside the open rho-disk
+    inside = np.hypot(*(pos - center).T) < rho
+    w1, w2 = aug.dual_pairs[: aug.n_core_edges].T
+    near = inside[w1] & inside[w2]
+    S = csgraph.breadth_first_order(edge_graph(n, w1[near], w2[near]), u, directed=False,
+                                    return_predecessors=False)
+    in_S = np.zeros(n, bool)
+    in_S[S] = True
 
-    # cut edges: exactly one dual endpoint in S_rho; all are rho-edges
-    cut_adj: dict = {}
-    for e, (w1, w2) in enumerate(aug.dual_pairs):
-        in1 = int(w1) in S
-        in2 = int(w2) in S
-        if in1 == in2:
-            continue
-        if e >= aug.n_core_edges:
-            continue  # augmented edges never enter the path
-        t = int(net.tails_labels[e])
-        h = int(net.heads_labels[e])
-        cut_adj.setdefault(t, []).append((h, e))
-        cut_adj.setdefault(h, []).append((t, e))
+    # cut edges: exactly one dual endpoint in S_rho; all are rho-edges, and
+    # none is augmented
+    net = aug.primal
+    cut = np.flatnonzero(in_S[w1] != in_S[w2])
+    t, h = net.tails_labels[cut], net.heads_labels[cut]
 
-    # multi-source BFS from A; stop at B'; internal vertices avoid A u B'
-    sources = sorted(v for v in A if v in cut_adj)
-    if not sources:
+    # multi-source BFS from A (a hub vertex n feeds the sources in order)
+    # that never re-enters A; the path ends at the first B' vertex reached
+    in_A = np.zeros(n, bool)
+    in_A[list(A)] = True
+    sources = np.intersect1d(list(A), np.concatenate([t, h]))
+    if not sources.size:
         raise RhoPathError(
-            f"no A-vertex touches the rho-cut (rho={rho}, |S_rho|={len(S)}, "
-            f"cut size {sum(len(v) for v in cut_adj.values()) // 2})")
-    parent = {v: (None, None) for v in sources}
-    queue = list(sources)
-    qi = 0
-    goal = None
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        if v in Bp:
-            goal = v
-            break
-        for (w, e) in sorted(cut_adj.get(v, [])):
-            if w in parent or w in A:  # internal vertices avoid A
-                continue
-            parent[w] = (v, e)
-            queue.append(w)
-    if goal is None:
+            f"no A-vertex touches the rho-cut (rho={rho}, |S_rho|={S.size}, "
+            f"cut size {cut.size})")
+    tails = np.concatenate([t[~in_A[h]], h[~in_A[t]], np.full(sources.size, n)])
+    heads = np.concatenate([h[~in_A[h]], t[~in_A[t]], sources])
+    order, parent = csgraph.breadth_first_order(edge_graph(n + 1, tails, heads), n)
+    reached = order[np.isin(order, list(Bp))]
+    if not reached.size:
         raise RhoPathError(
-            f"no rho-edge path from A to B' (rho={rho}, |S_rho|={len(S)}, "
-            f"A-contacts {len(sources)})")
-    verts = [goal]
-    edges = []
-    while parent[verts[-1]][0] is not None:
-        v, e = parent[verts[-1]]
-        edges.append(e)
-        verts.append(v)
+            f"no rho-edge path from A to B' (rho={rho}, |S_rho|={S.size}, "
+            f"A-contacts {sources.size})")
+    verts = [int(reached[0])]
+    while parent[verts[-1]] != n:
+        verts.append(int(parent[verts[-1]]))
+    # each step uses the lowest-numbered cut edge joining its two vertices
+    edges = [int(cut[((t == a) & (h == b)) | ((t == b) & (h == a))].min())
+             for a, b in zip(verts, verts[1:])]
     verts.reverse()
     edges.reverse()
-    return {"vertices": verts, "edges": edges, "rho": float(rho), "S_size": len(S)}
+    return {"vertices": verts, "edges": edges, "rho": float(rho), "S_size": int(S.size)}
 
 
 # ---------------------------------------------------------------------------

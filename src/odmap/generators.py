@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import cg as sparse_cg
 
 from .core_map import OrthodiagonalMap, blocks, validate
@@ -326,27 +327,13 @@ def triangular_disk_triangulation(rows: int) -> Triangulation:
         a, b, c = pts[fc]
         if (b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0] < 0:
             faces[k] = fc[::-1]
-    # keep the largest edge-connected component of triangles
-    edge_faces: dict = {}
-    for k, fc in enumerate(faces):
-        for a, b in ((fc[0], fc[1]), (fc[1], fc[2]), (fc[2], fc[0])):
-            edge_faces.setdefault((min(a, b), max(a, b)), []).append(k)
-    comp = -np.ones(len(faces), int)
-    cid = 0
-    for start in range(len(faces)):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = cid
-        while stack:
-            cur = stack.pop()
-            fc = faces[cur]
-            for a, b in ((fc[0], fc[1]), (fc[1], fc[2]), (fc[2], fc[0])):
-                for other in edge_faces[(min(a, b), max(a, b))]:
-                    if comp[other] < 0:
-                        comp[other] = cid
-                        stack.append(other)
-        cid += 1
+    # keep the largest edge-connected component of triangles: two triangles
+    # are adjacent when they share a side
+    sides = np.sort(np.stack([faces, np.roll(faces, -1, axis=1)], axis=2), axis=2)
+    _, side_id = np.unique(sides.reshape(-1, 2), axis=0, return_inverse=True)
+    face_of = np.repeat(np.arange(len(faces)), 3)
+    incidence = sp.csr_matrix((np.ones(face_of.size), (face_of, side_id.ravel())))
+    _, comp = csgraph.connected_components(incidence @ incidence.T, directed=False)
     best = np.argmax(np.bincount(comp))
     faces = faces[comp == best]
     used = np.unique(faces)
@@ -407,6 +394,10 @@ def octahedron_map() -> PlanarMap3C:
     ])
 
 
+# the 3-connected fixtures by name (the double_packed family and the CLI)
+SHAPES = {"k4": k4_map, "prism": prism_map, "cube": cube_map, "octahedron": octahedron_map}
+
+
 # ---------------------------------------------------------------------------
 # generator specs (CLI / sweep front end)
 
@@ -461,11 +452,9 @@ def build_generator_level(spec: GeneratorSpec, n: int | None = None):
         return orthodiagonal_from_packing(tri, packing), unit_disk()
     if fam == "double_packed":
         shape = spec.params.get("shape", "cube")
-        builders = {"k4": k4_map, "prism": prism_map, "cube": cube_map,
-                    "octahedron": octahedron_map}
-        if shape not in builders:
+        if shape not in SHAPES:
             raise GeometryError(f"unknown double_packed shape {shape!r}")
-        h = builders[shape]()
+        h = SHAPES[shape]()
         dp = double_pack(h, outer_face=0, tol=spec.params.get("tol", 1e-8))
         return orthodiagonal_from_double_packing(h, dp), unit_disk()
     raise GeometryError(f"unknown family {fam!r}")

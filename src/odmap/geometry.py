@@ -21,13 +21,9 @@ def signed_area(points: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def rot90(v: np.ndarray) -> np.ndarray:
-    """Counterclockwise rotation by pi/2."""
-    return np.array([-v[1], v[0]], float)
-
-
-def cross2(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
+def cross2(u, v):
+    """z-component of u x v, broadcast over any leading axes."""
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def seg_point_distance(a, b, p) -> float:

@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import DisconnectedNetworkError, StructuralError
 
@@ -86,30 +87,9 @@ class Network:
         return out
 
     @cached_property
-    def adjacency(self) -> list:
-        """Per-vertex list of (edge index, sign, neighbor), sorted by neighbor."""
-        adj: list = [[] for _ in range(self.n_vertices)]
-        for e, (t, h) in enumerate(zip(self.tails, self.heads)):
-            adj[t].append((e, +1, int(h)))
-            adj[h].append((e, -1, int(t)))
-        for lst in adj:
-            lst.sort(key=lambda x: (x[2], x[0]))
-        return adj
-
-    @cached_property
     def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return True
-        seen = np.zeros(self.n_vertices, bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for _, _, u in self.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        return bool(seen.all())
+        return csgraph.connected_components(self.laplacian, directed=False,
+                                            return_labels=False) <= 1
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
@@ -140,6 +120,12 @@ class Network:
         v[self.tails == x] += self.conductances[self.tails == x]
         v[self.heads == x] -= self.conductances[self.heads == x]
         return EdgeField(self, v)
+
+
+def edge_graph(n: int, a, b) -> sp.csr_matrix:
+    """n x n matrix with a nonzero at each (a[i], b[i]): the graph form that
+    the ``scipy.sparse.csgraph`` routines take."""
+    return sp.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
 
 
 @dataclass
@@ -254,28 +240,24 @@ def node_law_residuals(network: Network, theta: EdgeField, U=None) -> np.ndarray
 def bfs_spanning_tree(network: Network, root: int = 0):
     """Deterministic BFS tree: (parent vertex, parent edge, parent sign, order).
 
-    sign +1 means the tree edge is traversed tail->head going root -> leaf.
+    Neighbors are visited in increasing index order and a tree edge is the
+    lowest-numbered edge joining a vertex to its parent.  sign +1 means the
+    tree edge is traversed tail->head going root -> leaf.
     """
     if not network.is_connected:
         raise DisconnectedNetworkError("spanning tree requires a connected network")
-    n = network.n_vertices
-    parent = -np.ones(n, int)
-    parent_edge = -np.ones(n, int)
-    parent_sign = np.zeros(n, int)
-    order = [root]
-    seen = np.zeros(n, bool)
-    seen[root] = True
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for e, sgn, u in network.adjacency[v]:
-            if not seen[u]:
-                seen[u] = True
-                parent[u] = v
-                parent_edge[u] = e
-                parent_sign[u] = sgn
-                order.append(u)
+    order, parent = (a.astype(int) for a in
+                     csgraph.breadth_first_order(network.laplacian, root, directed=True))
+    parent[root] = -1
+    t, h = network.tails, network.heads
+    down = parent[h] == t  # edge runs parent -> child
+    tree = down | (parent[t] == h)
+    kids = order[1:]
+    parent_edge = np.full(network.n_vertices, -1)
+    parent_edge[kids] = network.n_edges  # lowered to the lowest edge to the parent
+    np.minimum.at(parent_edge, np.where(down, h, t)[tree], np.flatnonzero(tree))
+    parent_sign = np.zeros(network.n_vertices, int)
+    parent_sign[kids] = np.where(t[parent_edge[kids]] == parent[kids], 1, -1)
     return parent, parent_edge, parent_sign, order
 
 
@@ -395,23 +377,14 @@ def strength(network: Network, theta: EdgeField, A, B, check_tol: float | None =
     Returns the out-of-A value; when ``check_tol`` is set, verifies it agrees
     with the into-B value.
     """
-    A_idx = set(int(i) for i in network.indices_of(A))
-    B_idx = set(int(i) for i in network.indices_of(B))
-    if A_idx & B_idx:
+    vertices = np.arange(network.n_vertices)
+    a_mask = np.isin(vertices, network.indices_of(A))
+    b_mask = np.isin(vertices, network.indices_of(B))
+    if np.any(a_mask & b_mask):
         raise StructuralError("source and sink sets overlap")
-    out_A = 0.0
-    in_B = 0.0
-    for e in range(network.n_edges):
-        t, h = int(network.tails[e]), int(network.heads[e])
-        v = theta.values[e]
-        if t in A_idx:
-            out_A += v
-        if h in A_idx:
-            out_A -= v
-        if h in B_idx:
-            in_B += v
-        if t in B_idx:
-            in_B -= v
+    t, h, v = network.tails, network.heads, theta.values
+    out_A = float(v[a_mask[t]].sum() - v[a_mask[h]].sum())
+    in_B = float(v[b_mask[h]].sum() - v[b_mask[t]].sum())
     if check_tol is not None:
         scale = 1.0 + abs(out_A) + abs(in_B)
         if abs(out_A - in_B) > check_tol * scale:
@@ -548,19 +521,17 @@ def random_walk_exit_measure(problem: DirichletProblem, start,
         return {int(net.labels[b]): float(p) for b, p in zip(B, mu)}
 
     rng = np.random.default_rng(seed)
-    # flat per-vertex cumulative conductances for O(log deg) transitions
-    indptr = np.zeros(net.n_vertices + 1, int)
-    flat_nb = []
-    flat_c = []
-    for v in range(net.n_vertices):
-        for e, sgn, u in net.adjacency[v]:
-            flat_nb.append(u)
-            flat_c.append(net.conductances[e])
-        indptr[v + 1] = len(flat_nb)
-    flat_nb = np.array(flat_nb, int)
-    cum = np.cumsum(np.array(flat_c))
-    base = np.concatenate([[0.0], cum])[indptr[:-1]]
-    seg_total = np.concatenate([[0.0], cum])[indptr[1:]] - base
+    # flat per-vertex cumulative conductances for O(log deg) transitions:
+    # each edge listed at both ends, sorted by (vertex, neighbor, edge id)
+    src = np.concatenate([net.tails, net.heads])
+    flat_nb = np.concatenate([net.heads, net.tails])
+    by_vertex = np.lexsort((np.tile(np.arange(net.n_edges), 2), flat_nb, src))
+    flat_nb = flat_nb[by_vertex]
+    cum = np.cumsum(np.tile(net.conductances, 2)[by_vertex])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=net.n_vertices))])
+    ends = np.concatenate([[0.0], cum])[indptr]
+    base = ends[:-1]
+    seg_total = ends[1:] - base
 
     is_boundary = np.zeros(net.n_vertices, bool)
     is_boundary[B] = True

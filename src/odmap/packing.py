@@ -26,15 +26,19 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import brentq
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import spsolve
+from scipy.spatial import cKDTree
 
-from .core_map import OrthodiagonalMap
+from .core_map import OrthodiagonalMap, _biconnected_components
 from .errors import PackingError, StructuralError
 from .geometry import incircle, signed_area
+from .network import edge_graph
 
 # ---------------------------------------------------------------------------
 # combinatorial triangulations with boundary
@@ -71,6 +75,12 @@ class Triangulation:
     @cached_property
     def edges(self) -> list:
         return sorted({(min(a, b), max(a, b)) for (a, b) in self.directed_face})
+
+    @cached_property
+    def graph(self) -> sp.csr_matrix:
+        """Vertex adjacency in the sparse form scipy.sparse.csgraph takes."""
+        f = self.faces
+        return edge_graph(self.n_vertices, f.ravel(), f[:, [1, 2, 0]].ravel())
 
     @cached_property
     def boundary_cycle(self) -> list:
@@ -148,20 +158,7 @@ class Triangulation:
                 raise StructuralError(f"edge {e} borders {len(fs)} faces")
         _ = self.boundary_cycle
         _ = self.flowers
-        # connectivity
-        seen = {0}
-        stack = [0]
-        adj: dict = {}
-        for a, b in pairs:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        while stack:
-            v = stack.pop()
-            for u in adj.get(v, []):
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != self.n_vertices:
+        if csgraph.connected_components(self.graph, directed=False, return_labels=False) != 1:
             raise StructuralError("triangulation is not connected")
         return self
 
@@ -497,20 +494,8 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8, max_iter: int = 100_000,
     interior_idx = np.flatnonzero(~boundary)
     if interior_idx.size:
         # seed: interior vertex furthest from the boundary (graph distance)
-        dist = np.full(n, -1)
-        queue = list(np.flatnonzero(boundary))
-        for b in queue:
-            dist[b] = 0
-        qi = 0
-        adj = [set() for _ in range(n)]
-        for a, b, c in tri.faces:
-            adj[a].update((b, c)); adj[b].update((a, c)); adj[c].update((a, b))
-        while qi < len(queue):
-            v = queue[qi]; qi += 1
-            for u in sorted(adj[v]):
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
+        dist = csgraph.dijkstra(tri.graph, directed=False, indices=np.flatnonzero(boundary),
+                                unweighted=True, min_only=True)
         seed = int(interior_idx[np.argmax(dist[interior_idx])])
         place(seed, 0j, _t_of_x(x[seed]), 0j)
         # first neighbor along the positive real axis
@@ -624,23 +609,25 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8, max_iter: int = 100_000,
 def _packing_residuals(tri: Triangulation, p: CirclePacking) -> dict:
     c = p.centers
     r = p.radii
-    tang = 0.0
-    for a, b in tri.edges:
-        gap = np.hypot(*(c[a] - c[b])) - (r[a] + r[b])
-        tang = max(tang, abs(gap))
-    bound = 0.0
-    for v in np.flatnonzero(p.boundary_mask):
-        bound = max(bound, abs(np.hypot(*c[v]) + r[v] - 1.0))
+    n = len(r)
+
+    def separation(i, j):
+        return np.hypot(*(c[i] - c[j]).T) - (r[i] + r[j])
+
+    a, b = np.array(tri.edges).reshape(-1, 2).T
+    tang = np.abs(separation(a, b)).max(initial=0.0)
+    rim = np.flatnonzero(p.boundary_mask)
+    bound = np.abs(np.hypot(*c[rim].T) + r[rim] - 1.0).max(initial=0.0)
     inside = float((np.hypot(c[:, 0], c[:, 1]) + r).max() - 1.0)
-    # non-adjacent overlap (most negative separation)
-    overlap = 0.0
-    if tri.n_vertices <= 2000:
-        d = np.hypot(c[:, None, 0] - c[None, :, 0], c[:, None, 1] - c[None, :, 1])
-        sep = d - (r[:, None] + r[None, :])
-        np.fill_diagonal(sep, np.inf)
-        for a, b in tri.edges:
-            sep[a, b] = sep[b, a] = np.inf
-        overlap = float(min(sep.min(), 0.0))
+    # non-adjacent overlap (most negative separation): circles i, j overlap
+    # only if |c_i - c_j| < 2 max(r_i, r_j), so a ball of radius 2 r_i around
+    # each center holds every overlap partner of the larger circle
+    near = cKDTree(c).query_ball_point(c, 2.0 * r)
+    i = np.repeat(np.arange(n), [len(js) for js in near])
+    j = np.fromiter(chain.from_iterable(near), int, len(i))
+    pair = np.minimum(i, j) * n + np.maximum(i, j)
+    keep = (i != j) & ~np.isin(pair, a * n + b)
+    overlap = min(float(separation(i[keep], j[keep]).min(initial=0.0)), 0.0)
     return {
         "max_tangency": float(tang),
         "max_boundary": float(bound),
@@ -823,29 +810,33 @@ class PlanarMap3C:
         return order
 
     def check_3_connected(self):
-        if self.n_vertices < 4:
+        """Raise StructuralError naming a separating vertex pair, if any.
+
+        G is 3-connected iff it has at least 4 vertices and every G - v is
+        connected with no cut vertex, i.e. one biconnected component that
+        touches all n - 1 remaining vertices: one O(m) Hopcroft-Tarjan pass
+        per vertex.
+        """
+        n = self.n_vertices
+        if n < 4:
             raise StructuralError("3-connected maps need at least 4 vertices")
-        adj = [set() for _ in range(self.n_vertices)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
+        edges = np.array(self.edges).reshape(-1, 2)
 
-        def connected_without(removed):
-            start = next(v for v in range(self.n_vertices) if v not in removed)
-            seen = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in removed and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            return len(seen) == self.n_vertices - len(removed)
+        def connected_without(*removed):
+            keep = ~np.isin(edges, removed).any(axis=1)
+            graph = edge_graph(n, edges[keep, 0], edges[keep, 1])
+            return csgraph.connected_components(graph, directed=False,
+                                                return_labels=False) == len(removed) + 1
 
-        for i in range(self.n_vertices):
-            for j in range(i + 1, self.n_vertices):
-                if not connected_without({i, j}):
-                    raise StructuralError(f"removing vertices {{{i},{j}}} disconnects the map")
+        for v in range(n):
+            rest = edges[(edges != v).all(axis=1)]
+            _, n_blocks = _biconnected_components(n, rest)
+            if n_blocks == 1 and np.unique(rest).size == n - 1:
+                continue
+            # v is the smallest vertex of any separating pair, so its partner
+            # is larger than v
+            u = next(u for u in range(v + 1, n) if not connected_without(v, u))
+            raise StructuralError(f"removing vertices {{{v},{u}}} disconnects the map")
         return self
 
 

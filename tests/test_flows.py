@@ -98,6 +98,36 @@ def test_argument_flow_energy_stable_across_refinement():
         assert ratios[0] / 2 <= r <= ratios[0] * 2
 
 
+def _argument_field_loop(omap, x):
+    """Reference: the per-face argument increment, one face at a time."""
+    def cross(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    def darg(a, b):
+        return np.arctan2(cross(a, b), a @ b)
+
+    pos = omap.positions
+    out = []
+    for quad in pos[omap.faces]:
+        turns = [cross(quad[k] - quad[k - 1], quad[(k + 1) % 4] - quad[k]) < 0
+                 for k in range(4)]
+        rel = quad - pos[x]
+        if any(turns) and turns.index(True) in (0, 2):
+            mid = 0.5 * (rel[0] + rel[2])
+            out.append(darg(rel[1], mid) + darg(mid, rel[3]))
+        else:
+            out.append(darg(rel[1], rel[3]))
+    return np.array(out)
+
+
+def test_argument_field_matches_face_loop(concave_fan):
+    grid = odmap.perturbed(odmap.rotated_grid("disk", 16), 0.3, seed=3)
+    for m, centers in ((concave_fan, [0]), (grid, grid.primal_vertices[::9])):
+        for x in centers:
+            np.testing.assert_allclose(argument_field(m, int(x)).values,
+                                       _argument_field_loop(m, int(x)), rtol=0, atol=1e-14)
+
+
 def test_winding_identity_with_concave_face(concave_fan):
     m = concave_fan
     report = odmap.validate(m, tol=1e-12)
@@ -221,6 +251,20 @@ def test_rho_path_matches_bfs_oracle(grid32_centered):
                     stack.append(u)
         assert seen & set(T), "oracle disagrees: no rho-edge path at all"
         assert res["vertices"][-1] in seen
+
+
+@pytest.mark.parametrize("rho, S_size, vertices, edges", [
+    (0.12, 12, [203, 236, 269, 302, 335], [192, 223, 254, 285]),
+    (0.2, 30, [203, 202, 235, 234, 267, 300, 301, 334, 335],
+     [176, 191, 206, 221, 252, 268, 284, 300]),
+    (0.31, 78, [135, 168, 167, 200, 233, 266, 299, 332, 365, 366, 399],
+     [128, 143, 158, 189, 220, 251, 282, 313, 329, 345]),
+])
+def test_rho_path_pinned(grid32_centered, rho, S_size, vertices, edges):
+    # recorded from the hand-written traversals the csgraph version replaced
+    S, T = left_right_cones(grid32_centered)
+    res = odmap.rho_path(odmap.augmented_duals(grid32_centered), rho, S, T)
+    assert (res["S_size"], res["vertices"], res["edges"]) == (S_size, vertices, edges)
 
 
 def test_rho_path_degenerate_radius(grid32_centered):

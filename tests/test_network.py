@@ -307,6 +307,24 @@ def test_strength_on_path_flow():
     assert strength(net, 4.0 * th, [0], [2]) == pytest.approx(3.0)
 
 
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_strength_matches_edge_loop(seed):
+    # reference: one pass over the edges, summing in edge order
+    rng = np.random.default_rng(seed)
+    net = random_network(rng)
+    theta = EdgeField(net, rng.standard_normal(net.n_edges))
+    A, B = [0, 1], [net.n_vertices - 1]
+    out_A = in_B = 0.0
+    for t, h, v in zip(net.tails, net.heads, theta.values):
+        out_A += v * ((t in A) - (h in A))
+        in_B += v * ((h in B) - (t in B))
+    tol = 4 * net.n_edges * np.finfo(float).eps * np.abs(theta.values).sum()
+    assert strength(net, theta, A, B, check_tol=None) == pytest.approx(out_A, abs=tol)
+    # the into-B formula on its own (theta is no flow off A u B)
+    assert strength(net, -theta, B, A, check_tol=None) == pytest.approx(in_B, abs=tol)
+
+
 def test_gap_on_grid():
     net = grid_network(3)
     f = np.array([v % 4 for v in range(16)], float)  # x coordinate
@@ -490,6 +508,42 @@ def test_decomposition_recomposes_and_is_orthogonal():
     # star part satisfies the cycle law; cycle part satisfies node law
     assert np.abs(cycle_law_residuals(net, s)).max() <= 1e-9
     assert np.abs(c.divergence()).max() <= 1e-9
+
+
+def _bfs_oracle(net, root):
+    """Plain BFS visiting neighbours in increasing order; the tree edge to a
+    vertex is the lowest-numbered edge from its parent."""
+    adj = [[] for _ in range(net.n_vertices)]
+    for e, (t, h) in enumerate(zip(net.tails, net.heads)):
+        adj[t].append((int(h), e, +1))
+        adj[h].append((int(t), e, -1))
+    parent = [-1] * net.n_vertices
+    parent_edge = [-1] * net.n_vertices
+    parent_sign = [0] * net.n_vertices
+    order = [root]
+    for v in order:
+        for u, e, sgn in sorted(adj[v]):
+            if u != root and parent[u] < 0:
+                parent[u], parent_edge[u], parent_sign[u] = v, e, sgn
+                order.append(u)
+    return parent, parent_edge, parent_sign, order
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_bfs_spanning_tree_matches_plain_bfs_on_multigraphs(seed):
+    rng = np.random.default_rng(seed)
+    base = random_network(rng)
+    # add parallel copies of random edges, half of them reversed
+    copies = rng.integers(0, base.n_edges, size=int(rng.integers(1, 20)))
+    flip = rng.random(copies.size) < 0.5
+    tails = np.concatenate([base.tails, np.where(flip, base.heads[copies], base.tails[copies])])
+    heads = np.concatenate([base.heads, np.where(flip, base.tails[copies], base.heads[copies])])
+    net = odmap.Network(np.arange(base.n_vertices), tails, heads, np.ones(tails.size))
+    root = int(rng.integers(0, net.n_vertices))
+    got = bfs_spanning_tree(net, root)
+    for a, b in zip(got, _bfs_oracle(net, root)):
+        assert np.asarray(a).tolist() == b
 
 
 def test_subspace_dimensions_by_rank():

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import odmap
 from odmap.errors import StructuralError
@@ -13,8 +17,10 @@ from odmap.generators import (
 )
 from odmap.geometry import incircle
 from odmap.packing import (
+    CirclePacking,
     PlanarMap3C,
     Triangulation,
+    _packing_residuals,
     packing_key_fact_residuals,
 )
 
@@ -86,6 +92,21 @@ def test_random_500_packing(packed500):
     assert p.residuals["max_boundary"] <= 1e-7
     assert p.residuals["worst_overlap"] >= -1e-9
     assert p.residuals["protrusion"] <= 1e-9
+
+
+def test_overlap_checked_above_2000_circles():
+    # the non-adjacent overlap check covers every size: moving one circle
+    # onto a non-neighbour shows up as a negative worst_overlap
+    tri = odmap.random_delaunay_triangulation(2001, seed=1)
+    p = odmap.pack_in_disk(tri)
+    assert p.residuals["worst_overlap"] == 0.0
+    v = 0
+    neighbours = {b for e in tri.edges for b in e if v in e}
+    w = next(u for u in range(tri.n_vertices) if u != v and u not in neighbours)
+    centers = p.centers.copy()
+    centers[v] = centers[w]
+    moved = _packing_residuals(tri, CirclePacking(centers, p.radii, p.boundary_mask))
+    assert moved["worst_overlap"] == pytest.approx(-(p.radii[v] + p.radii[w]), rel=1e-12)
 
 
 def test_tighter_tolerance_tightens_residuals():
@@ -246,6 +267,66 @@ def test_not_3_connected_rejected():
     square = PlanarMap3C(4, [[0, 3, 2, 1], [0, 1, 2, 3]])
     with pytest.raises(StructuralError):
         odmap.double_pack(square, outer_face=0)
+
+
+def _first_separating_pair(h):
+    """Brute-force oracle: the lexicographically first vertex pair whose
+    removal disconnects the map, or None when the map is 3-connected."""
+    adj = {v: set() for v in range(h.n_vertices)}
+    for a, b in h.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    for i in range(h.n_vertices):
+        for j in range(i + 1, h.n_vertices):
+            rest = [v for v in range(h.n_vertices) if v not in (i, j)]
+            seen = {rest[0]}
+            stack = [rest[0]]
+            while stack:
+                for u in adj[stack.pop()] - seen - {i, j}:
+                    seen.add(u)
+                    stack.append(u)
+            if len(seen) != len(rest):
+                return i, j
+    return None
+
+
+def _coned(tri):
+    apex = tri.n_vertices
+    cyc = tri.boundary_cycle
+    cone = [[cyc[k], cyc[(k + 1) % len(cyc)], apex] for k in range(len(cyc))]
+    return PlanarMap3C(apex + 1, [list(map(int, f)) for f in tri.faces] + cone)
+
+
+def _closed(tri):
+    """The triangulation with its boundary cycle as the outer face."""
+    return PlanarMap3C(tri.n_vertices,
+                       [list(map(int, f)) for f in tri.faces] + [tri.boundary_cycle])
+
+
+def _assert_3_connected_matches_oracle(h):
+    pair = _first_separating_pair(h)
+    if pair is None:
+        h.check_3_connected()
+    else:
+        with pytest.raises(StructuralError,
+                           match=re.escape(f"removing vertices {{{pair[0]},{pair[1]}}} ")):
+            h.check_3_connected()
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(4, 40), close=st.booleans())
+@example(seed=0, n=25, close=True)  # separated by the pair {10, 14}
+@settings(max_examples=40, deadline=None)
+def test_check_3_connected_matches_pairwise_oracle(seed, n, close):
+    tri = odmap.random_delaunay_triangulation(n, seed=seed)
+    _assert_3_connected_matches_oracle(_closed(tri) if close else _coned(tri))
+
+
+@pytest.mark.parametrize("h", [
+    PlanarMap3C(4, [[0, 3, 2, 1], [0, 1, 2, 3]]),  # 4-cycle
+    k4_map(), prism_map(), cube_map(), octahedron_map(),
+], ids=["4-cycle", "k4", "prism", "cube", "octahedron"])
+def test_check_3_connected_fixtures_match_pairwise_oracle(h):
+    _assert_3_connected_matches_oracle(h)
 
 
 def test_svg_emission(tmp_path, packed500):
