@@ -6,11 +6,14 @@ and ``w1, w2`` dual.  Everything else (edges, boundary walk, vertex
 partitions, the weighted primal/dual networks) is derived deterministically
 from the face list.
 
-Faces are the single source of truth.  Edge ``i`` of the primal network, edge
-``i`` of the dual network and face ``i`` of the map always correspond: the
-primal edge joins ``v1, v2`` with conductance |w1 w2| / |v1 v2| and the dual
-edge joins ``w1, w2`` with the reciprocal weight, so the index-level bijection
-between primal and dual edges is available everywhere for free.
+Faces are the single source of truth, and :func:`face_sides` (one sort/unique
+pass over the face sides) is the one derivation of edges from them; incidence,
+boundary and blocks are array operations on its table.  Edge ``i`` of the
+primal network, edge ``i`` of the dual network and face ``i`` of the map
+always correspond: the primal edge joins ``v1, v2`` with conductance
+|w1 w2| / |v1 v2| and the dual edge joins ``w1, w2`` with the reciprocal
+weight, so the index-level bijection between primal and dual edges is
+available everywhere for free.
 """
 from __future__ import annotations
 
@@ -21,12 +24,23 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import csgraph
 
-from .errors import DegenerateFaceError, GeometryError, StructuralError
+from .errors import DegenerateFaceError, StructuralError
 from .geometry import dist, hull_diameter, signed_area
 from .network import Network, edge_graph
 
-PRIMAL = True
-DUAL = False
+def face_sides(faces):
+    """Undirected edges of an (m, k) face array and the edge of each side.
+
+    Side j of face i joins corners j and j + 1 (mod k).  Returns the distinct
+    edges (e, 2), each row sorted and the rows in lexicographic order, and
+    the (m, k) array of edge ids, one per side.
+    """
+    faces = np.asarray(faces, int)
+    ends = np.roll(faces, -1, axis=1)
+    n = int(faces.max(initial=0)) + 1
+    keys, side_edge = np.unique(np.minimum(faces, ends) * n + np.maximum(faces, ends),
+                                return_inverse=True)
+    return np.column_stack([keys // n, keys % n]), side_edge.reshape(faces.shape)
 
 
 class OrthodiagonalMap:
@@ -66,28 +80,26 @@ class OrthodiagonalMap:
     # -- derived combinatorics --------------------------------------------
 
     @cached_property
-    def edges(self) -> np.ndarray:
-        """Undirected G-edges (k, 2), each row sorted, lexicographically ordered."""
+    def _sides(self):
+        """:func:`face_sides` of the faces: (edges, edge id of each side)."""
         self._check_face_indices()
-        pairs = set()
-        for f in self.faces:
-            for a, b in zip(f, np.roll(f, -1)):
-                if a == b:
-                    raise StructuralError("face repeats a vertex on consecutive corners")
-                pairs.add((min(a, b), max(a, b)))
-        return np.array(sorted(pairs), int).reshape(-1, 2)
+        if np.any(self.faces == np.roll(self.faces, -1, axis=1)):
+            raise StructuralError("face repeats a vertex on consecutive corners")
+        return face_sides(self.faces)
 
     @cached_property
-    def edge_face_count(self) -> dict:
-        count: dict = {}
-        for i, f in enumerate(self.faces):
-            for a, b in zip(f, np.roll(f, -1)):
-                count.setdefault((min(a, b), max(a, b)), []).append(i)
-        return count
+    def edges(self) -> np.ndarray:
+        """Undirected G-edges (k, 2), each row sorted, lexicographically ordered."""
+        return self._sides[0]
+
+    @cached_property
+    def edge_face_count(self) -> np.ndarray:
+        """Number of face sides on each edge of :attr:`edges`."""
+        return np.bincount(self._sides[1].ravel(), minlength=len(self.edges))
 
     @cached_property
     def boundary_edges(self) -> list:
-        return sorted(e for e, fs in self.edge_face_count.items() if len(fs) == 1)
+        return [tuple(e) for e in self.edges[self.edge_face_count == 1].tolist()]
 
     @cached_property
     def boundary_walk(self) -> np.ndarray:
@@ -96,31 +108,24 @@ class OrthodiagonalMap:
         Raises StructuralError when the boundary is not a single simple
         closed walk.
         """
-        adj: dict = {}
-        for a, b in self.boundary_edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        if not adj:
+        bedges = self.edges[self.edge_face_count == 1]
+        if not bedges.size:
             raise StructuralError("map has no boundary edges")
-        for v, nbs in adj.items():
-            if len(nbs) != 2:
-                raise StructuralError(f"boundary is not simple at vertex {v}")
-        start = min(adj)
-        walk = [start, min(adj[start])]
-        while True:
-            prev, cur = walk[-2], walk[-1]
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            if nxt == start:
-                break
-            if len(walk) > len(self.boundary_edges):
-                raise StructuralError("boundary walk does not close up")
-            walk.append(nxt)
-        if len(walk) != len(self.boundary_edges):
+        ends = bedges.ravel()
+        odd = np.bincount(ends)[ends] != 2
+        if odd.any():  # name the first one in boundary-edge order
+            raise StructuralError(f"boundary is not simple at vertex {ends[np.argmax(odd)]}")
+        a, b = bedges.T
+        # every vertex has two boundary neighbours, so a depth-first search
+        # from the smallest one, taking the smaller neighbour first, walks
+        # its cycle
+        graph = edge_graph(self.n_vertices, np.concatenate([a, b]), np.concatenate([b, a]))
+        walk = csgraph.depth_first_order(graph, a.min(), return_predecessors=False).astype(int)
+        if len(walk) != len(a):
             raise StructuralError("boundary edges form more than one cycle")
-        walk_arr = np.array(walk, int)
-        if signed_area(self.positions[walk_arr]) < 0:
-            walk_arr = walk_arr[::-1].copy()
-        return walk_arr
+        if signed_area(self.positions[walk]) < 0:
+            walk = walk[::-1].copy()
+        return walk
 
     @cached_property
     def boundary_vertex_mask(self) -> np.ndarray:
@@ -169,8 +174,7 @@ class OrthodiagonalMap:
 
     def face_areas(self) -> np.ndarray:
         """Shoelace area per face (equals half the diagonal product)."""
-        p = self.positions
-        return np.array([signed_area(p[f]) for f in self.faces])
+        return signed_area(self.positions[self.faces])
 
     def area(self) -> float:
         """Area of the region covered by the map (sum of face areas)."""
@@ -185,27 +189,24 @@ class OrthodiagonalMap:
     # -- networks ------------------------------------------------------------
 
     @cached_property
-    def _diag_conductances(self):
+    def _networks(self):
         dp, dd = self.diagonal_lengths()
         if np.any(dp <= 0) or np.any(dd <= 0):
             raise DegenerateFaceError("face with zero-length diagonal")
-        return dd / dp, dp / dd
+        f = self.faces
+        pv, dv = self.primal_vertices, self.dual_vertices
+        return (Network(pv, f[:, 0], f[:, 2], dd / dp, positions=self.positions[pv]),
+                Network(dv, f[:, 1], f[:, 3], dp / dd, positions=self.positions[dv]))
 
     def primal_network(self) -> Network:
-        """Network on the primal vertices, one edge per face, c = |w1w2|/|v1v2|."""
-        cp, _ = self._diag_conductances
-        tails = self.faces[:, 0]
-        heads = self.faces[:, 2]
-        labels = self.primal_vertices
-        return Network(labels, tails, heads, cp, positions=self.positions[labels])
+        """Network on the primal vertices, one edge per face, c = |w1w2|/|v1v2|
+        (built once per map, with the dual one)."""
+        return self._networks[0]
 
     def dual_network(self) -> Network:
-        """Network on the dual vertices, one edge per face, c = |v1v2|/|w1w2|."""
-        _, cd = self._diag_conductances
-        tails = self.faces[:, 1]
-        heads = self.faces[:, 3]
-        labels = self.dual_vertices
-        return Network(labels, tails, heads, cd, positions=self.positions[labels])
+        """Network on the dual vertices, one edge per face, c = |v1v2|/|w1w2|
+        (built once per map, with the primal one)."""
+        return self._networks[1]
 
     # -- serialization -------------------------------------------------------
 
@@ -326,7 +327,8 @@ def validate(omap: OrthodiagonalMap, tol: float = 1e-9) -> ValidationReport:
         return report
     report.add("structure/finite_positions", True)
 
-    distinct = all(len(set(f.tolist())) == 4 for f in omap.faces)
+    corners = np.sort(omap.faces, axis=1)
+    distinct = not np.any(corners[:, 1:] == corners[:, :-1])
     report.add("structure/distinct_corners", distinct)
     if not distinct:
         return report
@@ -365,7 +367,11 @@ def validate(omap: OrthodiagonalMap, tol: float = 1e-9) -> ValidationReport:
     report.add("faces/ccw_orientation", bad_orient.size == 0, f"faces {bad_orient[:8].tolist()}")
 
     # edge/face incidence and boundary structure
-    over = [e for e, fs in omap.edge_face_count.items() if len(fs) > 2]
+    over = np.flatnonzero(omap.edge_face_count > 2)
+    if over.size:  # list them in the order their first sides come in the faces
+        _, first_side = np.unique(omap._sides[1], return_index=True)
+        over = over[np.argsort(first_side[over])]
+    over = [tuple(e) for e in omap.edges[over].tolist()]
     report.add("edges/at_most_two_faces", not over, f"edges {over[:8]}")
     report.offending_edges = over
 
@@ -375,8 +381,7 @@ def validate(omap: OrthodiagonalMap, tol: float = 1e-9) -> ValidationReport:
     try:
         walk = omap.boundary_walk
         report.add("boundary/single_simple_walk", True, f"length {len(walk)}")
-        alternating = all(pm[a] != pm[b] for a, b in zip(walk, np.roll(walk, -1)))
-        report.add("boundary/alternating", alternating)
+        report.add("boundary/alternating", np.all(pm[walk] != pm[np.roll(walk, -1)]))
     except StructuralError as exc:
         report.add("boundary/single_simple_walk", False, str(exc))
 
@@ -387,17 +392,6 @@ def validate(omap: OrthodiagonalMap, tol: float = 1e-9) -> ValidationReport:
     unreachable = n - np.count_nonzero(comp == comp[0]) if n else 0
     report.add("graph/connected", unreachable == 0, f"{unreachable} unreachable vertices")
 
-    return report
-
-
-def require_valid(omap: OrthodiagonalMap, tol: float = 1e-9):
-    """Raise GeometryError/StructuralError unless the map validates."""
-    report = validate(omap, tol)
-    if not report.passed:
-        failed = [k for k, (ok, _) in report.checks.items() if not ok]
-        if any(k.startswith("structure") or k.startswith("boundary") or k.startswith("graph") for k in failed):
-            raise StructuralError(f"map failed validation: {failed}")
-        raise GeometryError(f"map failed validation: {failed}")
     return report
 
 
@@ -608,11 +602,8 @@ def blocks(omap: OrthodiagonalMap) -> list:
     if n_comps == 0:
         return []
 
-    # each face goes with its first side; edges are sorted, so look it up by key
-    n = omap.n_vertices
-    f0, f1 = omap.faces[:, 0], omap.faces[:, 1]
-    side = np.minimum(f0, f1) * n + np.maximum(f0, f1)
-    face_comp = comp_of_edge[np.searchsorted(edges[:, 0] * n + edges[:, 1], side)]
+    # each face goes with its first side
+    face_comp = comp_of_edge[omap._sides[1][:, 0]]
 
     out = []
     for comp in range(n_comps):

@@ -221,12 +221,17 @@ def rho_path(aug: AugmentedDuals, rho: float, A, B_prime, center=(0.0, 0.0)) -> 
     n = omap.n_vertices
     bdry = omap.boundary_vertex_mask
 
-    # connectivity-to-boundary hypotheses: a path from a set to the map
-    # boundary that stays inside the set exists iff the set meets the boundary
-    if not bdry[list(A)].any():
-        raise RhoPathError("no path from A to the map boundary stays inside A")
-    if not bdry[list(Bp)].any():
-        raise RhoPathError("no path from B' to the map boundary stays inside B'")
+    # connectivity-to-boundary hypotheses: every vertex of the set has a path
+    # to the map boundary inside the set, i.e. every component of the primal
+    # graph induced on the set meets the boundary
+    v1, v2 = omap.faces[:, 0], omap.faces[:, 2]
+    for name, part in (("A", A), ("B'", Bp)):
+        inside_part = np.zeros(n, bool)
+        inside_part[list(part)] = True
+        keep = inside_part[v1] & inside_part[v2]
+        _, comp = csgraph.connected_components(edge_graph(n, v1[keep], v2[keep]), directed=False)
+        if not np.isin(comp[list(part)], comp[bdry & inside_part]).all():
+            raise RhoPathError(f"no path from {name} to the map boundary stays inside {name}")
 
     # x: most central A-vertex; u: its most central dual neighbor
     x = min(A, key=lambda v: (np.hypot(*(pos[v] - center)), v))

@@ -10,9 +10,10 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import cg as sparse_cg
 
-from .core_map import OrthodiagonalMap, blocks, validate
+from .core_map import OrthodiagonalMap, blocks, face_sides, validate
 from .domains import DomainSpec, hausdorff_delta, unit_disk, unit_square
 from .errors import GeometryError
+from .geometry import cross2
 from .packing import (
     PlanarMap3C,
     Triangulation,
@@ -323,16 +324,14 @@ def triangular_disk_triangulation(rows: int) -> Triangulation:
     if not faces:
         raise GeometryError("no triangles survive the disk clip; increase rows")
     faces = np.array(faces, int)
-    for k, fc in enumerate(faces):
-        a, b, c = pts[fc]
-        if (b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0] < 0:
-            faces[k] = fc[::-1]
+    a, b, c = pts[faces].transpose(1, 0, 2)
+    cw = cross2(b - a, c - a) < 0
+    faces[cw] = faces[cw, ::-1]
     # keep the largest edge-connected component of triangles: two triangles
     # are adjacent when they share a side
-    sides = np.sort(np.stack([faces, np.roll(faces, -1, axis=1)], axis=2), axis=2)
-    _, side_id = np.unique(sides.reshape(-1, 2), axis=0, return_inverse=True)
+    _, side_edge = face_sides(faces)
     face_of = np.repeat(np.arange(len(faces)), 3)
-    incidence = sp.csr_matrix((np.ones(face_of.size), (face_of, side_id.ravel())))
+    incidence = sp.csr_matrix((np.ones(face_of.size), (face_of, side_edge.ravel())))
     _, comp = csgraph.connected_components(incidence @ incidence.T, directed=False)
     best = np.argmax(np.bincount(comp))
     faces = faces[comp == best]

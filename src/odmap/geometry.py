@@ -14,11 +14,16 @@ def dist(p, q) -> float:
     return float(np.hypot(*(np.asarray(q, float) - np.asarray(p, float))))
 
 
-def signed_area(points: np.ndarray) -> float:
-    """Shoelace signed area of a polygon given as an (n, 2) array."""
+def signed_area(points: np.ndarray):
+    """Shoelace signed area of a polygon given as an (n, 2) array, broadcast
+    over any leading axes (an (m, n, 2) stack gives m areas)."""
     p = np.asarray(points, float)
-    x, y = p[:, 0], p[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    x, y = p[..., 0], p[..., 1]
+    # row-times-column matmuls sum in the same order as np.dot; np.sum and
+    # einsum do not, and the two shoelace terms cancel, so the last bits show
+    xy = x[..., None, :] @ np.roll(y, -1, axis=-1)[..., :, None]
+    yx = y[..., None, :] @ np.roll(x, -1, axis=-1)[..., :, None]
+    return 0.5 * (xy - yx)[..., 0, 0]
 
 
 def cross2(u, v):

@@ -34,13 +34,12 @@ class Network:
 
     def __init__(self, labels, tails, heads, conductances, positions=None):
         self.labels = np.asarray(labels).reshape(-1)
-        self._index = {int(l): i for i, l in enumerate(self.labels)}
-        if len(self._index) != len(self.labels):
+        self._by_label = np.argsort(self.labels, kind="stable")
+        self._sorted_labels = self.labels[self._by_label].astype(int)
+        if np.any(self._sorted_labels[1:] == self._sorted_labels[:-1]):
             raise StructuralError("duplicate vertex labels")
-        tails = np.asarray(tails).reshape(-1)
-        heads = np.asarray(heads).reshape(-1)
-        self.tails = np.array([self._index[int(t)] for t in tails], int)
-        self.heads = np.array([self._index[int(h)] for h in heads], int)
+        self.tails = self.indices_of(np.asarray(tails).reshape(-1))
+        self.heads = self.indices_of(np.asarray(heads).reshape(-1))
         self.conductances = np.asarray(conductances, float).reshape(-1)
         if not (len(self.tails) == len(self.heads) == len(self.conductances)):
             raise StructuralError("edge arrays disagree in length")
@@ -61,10 +60,17 @@ class Network:
         return len(self.tails)
 
     def index_of(self, label) -> int:
-        return self._index[int(label)]
+        return int(self.indices_of([label])[0])
 
     def indices_of(self, labels) -> np.ndarray:
-        return np.array([self._index[int(l)] for l in labels], int)
+        """Dense indices of an iterable of labels; KeyError on an unknown one."""
+        want = np.asarray(labels if isinstance(labels, np.ndarray) else list(labels)).astype(int)
+        pos = np.searchsorted(self._sorted_labels, want)
+        found = pos < self.n_vertices
+        found[found] = self._sorted_labels[pos[found]] == want[found]
+        if not found.all():
+            raise KeyError(int(want[~found][0]))
+        return self._by_label[pos]
 
     @property
     def tails_labels(self) -> np.ndarray:
@@ -102,16 +108,8 @@ class Network:
 
     # -- fields ----------------------------------------------------------------
 
-    def zero_field(self) -> "EdgeField":
-        return EdgeField(self, np.zeros(self.n_edges))
-
     def field(self, values) -> "EdgeField":
         return EdgeField(self, np.asarray(values, float))
-
-    def chi(self, edge_index: int, sign: int = +1) -> "EdgeField":
-        v = np.zeros(self.n_edges)
-        v[edge_index] = sign
-        return EdgeField(self, v)
 
     def star(self, label) -> "EdgeField":
         """The star field at a vertex: sum of c(e) chi^e over edges leaving it."""
@@ -279,12 +277,6 @@ def cycle_law_residuals(network: Network, theta: EdgeField) -> np.ndarray:
         t, h = network.tails[e], network.heads[e]
         out.append(r[e] * theta.values[e] - (psi[h] - psi[t]))
     return np.array(out)
-
-
-def is_gradient(network: Network, theta: EdgeField, tol: float = 1e-10) -> bool:
-    res = cycle_law_residuals(network, theta)
-    scale = 1.0 + float(np.abs(theta.values).max(initial=0.0))
-    return bool(np.all(np.abs(res) <= tol * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +473,6 @@ def star_cycle_decomposition(network: Network, theta: EdgeField):
     return star_part, theta - star_part
 
 
-def star_space_dimension(network: Network) -> int:
-    return network.n_vertices - 1
-
-
-def cycle_space_dimension(network: Network) -> int:
-    return network.n_edges - network.n_vertices + 1
-
-
 # ---------------------------------------------------------------------------
 # exit measure of the weighted random walk
 
@@ -499,8 +483,9 @@ def random_walk_exit_measure(problem: DirichletProblem, start,
     """Distribution of the walk's exit position over the boundary set.
 
     Exact mode (default) uses one transposed interior solve; sampled mode
-    simulates ``n_samples`` weighted walks with the given seed.
-    Returns {boundary label: probability}.
+    simulates ``n_samples`` weighted walks with the given seed, and raises
+    RuntimeError unless every walk reaches the boundary within ``max_steps``
+    steps.  Returns {boundary label: probability}.
     """
     net = problem.network
     if not net.is_connected:
@@ -550,4 +535,9 @@ def random_walk_exit_measure(problem: DirichletProblem, start,
         active = active[~done]
         steps += 1
     total = sum(counts.values())
+    if not total:
+        raise RuntimeError(f"no walk reached the boundary within max_steps={max_steps}")
+    if active.size:
+        raise RuntimeError(f"{active.size} of {n_samples} walks had not reached the boundary "
+                           f"after max_steps={max_steps}")
     return {int(net.labels[b]): counts.get(int(b), 0) / total for b in B}

@@ -35,9 +35,9 @@ from scipy.sparse import csgraph
 from scipy.sparse.linalg import spsolve
 from scipy.spatial import cKDTree
 
-from .core_map import OrthodiagonalMap, _biconnected_components
+from .core_map import OrthodiagonalMap, _biconnected_components, face_sides
 from .errors import PackingError, StructuralError
-from .geometry import incircle, signed_area
+from .geometry import incircle, segments_intersect, signed_area
 from .network import edge_graph
 
 # ---------------------------------------------------------------------------
@@ -62,19 +62,29 @@ class Triangulation:
             raise StructuralError("face refers to an unknown vertex")
 
     @cached_property
-    def directed_face(self) -> dict:
-        """directed edge (a, b) -> face index; fails if orientation clashes."""
-        out: dict = {}
-        for i, (a, b, c) in enumerate(self.faces):
-            for e in ((a, b), (b, c), (c, a)):
-                if e in out:
-                    raise StructuralError(f"directed edge {e} used twice; orientation inconsistent")
-                out[(int(e[0]), int(e[1]))] = i
-        return out
+    def _sides(self):
+        """:func:`~odmap.core_map.face_sides` of the faces and the number of
+        sides on each edge, checked: no edge borders more than two faces, and
+        no directed side occurs twice (the faces are consistently oriented)."""
+        edges, side_edge = face_sides(self.faces)
+        ids = side_edge.ravel()
+        count = np.bincount(ids, minlength=len(edges))
+        over = count[ids] > 2
+        if over.any():
+            e = ids[np.argmax(over)]
+            raise StructuralError(f"edge {tuple(edges[e].tolist())} borders {count[e]} faces")
+        ends = np.roll(self.faces, -1, axis=1).ravel()
+        _, first = np.unique(2 * ids + (self.faces.ravel() > ends), return_index=True)
+        if first.size < ids.size:
+            k = np.setdiff1d(np.arange(ids.size), first)[0]  # the first repeat
+            raise StructuralError(f"directed edge {(int(self.faces.flat[k]), int(ends[k]))} "
+                                  "used twice; orientation inconsistent")
+        return edges, side_edge, count
 
     @cached_property
-    def edges(self) -> list:
-        return sorted({(min(a, b), max(a, b)) for (a, b) in self.directed_face})
+    def edges(self) -> np.ndarray:
+        """Undirected edges (e, 2), each row sorted, lexicographically ordered."""
+        return self._sides[0]
 
     @cached_property
     def graph(self) -> sp.csr_matrix:
@@ -84,28 +94,21 @@ class Triangulation:
 
     @cached_property
     def boundary_cycle(self) -> list:
-        """Boundary vertices in CCW order (directed edges with no partner)."""
-        d = self.directed_face
-        nxt = {}
-        for (a, b) in d:
-            if (b, a) not in d:
-                if b in nxt:
-                    raise StructuralError("boundary is not a simple cycle")
-                nxt[b] = a  # reversed orientation walks CCW around the interior
-        if not nxt:
+        """Boundary vertices in CCW order (the sides no other face shares)."""
+        _, side_edge, count = self._sides
+        lone = count[side_edge] == 1
+        a, b = self.faces[lone], np.roll(self.faces, -1, axis=1)[lone]
+        if np.unique(b).size < b.size:
+            raise StructuralError("boundary is not a simple cycle")
+        if not b.size:
             raise StructuralError("triangulation has no boundary")
-        start = min(nxt)
-        cyc = [start]
-        while True:
-            cur = nxt[cyc[-1]]
-            if cur == start:
-                break
-            if len(cyc) > len(nxt):
-                raise StructuralError("boundary does not close up")
-            cyc.append(cur)
-        if len(cyc) != len(nxt):
+        # a lone side a -> b runs clockwise around the outside, so following
+        # the sides backwards (every vertex has one successor) walks CCW
+        cyc = csgraph.depth_first_order(edge_graph(self.n_vertices, b, a), b.min(),
+                                        return_predecessors=False)
+        if cyc.size != b.size:
             raise StructuralError("boundary has more than one cycle")
-        return cyc
+        return cyc.tolist()
 
     @cached_property
     def boundary_mask(self) -> np.ndarray:
@@ -146,17 +149,11 @@ class Triangulation:
 
     def validate(self):
         """Raise StructuralError when not a simple triangulation with boundary."""
-        pairs: dict = {}
-        for i, f in enumerate(self.faces):
-            if len(set(f.tolist())) != 3:
-                raise StructuralError(f"face {i} repeats a vertex")
-            for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
-                key = (min(a, b), max(a, b))
-                pairs.setdefault(key, []).append(i)
-        for e, fs in pairs.items():
-            if len(fs) > 2:
-                raise StructuralError(f"edge {e} borders {len(fs)} faces")
-        _ = self.boundary_cycle
+        corners = np.sort(self.faces, axis=1)
+        repeats = np.flatnonzero(np.any(corners[:, 1:] == corners[:, :-1], axis=1))
+        if repeats.size:
+            raise StructuralError(f"face {repeats[0]} repeats a vertex")
+        _ = self.boundary_cycle  # after the incidence and orientation checks
         _ = self.flowers
         if csgraph.connected_components(self.graph, directed=False, return_labels=False) != 1:
             raise StructuralError("triangulation is not connected")
@@ -170,9 +167,8 @@ def triangulation_from_points(points: np.ndarray) -> Triangulation:
     points = np.asarray(points, float)
     tri = Delaunay(points)
     faces = tri.simplices.copy()
-    for i, f in enumerate(faces):
-        if signed_area(points[f]) < 0:
-            faces[i] = f[::-1]
+    cw = signed_area(points[faces]) < 0
+    faces[cw] = faces[cw, ::-1]
     return Triangulation(len(points), faces, positions=points).validate()
 
 
@@ -614,7 +610,7 @@ def _packing_residuals(tri: Triangulation, p: CirclePacking) -> dict:
     def separation(i, j):
         return np.hypot(*(c[i] - c[j]).T) - (r[i] + r[j])
 
-    a, b = np.array(tri.edges).reshape(-1, 2).T
+    a, b = tri.edges.T
     tang = np.abs(separation(a, b)).max(initial=0.0)
     rim = np.flatnonzero(p.boundary_mask)
     bound = np.abs(np.hypot(*c[rim].T) + r[rim] - 1.0).max(initial=0.0)
@@ -657,90 +653,62 @@ def orthodiagonal_from_packing(tri: Triangulation, packing: CirclePacking,
     for i, f in enumerate(tri.faces):
         inc_centers[i], _ = incircle(c[f[0]], c[f[1]], c[f[2]])
 
-    cyc = tri.boundary_cycle
-    boundary_edges = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-    dfmap = tri.directed_face
+    # boundary edge k joins a[k] to b[k] = a[k + 1] along the boundary cycle;
+    # its triangle holds the lone side that runs from b[k] to a[k]
+    a = np.array(tri.boundary_cycle)
+    b = np.roll(a, -1)
+    _, side_edge, count = tri._sides
+    lone = np.flatnonzero(count[side_edge].ravel() == 1)
+    side_at = np.zeros(n, int)
+    side_at[np.roll(tri.faces, -1, axis=1).ravel()[lone]] = lone
+    bface, bedge = side_at[a] // 3, side_edge.ravel()[side_at[a]]
 
-    def tangency(w, w2):
-        d = c[w2] - c[w]
-        return c[w] + r[w] * d / np.hypot(*d)
-
-    # extension points, with an overlap-shrink pass on consecutive triangles
-    etas = []
-    q_pts = []
-    dirs = []
-    faces_of_bedge = []
-    for (a, b) in boundary_edges:
-        f = dfmap.get((b, a))
-        if f is None:
-            raise StructuralError("boundary edge has no inner face")
-        q = tangency(a, b)
-        u = q - inc_centers[f]
-        u = u / np.hypot(*u)
-        cap = 0.5 * min(r[a], r[b], max(1.0 - np.hypot(*q), 1e-12))
-        etas.append(cap if eta is None else min(eta, cap))
-        q_pts.append(q)
-        dirs.append(u)
-        faces_of_bedge.append(f)
-    etas = np.array(etas)
-
-    from .geometry import segments_intersect
-
+    # extension points: eta past each tangency point q, away from the
+    # incenter, halved while the quads of consecutive boundary edges cross
+    d = c[b] - c[a]
+    q = c[a] + r[a, None] * d / np.hypot(*d.T)[:, None]
+    u = q - inc_centers[bface]
+    u = u / np.hypot(*u.T)[:, None]
+    etas = 0.5 * np.minimum(np.minimum(r[a], r[b]), np.maximum(1.0 - np.hypot(*q.T), 1e-12))
+    if eta is not None:
+        etas = np.minimum(eta, etas)
+    nxt = np.roll(np.arange(len(a)), -1)
     for _ in range(12):
-        p_pts = [q_pts[i] + etas[i] * dirs[i] for i in range(len(etas))]
-        clash = False
-        for i in range(len(boundary_edges)):
-            j = (i + 1) % len(boundary_edges)
-            a_i, b_i = boundary_edges[i]
-            a_j, b_j = boundary_edges[j]
-            pairs = [
-                (c[a_i], p_pts[i], c[a_j], p_pts[j]),
-                (c[a_i], p_pts[i], p_pts[j], c[b_j]),
-                (p_pts[i], c[b_i], p_pts[j], c[b_j]),
-            ]
-            for (s1, s2, s3, s4) in pairs:
-                if segments_intersect(s1, s2, s3, s4, include_endpoints=False):
-                    clash = True
-        if not clash:
+        ext = q + etas[:, None] * u
+        if not any(segments_intersect(*seg, include_endpoints=False)
+                   for i, j in zip(range(len(a)), nxt)
+                   for seg in ((c[a[i]], ext[i], c[a[j]], ext[j]),
+                               (c[a[i]], ext[i], ext[j], c[b[j]]),
+                               (ext[i], c[b[i]], ext[j], c[b[j]]))):
             break
         warnings.warn("boundary extension overlaps; shrinking eta")
-        etas *= 0.5
-    p_pts = np.array([q_pts[i] + etas[i] * dirs[i] for i in range(len(etas))])
-
-    positions = np.vstack([c, inc_centers, p_pts])
+        etas = 0.5 * etas
+    positions = np.vstack([c, inc_centers, q + etas[:, None] * u])
     primal = np.zeros(len(positions), bool)
     primal[:n] = True
 
-    faces = []
-    for (a, b), fs in _edge_faces(tri).items():
-        if len(fs) == 2:
-            f1, f2 = fs
-            quad = [a, n + f1, b, n + f2]
-        else:
-            (f1,) = fs
-            k = _bedge_index(boundary_edges, a, b)
-            quad = [a, n + f1, b, n + m + k]
-        pts = positions[quad]
-        if signed_area(pts) < 0:
-            quad = [quad[0], quad[3], quad[2], quad[1]]
-        faces.append(quad)
-
-    return OrthodiagonalMap(positions, primal, np.array(faces, int))
+    # one quad per edge: its two triangles' incenters, or its one triangle's
+    # incenter and its extension point
+    edges, edge_faces = _edge_faces(tri)
+    fourth = n + edge_faces[:, 1]
+    fourth[bedge] = n + m + np.arange(len(a))
+    faces = np.column_stack([edges[:, 0], n + edge_faces[:, 0], edges[:, 1], fourth])
+    cw = signed_area(positions[faces]) < 0
+    faces[cw] = faces[cw][:, [0, 3, 2, 1]]
+    return OrthodiagonalMap(positions, primal, faces)
 
 
-def _edge_faces(tri: Triangulation) -> dict:
-    out: dict = {}
-    for i, f in enumerate(tri.faces):
-        for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
-            out.setdefault((min(a, b), max(a, b)), []).append(i)
-    return dict(sorted(out.items()))
-
-
-def _bedge_index(boundary_edges, a, b) -> int:
-    for k, (u, v) in enumerate(boundary_edges):
-        if {u, v} == {a, b}:
-            return k
-    raise StructuralError("edge is not a boundary edge")
+def _edge_faces(tri: Triangulation):
+    """Edges (e, 2) and the faces on each (e, 2), lower index first; -1 in
+    the second column of an edge that borders one face."""
+    edges, side_edge, count = tri._sides
+    by_edge = np.argsort(side_edge.ravel(), kind="stable")
+    first = np.cumsum(count) - count
+    faces = np.full((len(edges), 2), -1)
+    faces[:, 0] = by_edge[first] // 3
+    two = count == 2
+    faces[two, 1] = by_edge[first[two] + 1] // 3
+    return edges, faces
 
 
 def packing_key_fact_residuals(tri: Triangulation, packing: CirclePacking) -> np.ndarray:
@@ -749,11 +717,11 @@ def packing_key_fact_residuals(tri: Triangulation, packing: CirclePacking) -> np
     c = packing.centers
     r = packing.radii
     out = []
-    for (a, b), fs in _edge_faces(tri).items():
+    for (a, b), fs in zip(*_edge_faces(tri)):
         d = c[b] - c[a]
         L = np.hypot(*d)
         q = c[a] + r[a] * d / L
-        for f in fs:
+        for f in fs[fs >= 0]:
             ic, _ = incircle(c[tri.faces[f][0]], c[tri.faces[f][1]], c[tri.faces[f][2]])
             t = np.clip(np.dot(ic - c[a], d) / L**2, 0.0, 1.0)
             foot = c[a] + t * d
@@ -789,7 +757,9 @@ class PlanarMap3C:
 
     @cached_property
     def edges(self) -> list:
-        return sorted({(min(a, b), max(a, b)) for (a, b) in self.face_left})
+        # a directed side (a, b), read as a two-corner face, has the one edge {a, b}
+        sides = np.array(list(self.face_left), int).reshape(-1, 2)
+        return [tuple(e) for e in face_sides(sides)[0].tolist()]
 
     def rotation_around(self, v: int, start_face: int) -> list:
         """Faces incident to v in rotation order, starting from start_face."""

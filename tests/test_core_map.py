@@ -103,6 +103,22 @@ def test_duality_counts(grid16_square):
     assert m.dual_network().n_edges == m.n_faces
 
 
+def test_networks_built_once(grid16_square):
+    m = odmap.OrthodiagonalMap(grid16_square.positions, grid16_square.primal_mask,
+                               grid16_square.faces)
+    assert m.primal_network() is m.primal_network()
+    assert m.dual_network() is m.dual_network()
+    # the shared network solves exactly as one built afresh from the faces
+    dp, dd = m.diagonal_lengths()
+    fresh = odmap.Network(m.primal_vertices, m.faces[:, 0], m.faces[:, 2], dd / dp)
+    tf = odmap.get_test_function("exp_x_cos_y")
+    bdry, _ = m.boundary_vertices()
+    data = {int(v): float(x) for v, x in zip(bdry, tf(m.positions[bdry]))}
+    expected = odmap.harmonic_extension(odmap.DirichletProblem(fresh, data)).values
+    for _ in range(2):
+        assert np.array_equal(odmap.solve_dirichlet(m, tf).values, expected)
+
+
 def test_boundary_vertices_diamond(diamond):
     bp, bd = diamond.boundary_vertices()
     assert sorted(bp) == [1, 2, 3, 4]

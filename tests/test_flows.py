@@ -274,6 +274,18 @@ def test_rho_path_degenerate_radius(grid32_centered):
         odmap.rho_path(aug, 1e-4, S, T)  # no dual vertex that close to 0
 
 
+def test_rho_path_every_part_of_A_and_B_must_reach_the_boundary(grid32_centered):
+    S, T = left_right_cones(grid32_centered)
+    aug = odmap.augmented_duals(grid32_centered)
+    # an interior vertex between the cones, with no path inside either
+    lone = central_primal_vertex(grid32_centered, (0.0, 0.3))
+    assert not grid32_centered.boundary_vertex_mask[lone] and lone not in S + T
+    with pytest.raises(RhoPathError, match="inside A$"):
+        odmap.rho_path(aug, 0.2, S + [lone], T)
+    with pytest.raises(RhoPathError, match="inside B'$"):
+        odmap.rho_path(aug, 0.2, S, T + [lone])
+
+
 def test_rho_path_disjointness_checked(grid32_centered):
     S, T = left_right_cones(grid32_centered)
     aug = odmap.augmented_duals(grid32_centered)

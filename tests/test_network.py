@@ -601,3 +601,32 @@ def test_exit_measure_sampled_matches_exact():
         p = exact[v]
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(sampled.get(v, 0.0) - p) <= 3 * sigma + 1e-4
+
+
+def test_sampled_exit_measure_raises_when_no_walk_exits(diamond):
+    prob = DirichletProblem(diamond.primal_network(), {v: 0.0 for v in [1, 2, 3, 4]})
+    with pytest.raises(RuntimeError, match="no walk reached the boundary"):
+        random_walk_exit_measure(prob, 0, n_samples=10, seed=0, max_steps=0)
+
+
+def test_sampled_exit_measure_raises_on_walks_left_at_max_steps(diamond):
+    # with only vertex 1 absorbing, a walk from the hub exits in one step
+    # with probability 1/4, so some of 40 walks are still out after it
+    prob = DirichletProblem(diamond.primal_network(), {1: 0.0})
+    with pytest.raises(RuntimeError, match=r"\d+ of 40 walks had not reached the boundary"):
+        random_walk_exit_measure(prob, 0, n_samples=40, seed=0, max_steps=1)
+    mu = random_walk_exit_measure(prob, 0, n_samples=40, seed=0)
+    assert mu == {1: 1.0}
+
+
+def test_label_lookup():
+    net = odmap.Network([7, 3, 11], [7, 11], [3, 3], [1.0, 2.0])
+    assert net.tails.tolist() == [0, 2] and net.heads.tolist() == [1, 1]
+    assert net.index_of(11) == 2
+    assert net.indices_of({3: 0.0, 7: 1.0}.keys()).tolist() == [1, 0]
+    with pytest.raises(KeyError):
+        net.index_of(5)
+    with pytest.raises(KeyError):
+        net.indices_of([3, 12])
+    with pytest.raises(odmap.StructuralError, match="duplicate"):
+        odmap.Network([1, 2, 1], [1], [2], [1.0])
