@@ -163,11 +163,12 @@ def get_test_function(name: str) -> TestFunction:
 # solver wrapper
 
 
-def solve_dirichlet(omap: OrthodiagonalMap, g, tol_factor: float = 1e-12) -> VertexFunction:
+def solve_dirichlet(omap: OrthodiagonalMap, g) -> VertexFunction:
     """Discrete harmonic extension of g from the primal boundary vertices.
 
     g may be a TestFunction (evaluated at vertex positions) or a dict mapping
-    primal vertex index -> value covering the boundary.
+    primal vertex index -> value covering the boundary.  All solves on one
+    map share one residual-checked factorisation (:func:`harmonic_extension`).
     """
     net = omap.primal_network()
     bdry, _ = omap.boundary_vertices()
@@ -176,7 +177,7 @@ def solve_dirichlet(omap: OrthodiagonalMap, g, tol_factor: float = 1e-12) -> Ver
         data = {int(v): float(val) for v, val in zip(bdry, vals)}
     else:
         data = {int(v): float(g[int(v)]) for v in bdry}
-    return harmonic_extension(DirichletProblem(net, data), tol_factor=tol_factor)
+    return harmonic_extension(DirichletProblem(net, data))
 
 
 def sup_error(omap: OrthodiagonalMap, domain: DomainSpec, tf: TestFunction,

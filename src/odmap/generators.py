@@ -210,29 +210,28 @@ def perturbed(base: OrthodiagonalMap, amplitude: float, seed: int = 0,
         return base
     eps = base.mesh_size()
     duals = base.dual_vertices
-    dual_pos = {int(v): k for k, v in enumerate(duals)}
     nd = len(duals)
     p = base.positions
     f = base.faces
-
-    rows_i, cols_j, vals = [], [], []
-    for i, face in enumerate(f):
-        t = p[face[2]] - p[face[0]]
-        w1, w2 = dual_pos[int(face[1])], dual_pos[int(face[3])]
-        # (d_{w2} - d_{w1}) . t = 0
-        rows_i += [i, i, i, i]
-        cols_j += [2 * w2, 2 * w2 + 1, 2 * w1, 2 * w1 + 1]
-        vals += [t[0], t[1], -t[0], -t[1]]
-    A = sp.csr_matrix((vals, (rows_i, cols_j)), shape=(len(f), 2 * nd))
+    dual_pos = np.zeros(len(p), int)
+    dual_pos[duals] = np.arange(nd)
+    # one row per face: (d_{w2} - d_{w1}) . t = 0
+    t = p[f[:, 2]] - p[f[:, 0]]
+    w1, w2 = dual_pos[f[:, 1]], dual_pos[f[:, 3]]
+    rows = np.repeat(np.arange(len(f)), 4)
+    cols = np.column_stack([2 * w2, 2 * w2 + 1, 2 * w1, 2 * w1 + 1]).ravel()
+    vals = np.column_stack([t, -t]).ravel()
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(len(f), 2 * nd))
+    AAt = (A @ A.T).tocsr()
 
     rng = np.random.default_rng(seed)
     scale = float(amplitude)
     for _ in range(max_tries):
         g = rng.standard_normal(2 * nd)
         # project g onto null(A):  d = g - A^T (A A^T)^+ (A g)
-        AAt = (A @ A.T).tocsr()
-        rhs = A @ g
-        y, _ = sparse_cg(AAt, rhs, rtol=1e-13, atol=1e-14, maxiter=20 * len(f))
+        y, info = sparse_cg(AAt, A @ g, rtol=1e-13, atol=1e-14, maxiter=20 * len(f))
+        if info != 0:
+            raise GeometryError(f"null-space projection did not converge (cg info {info})")
         d = g - A.T @ y
         disp = d.reshape(nd, 2)
         mx = np.abs(disp).max()

@@ -90,21 +90,18 @@ def segments_intersect(a, b, c, d, include_endpoints: bool = True) -> bool:
 
 
 def incircle(a, b, c):
-    """Incenter and inradius of triangle abc.
+    """Incenter and inradius of triangle abc, broadcast over any leading axes
+    (three (m, 2) stacks give m centres and m radii).
 
-    Raises GeometryError for (near-)collinear input.
+    Raises GeometryError if any triangle is (near-)collinear.
     """
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    c = np.asarray(c, float)
-    la = dist(b, c)
-    lb = dist(c, a)
-    lc = dist(a, b)
+    a, b, c = (np.asarray(p, float) for p in (a, b, c))
+    la, lb, lc = (np.hypot(d[..., 0], d[..., 1]) for d in (c - b, a - c, b - a))
     s = la + lb + lc
-    area2 = abs(cross2(b - a, c - a))
-    if s == 0.0 or area2 <= 1e-14 * max(la, lb, lc) ** 2:
+    area2 = np.abs(cross2(b - a, c - a))
+    if np.any((s == 0.0) | (area2 <= 1e-14 * np.maximum(np.maximum(la, lb), lc) ** 2)):
         raise GeometryError("collinear or degenerate triangle has no incircle")
-    center = (la * a + lb * b + lc * c) / s
+    center = (la[..., None] * a + lb[..., None] * b + lc[..., None] * c) / s[..., None]
     radius = area2 / s
     return center, radius
 

@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
+from scipy.sparse.linalg import splu
 
 from .errors import DisconnectedNetworkError, StructuralError
 
@@ -48,6 +49,7 @@ class Network:
         if np.any(self.tails == self.heads):
             raise StructuralError("self-loops are not supported")
         self.positions = None if positions is None else np.asarray(positions, float)
+        self._grounded = None  # the one cached interior solver
 
     # -- basics -------------------------------------------------------------
 
@@ -105,6 +107,16 @@ class Network:
         v = np.concatenate([self.conductances, self.conductances,
                             -self.conductances, -self.conductances])
         return sp.csr_matrix((v, (i, j)), shape=(n, n))
+
+    def grounded(self, boundary_idx) -> "_InteriorSolver":
+        """The solver for L[I][:, I], I the vertices not in ``boundary_idx``
+        (distinct).  One solver is cached; another interior set replaces it."""
+        interior = np.setdiff1d(np.arange(self.n_vertices), boundary_idx, assume_unique=True)
+        if self._grounded is None or not np.array_equal(self._grounded.interior, interior):
+            if not self.is_connected:
+                raise DisconnectedNetworkError("interior solve requires a connected network")
+            self._grounded = _InteriorSolver(self, interior)
+        return self._grounded
 
     # -- fields ----------------------------------------------------------------
 
@@ -193,14 +205,12 @@ class DirichletProblem:
     def __post_init__(self):
         if not self.boundary_values:
             raise StructuralError("boundary set must be nonempty")
-        if len(self.boundary_values) >= self.network.n_vertices:
-            if len(self.boundary_values) > self.network.n_vertices:
-                raise StructuralError("boundary set larger than vertex set")
+        if len(self.boundary_values) > self.network.n_vertices:
+            raise StructuralError("boundary set larger than vertex set")
         self.boundary_idx = self.network.indices_of(self.boundary_values.keys())
         self.boundary_vals = np.array([float(v) for v in self.boundary_values.values()])
-        mask = np.ones(self.network.n_vertices, bool)
-        mask[self.boundary_idx] = False
-        self.interior_idx = np.flatnonzero(mask)
+        self.interior_idx = np.setdiff1d(np.arange(self.network.n_vertices), self.boundary_idx,
+                                         assume_unique=True)
 
 
 # ---------------------------------------------------------------------------
@@ -265,22 +275,49 @@ def cycle_law_residuals(network: Network, theta: EdgeField) -> np.ndarray:
     All residuals vanish iff theta is a discrete gradient.
     """
     parent, parent_edge, parent_sign, order = bfs_spanning_tree(network)
-    r = network.resistances
+    r, v = network.resistances, theta.values
+    # the potential along the tree, one BFS level at a time: once order[:hi]
+    # is done, the next level is the run of vertices after it whose parents
+    # sit at positions < hi
+    parent_at = np.argsort(order)[parent[order[1:]]]
     psi = np.zeros(network.n_vertices)
-    for v in order[1:]:
-        psi[v] = psi[parent[v]] + parent_sign[v] * r[parent_edge[v]] * theta.values[parent_edge[v]]
-    tree_edges = set(int(e) for e in parent_edge if e >= 0)
-    out = []
-    for e in range(network.n_edges):
-        if e in tree_edges:
-            continue
-        t, h = network.tails[e], network.heads[e]
-        out.append(r[e] * theta.values[e] - (psi[h] - psi[t]))
-    return np.array(out)
+    hi = 1
+    while hi < network.n_vertices:
+        level = order[hi:1 + np.searchsorted(parent_at, hi)]
+        e = parent_edge[level]
+        psi[level] = psi[parent[level]] + parent_sign[level] * r[e] * v[e]
+        hi += level.size
+    off = np.ones(network.n_edges, bool)
+    off[parent_edge[order[1:]]] = False
+    return r[off] * v[off] - (psi[network.heads[off]] - psi[network.tails[off]])
 
 
 # ---------------------------------------------------------------------------
-# harmonic extension (preconditioned conjugate gradient)
+# harmonic extension: one cached sparse factorisation of the interior Laplacian
+
+
+class _InteriorSolver:
+    """Sparse LU of L_II = L[I][:, I] for a connected network, and the rows
+    L[I].  Each solve checks |L_II x - rhs|_i <= 1e-9 pi(i) ||x||_inf + 1e-305
+    (the floor admits subnormal data) and raises RuntimeError if missed."""
+
+    def __init__(self, network: Network, interior: np.ndarray):
+        self.interior = interior
+        self.rows = network.laplacian[interior]
+        self._matrix = self.rows[:, interior].tocsc()
+        self._pi = network.pi[interior]
+        # L_II is SPD: a symmetric fill-reducing order, no row pivoting
+        self._lu = splu(self._matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True})
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x = self._lu.solve(rhs)
+        resid = np.abs(self._matrix @ x - rhs)
+        bound = 1e-9 * self._pi * float(np.abs(x).max(initial=0.0)) + 1e-305
+        if not np.all(resid <= bound):
+            raise RuntimeError(f"interior solve missed its residual check; "
+                               f"worst node residual {float(resid.max()):.3e}")
+        return x
 
 
 def _pcg(A: sp.csr_matrix, b: np.ndarray, inv_diag: np.ndarray, tol_abs: float,
@@ -316,40 +353,22 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, inv_diag: np.ndarray, tol_abs: float,
     return scale * x
 
 
-def harmonic_extension(problem: DirichletProblem, tol_factor: float = 1e-12) -> VertexFunction:
+def harmonic_extension(problem: DirichletProblem) -> VertexFunction:
     """Unique function matching the boundary data and harmonic elsewhere.
 
-    Solves the SPD interior Laplacian system by Jacobi-preconditioned
-    conjugate gradient; iteration stops when the residual drops below
-    tol_factor * (initial residual + ||rhs||).  The node-law postcondition
-    (residual at each interior vertex below 1e-9 pi(x) ||g||_inf) is checked,
-    with one tighter retry before giving up.
+    One solve with the network's cached sparse factorisation of the interior
+    Laplacian (:meth:`Network.grounded`; one boundary set factors once).  Its
+    residual check bounds the node residual at each interior vertex by
+    1e-9 pi(x) ||g||_inf, since ||h||_inf <= ||g||_inf, or raises RuntimeError.
     """
-    net = problem.network
-    if not net.is_connected:
-        raise DisconnectedNetworkError("harmonic extension requires a connected network")
+    return _extend(problem.network, problem.boundary_idx, problem.boundary_vals)
+
+
+def _extend(net: Network, boundary_idx: np.ndarray, g: np.ndarray) -> VertexFunction:
     h = np.zeros(net.n_vertices)
-    h[problem.boundary_idx] = problem.boundary_vals
-    I = problem.interior_idx
-    if I.size == 0:
-        return VertexFunction(net, h)
-    L = net.laplacian
-    L_II = L[I][:, I].tocsr()
-    B = problem.boundary_idx
-    rhs = -(L[I][:, B] @ problem.boundary_vals)
-    maxiter = max(1000, 40 * I.size)
-    g_inf = float(np.abs(problem.boundary_vals).max())
-    bound = 1e-9 * net.pi[I] * g_inf
-    x = None
-    for factor in (tol_factor, tol_factor * 1e-2):
-        tol_abs = factor * (float(np.linalg.norm(rhs)) * 2.0 + 1e-300)
-        x = _pcg(L_II, rhs, 1.0 / L_II.diagonal(), tol_abs, maxiter, x0=x)
-        if np.all(np.abs(L_II @ x - rhs) <= bound + 1e-305):
-            break
-    else:
-        worst = float(np.abs(L_II @ x - rhs).max())
-        raise RuntimeError(f"conjugate gradient stalled; worst node residual {worst:.3e}")
-    h[I] = x
+    h[boundary_idx] = g
+    solver = net.grounded(boundary_idx)
+    h[solver.interior] = solver.solve(-(solver.rows @ h))
     return VertexFunction(net, h)
 
 
@@ -404,8 +423,7 @@ def project_to_current(problem: DirichletProblem, f) -> EdgeField:
     """
     net = problem.network
     vals = f.values if isinstance(f, VertexFunction) else np.asarray(f, float)
-    data = {int(net.labels[i]): float(vals[i]) for i in problem.boundary_idx}
-    h = harmonic_extension(DirichletProblem(net, data))
+    h = _extend(net, problem.boundary_idx, vals[problem.boundary_idx])
     return discrete_gradient(net, h)
 
 
@@ -455,20 +473,11 @@ def star_cycle_decomposition(network: Network, theta: EdgeField):
     """Split theta into its star-space and cycle-space components.
 
     The star space is exactly the space of discrete gradients; the component
-    is c da where L a = -div(theta) (grounded at vertex 0).
+    is c da where L a = -div(theta), grounded at vertex 0 (a(0) = 0).
     """
-    if not network.is_connected:
-        raise DisconnectedNetworkError("decomposition requires a connected network")
-    b = -theta.divergence()
-    n = network.n_vertices
-    a = np.zeros(n)
-    if n > 1:
-        L = network.laplacian
-        keep = np.arange(1, n)
-        L_red = L[keep][:, keep].tocsr()
-        rhs = b[keep]
-        tol_abs = 1e-14 * (float(np.linalg.norm(rhs)) * 2.0 + 1e-300)
-        a[keep] = _pcg(L_red, rhs, 1.0 / L_red.diagonal(), tol_abs, max(1000, 40 * n))
+    solver = network.grounded([0])
+    a = np.zeros(network.n_vertices)
+    a[solver.interior] = solver.solve(-theta.divergence()[solver.interior])
     star_part = discrete_gradient(network, a)
     return star_part, theta - star_part
 
@@ -482,29 +491,25 @@ def random_walk_exit_measure(problem: DirichletProblem, start,
                              max_steps: int = 10_000_000) -> dict:
     """Distribution of the walk's exit position over the boundary set.
 
-    Exact mode (default) uses one transposed interior solve; sampled mode
-    simulates ``n_samples`` weighted walks with the given seed, and raises
-    RuntimeError unless every walk reaches the boundary within ``max_steps``
-    steps.  Returns {boundary label: probability}.
+    Exact mode (default) is -L[B][:, I] y for L_II y = e_start, by the cached
+    interior factorisation; sampled mode simulates ``n_samples`` weighted walks
+    with the given seed, and raises RuntimeError unless every walk reaches the
+    boundary within ``max_steps`` steps.  Returns {boundary label: probability}.
     """
     net = problem.network
-    if not net.is_connected:
-        raise DisconnectedNetworkError("exit measure requires a connected network")
     s = net.index_of(start)
     B = problem.boundary_idx
     if s in set(B.tolist()):
         return {int(net.labels[s]): 1.0}
-    I = problem.interior_idx
     if n_samples is None:
-        L = net.laplacian
-        L_II = L[I][:, I].tocsr()
-        e_s = np.zeros(I.size)
-        e_s[np.flatnonzero(I == s)[0]] = 1.0
-        tol_abs = 1e-14 * 2.0
-        y = _pcg(L_II, e_s, 1.0 / L_II.diagonal(), tol_abs, max(1000, 40 * I.size))
-        mu = -(L[B][:, I] @ y)
+        solver = net.grounded(B)
+        e_s = (solver.interior == s).astype(float)
+        # L is symmetric, so L[B][:, I] y = (L[I].T y)[B]
+        mu = -(solver.rows.T @ solver.solve(e_s))[B]
         return {int(net.labels[b]): float(p) for b, p in zip(B, mu)}
 
+    if not net.is_connected:
+        raise DisconnectedNetworkError("exit measure requires a connected network")
     rng = np.random.default_rng(seed)
     # flat per-vertex cumulative conductances for O(log deg) transitions:
     # each edge listed at both ends, sorted by (vertex, neighbor, edge id)

@@ -649,9 +649,7 @@ def orthodiagonal_from_packing(tri: Triangulation, packing: CirclePacking,
     n = tri.n_vertices
     m = len(tri.faces)
 
-    inc_centers = np.zeros((m, 2))
-    for i, f in enumerate(tri.faces):
-        inc_centers[i], _ = incircle(c[f[0]], c[f[1]], c[f[2]])
+    inc_centers, _ = incircle(*c[tri.faces].transpose(1, 0, 2))
 
     # boundary edge k joins a[k] to b[k] = a[k + 1] along the boundary cycle;
     # its triangle holds the lone side that runs from b[k] to a[k]
@@ -716,14 +714,14 @@ def packing_key_fact_residuals(tri: Triangulation, packing: CirclePacking) -> np
     an adjacent inscribed circle with that edge| (zero in exact arithmetic)."""
     c = packing.centers
     r = packing.radii
+    inc_centers, _ = incircle(*c[tri.faces].transpose(1, 0, 2))
     out = []
     for (a, b), fs in zip(*_edge_faces(tri)):
         d = c[b] - c[a]
         L = np.hypot(*d)
         q = c[a] + r[a] * d / L
         for f in fs[fs >= 0]:
-            ic, _ = incircle(c[tri.faces[f][0]], c[tri.faces[f][1]], c[tri.faces[f][2]])
-            t = np.clip(np.dot(ic - c[a], d) / L**2, 0.0, 1.0)
+            t = np.clip(np.dot(inc_centers[f] - c[a], d) / L**2, 0.0, 1.0)
             foot = c[a] + t * d
             out.append(np.hypot(*(q - foot)))
     return np.array(out)

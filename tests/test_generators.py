@@ -105,6 +105,13 @@ def test_perturbed_heterogeneous_and_valid(grid16_square):
     assert degrees(m) == degrees(grid16_square)
 
 
+def test_perturbed_raises_when_the_projection_does_not_converge(grid16_square, monkeypatch):
+    monkeypatch.setattr(odmap.generators, "sparse_cg",
+                        lambda A, b, **kw: (np.zeros_like(b), 1))
+    with pytest.raises(odmap.GeometryError, match="did not converge"):
+        perturbed(grid16_square, 0.3, seed=2)
+
+
 def test_perturbed_martingale_still_holds(grid16_square):
     m = perturbed(grid16_square, 0.3, seed=7)
     res = martingale_residuals(m)

@@ -229,6 +229,36 @@ def test_gradient_satisfies_cycle_law():
             assert np.abs(res).max() <= 1e-12 * (1 + np.abs(f).max())
 
 
+def _cycle_law_residuals_loop(net, theta):
+    """The per-vertex potential and per-edge residual loops that
+    cycle_law_residuals replaces (the oracle)."""
+    parent, parent_edge, parent_sign, order = bfs_spanning_tree(net)
+    r = net.resistances
+    psi = np.zeros(net.n_vertices)
+    for v in order[1:]:
+        psi[v] = psi[parent[v]] + parent_sign[v] * r[parent_edge[v]] * theta.values[parent_edge[v]]
+    tree_edges = set(int(e) for e in parent_edge if e >= 0)
+    out = []
+    for e in range(net.n_edges):
+        if e in tree_edges:
+            continue
+        t, h = net.tails[e], net.heads[e]
+        out.append(r[e] * theta.values[e] - (psi[h] - psi[t]))
+    return np.array(out)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_cycle_law_residuals_match_the_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    for net in (random_network(rng), grid_network(int(rng.integers(1, 12))),
+                path_network(rng.random(int(rng.integers(1, 6))) + 0.5)):
+        theta = net.field(rng.standard_normal(net.n_edges))
+        got = cycle_law_residuals(net, theta)
+        want = _cycle_law_residuals_loop(net, theta)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_node_law_residuals_characterize_flows():
     from odmap.network import node_law_residuals
 

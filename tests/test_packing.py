@@ -15,7 +15,7 @@ from odmap.generators import (
     prism_map,
     single_interior_triangulation,
 )
-from odmap.geometry import incircle
+from odmap.geometry import cross2, dist, incircle
 from odmap.packing import (
     CirclePacking,
     PlanarMap3C,
@@ -51,6 +51,29 @@ def test_incircle_scaling():
 def test_incircle_collinear_raises():
     with pytest.raises(odmap.GeometryError):
         incircle((0, 0), (1, 1), (2, 2))
+
+
+def _incircle_per_face(a, b, c):
+    """The scalar incircle computation incircle broadcasts (the oracle)."""
+    la, lb, lc = dist(b, c), dist(c, a), dist(a, b)
+    s = la + lb + lc
+    return (la * a + lb * b + lc * c) / s, abs(cross2(b - a, c - a)) / s
+
+
+def test_incircle_broadcasts_bit_for_bit(packed500):
+    tri, packing, _ = packed500
+    corners = packing.centers[tri.faces]
+    centers, radii = incircle(corners[:, 0], corners[:, 1], corners[:, 2])
+    assert centers.shape == (len(tri.faces), 2) and radii.shape == (len(tri.faces),)
+    for f, (a, b, c) in enumerate(corners):
+        one_center, one_radius = incircle(a, b, c)
+        oracle_center, oracle_radius = _incircle_per_face(a, b, c)
+        assert np.array_equal(centers[f], one_center) and radii[f] == one_radius
+        assert np.array_equal(centers[f], oracle_center) and radii[f] == oracle_radius
+    # one degenerate triangle anywhere in the stack raises
+    corners[7, 2] = corners[7, 0] + 0.5 * (corners[7, 1] - corners[7, 0])
+    with pytest.raises(odmap.GeometryError):
+        incircle(corners[:, 0], corners[:, 1], corners[:, 2])
 
 
 def test_inradius_mesh_consistency():
