@@ -97,19 +97,17 @@ class DomainSpec:
                 best = min(best, seg_seg_distance(a, b, c, d))
         return float(best)
 
-    def face_inside(self, quad: np.ndarray, tol: float = 1e-12) -> bool:
-        """Whether the closed quad is contained in the closed domain."""
+    def face_inside(self, quad: np.ndarray, tol: float = 1e-12):
+        """Whether the closed quad is contained in the closed domain, broadcast
+        over any leading axes ((m, 4, 2) quads give m flags)."""
         quad = np.asarray(quad, float)
-        if not bool(self.contains(quad, tol).all()):
-            return False
-        if self.kind in ("disk", "square"):
-            return True  # convex: corner containment suffices
-        sides = [(quad[i], quad[(i + 1) % 4]) for i in range(4)]
-        for a, b in self.boundary_segments():
-            for c, d in sides:
-                if segments_intersect(a, b, c, d, include_endpoints=False):
-                    return False
-        return True
+        inside = self.contains(quad.reshape(-1, 2), tol).reshape(-1, 4).all(1)
+        if self.kind == "polygon":  # not convex: corner containment does not suffice
+            segs = self.boundary_segments()
+            inside[inside] = [not any(segments_intersect(a, b, q[i], q[(i + 1) % 4], include_endpoints=False)
+                                      for a, b in segs for i in range(4))
+                              for q in quad.reshape(-1, 4, 2)[inside]]
+        return bool(inside[0]) if quad.ndim == 2 else inside.reshape(quad.shape[:-2])
 
     def perimeter(self) -> float:
         if self.kind == "disk":

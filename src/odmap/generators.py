@@ -81,37 +81,6 @@ def two_diamonds_sharing_vertex() -> OrthodiagonalMap:
 # structured grids
 
 
-def _lattice_map(face_centers, n: float) -> OrthodiagonalMap:
-    """Map whose faces are the diamonds around the given lattice centers."""
-    verts = {}
-    faces = []
-
-    def vid(i, j):
-        if (i, j) not in verts:
-            verts[(i, j)] = len(verts)
-        return verts[(i, j)]
-
-    for (p, q) in face_centers:
-        e = (p + 1, q)
-        nn = (p, q + 1)
-        w = (p - 1, q)
-        s = (p, q - 1)
-        corners = [e, nn, w, s]
-        # v1 must be primal: even first coordinate
-        if e[0] % 2 != 0:
-            corners = [nn, w, s, e]
-        faces.append([vid(*c) for c in corners])
-
-    idx = np.array(list(verts.keys()), float)
-    positions = idx / n
-    primal = (np.array([k[0] for k in verts], int) % 2) == 0
-    omap = OrthodiagonalMap(positions, primal, np.array(faces, int))
-    bl = blocks(omap)
-    if not bl:
-        raise GeometryError("no faces survive clipping; increase n")
-    return bl[0]
-
-
 def rotated_grid(domain: DomainSpec | str, n: int) -> OrthodiagonalMap:
     """45-degree rotated square lattice clipped to the domain.
 
@@ -129,19 +98,25 @@ def rotated_grid(domain: DomainSpec | str, n: int) -> OrthodiagonalMap:
         lo, hi = domain.bounding_box()
         lo_i, lo_j = np.floor(lo * n).astype(int)
         hi_i, hi_j = np.ceil(hi * n).astype(int)
-    centers = []
-    for p in range(lo_i + 1, hi_i):
-        for q in range(lo_j + 1, hi_j):
-            if (p + q) % 2 != 0:
-                continue
-            quad = np.array([[p + 1, q], [p, q + 1], [p - 1, q], [p, q - 1]], float) / n
-            if domain.kind == "square":
-                ok = np.all((quad >= -1e-12) & (quad <= 1.0 + 1e-12))
-            else:
-                ok = domain.face_inside(quad)
-            if ok:
-                centers.append((p, q))
-    return _lattice_map(centers, float(n))
+    P, Q = np.meshgrid(np.arange(lo_i + 1, hi_i), np.arange(lo_j + 1, hi_j), indexing="ij")
+    even = (P + Q) % 2 == 0
+    P, Q = P[even], Q[even]
+    # candidate diamonds around the lattice centres (p, q), corners E, N, W, S
+    corners = np.stack([np.stack(c, -1) for c in ((P + 1, Q), (P, Q + 1), (P - 1, Q), (P, Q - 1))], 1)
+    corners = corners[domain.face_inside(corners / n)]
+    # v1 must be primal: even first coordinate
+    corners = np.where(corners[:, :1, :1] % 2 != 0, np.roll(corners, -1, axis=1), corners)
+    # vertex ids in order of first appearance
+    lattice, first, inv = np.unique(corners.reshape(-1, 2), axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    ids = np.empty_like(order)
+    ids[order] = np.arange(len(order))
+    lattice = lattice[order]
+    omap = OrthodiagonalMap(lattice / float(n), lattice[:, 0] % 2 == 0, ids[inv].reshape(-1, 4))
+    bl = blocks(omap)
+    if not bl:
+        raise GeometryError("no faces survive clipping; increase n")
+    return bl[0]
 
 
 def rect_nonuniform(x_cuts, y_cuts) -> OrthodiagonalMap:
@@ -257,17 +232,13 @@ def clip_to_domain(omap: OrthodiagonalMap, domain: DomainSpec, buffer: float = 0
     """Keep the faces whose closure sits inside the domain at distance at
     least ``buffer`` from its boundary, and return the blocks of the kept
     subgraph (largest first).  An empty list means nothing survived."""
-    keep = []
-    for i in range(omap.n_faces):
-        quad = omap.face_polygon(i)
-        if not domain.face_inside(quad):
-            continue
-        if buffer > 0 and domain.face_distance(quad) < buffer:
-            continue
-        keep.append(i)
-    if not keep:
+    quads = omap.positions[omap.faces]
+    keep = domain.face_inside(quads)
+    if buffer > 0:
+        keep[keep] = [not domain.face_distance(quad) < buffer for quad in quads[keep]]
+    if not keep.any():
         return []
-    return blocks(omap.submap(keep))
+    return blocks(omap.submap(np.flatnonzero(keep)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ lengths are Euclidean.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import GeometryError
@@ -141,20 +143,29 @@ def hull_diameter(points: np.ndarray) -> float:
 
 
 def split_quad(quad: np.ndarray):
-    """Split a simple CCW quad into two triangles along an interior diagonal."""
+    """Split a simple CCW quad into two triangles along an interior diagonal,
+    broadcast over any leading axes ((m, 4, 2) quads give two (m, 3, 2)
+    stacks); a GeometryError names the first quad that has no such diagonal.
+    """
     q = np.asarray(quad, float)
-    v1, w1, v2, w2 = q
-    if signed_area(np.array([v1, w1, v2])) > 0 and signed_area(np.array([v1, v2, w2])) > 0:
-        return np.array([v1, w1, v2]), np.array([v1, v2, w2])
-    if signed_area(np.array([w1, v2, w2])) > 0 and signed_area(np.array([w1, w2, v1])) > 0:
-        return np.array([w1, v2, w2]), np.array([w1, w2, v1])
-    raise GeometryError("quad is not a simple CCW polygon")
+    t1a, t2a = q[..., [0, 1, 2], :], q[..., [0, 2, 3], :]
+    t1b, t2b = q[..., [1, 2, 3], :], q[..., [1, 3, 0], :]
+    ok_a = (signed_area(t1a) > 0) & (signed_area(t2a) > 0)
+    ok_b = (signed_area(t1b) > 0) & (signed_area(t2b) > 0)
+    bad = np.flatnonzero(~(ok_a | ok_b))
+    if bad.size:
+        what = "quad" if q.ndim == 2 else f"face {bad[0]}"
+        raise GeometryError(f"{what} is not a simple CCW polygon")
+    keep_a = ok_a[..., None, None]
+    return np.where(keep_a, t1a, t1b), np.where(keep_a, t2a, t2b)
 
 
+@functools.cache
 def gauss_triangle(n: int):
     """Tensor Gauss-Legendre rule on the reference triangle via the Duffy map.
 
-    Returns (points (k, 2) in barycentric-free reference coords, weights (k,)).
+    Returns (points (k, 2) in barycentric-free reference coords, weights (k,)),
+    k = n * n, computed once per n and read-only.
     Exact for polynomials of degree ~2n-2 on the triangle.
     """
     x, wx = np.polynomial.legendre.leggauss(n)
@@ -164,28 +175,46 @@ def gauss_triangle(n: int):
     W = np.outer(wu, wu) * (1.0 - U)
     px = U
     py = V * (1.0 - U)
-    return np.column_stack([px.ravel(), py.ravel()]), W.ravel()
+    ref, w = np.column_stack([px.ravel(), py.ravel()]), W.ravel()
+    ref.flags.writeable = w.flags.writeable = False
+    return ref, w
 
 
-def integrate_over_triangle(f, tri: np.ndarray, n: int) -> float:
-    """Integrate f(pts) over triangle tri using an n x n Duffy-Gauss rule."""
-    a, b, c = np.asarray(tri, float)
-    ref, w = gauss_triangle(n)
-    pts = a + ref[:, 0:1] * (b - a) + ref[:, 1:2] * (c - a)
-    jac = abs(cross2(b - a, c - a))
-    return float(jac * (w @ f(pts)))
+# integrand points per call of f: bounds the temporaries, not the result
+_QUAD_POINTS = 1 << 14
 
 
-def integrate_over_quad(f, quad: np.ndarray, tol: float = 1e-10, n0: int = 4) -> float:
-    """Integrate f over an orthodiagonal quad, doubling the rule until stable."""
-    t1, t2 = split_quad(quad)
-    prev = None
+def integrate_over_quad(f, quad: np.ndarray, tol: float = 1e-10, n0: int = 4):
+    """Integrate f over orthodiagonal quads, doubling the rule until stable.
+
+    A (4, 2) quad gives a float, an (..., 4, 2) stack one value per quad.
+    Each quad is split along an interior diagonal and integrated with the
+    n x n Duffy-Gauss rule on both triangles for n = n0, 2 n0, ... until two
+    orders agree to tol (1 + |val|) or n exceeds 64.  The quads still open
+    share one cached rule per order; f maps (N, 2) points to N values and
+    gets whole quads, at most _QUAD_POINTS points a call unless one quad
+    needs more, so each value equals that of integrating its quad alone.
+    """
+    q = np.asarray(quad, float)
+    tris = np.stack(split_quad(q), -3).reshape(-1, 2, 3, 2)
+    val = np.full(len(tris), np.nan)
+    todo = np.arange(len(val))
     n = n0
-    while True:
-        val = integrate_over_triangle(f, t1, n) + integrate_over_triangle(f, t2, n)
-        if prev is not None and abs(val - prev) <= tol * (1.0 + abs(val)):
-            return val
+    while todo.size:
+        ref, w = gauss_triangle(n)
+        step = max(1, _QUAD_POINTS // (2 * len(w)))
+        new = np.empty(todo.size)
+        for s in range(0, todo.size, step):
+            a, b, c = (tris[todo[s:s + step], :, i, None, :] for i in range(3))
+            pts = a + ref[:, 0:1] * (b - a) + ref[:, 1:2] * (c - a)
+            vals = np.asarray(f(pts.reshape(-1, 2)), float).reshape(len(a), 2, 1, -1)
+            # row-times-column matmul: the same sum order as w @ vals per triangle
+            part = np.abs(cross2(b - a, c - a))[..., 0] * (vals @ w[:, None])[..., 0, 0]
+            new[s:s + step] = part[:, 0] + part[:, 1]
+        done = np.abs(new - val[todo]) <= tol * (1.0 + np.abs(new))
+        val[todo] = new
         if n > 64:
-            return val
-        prev = val
+            break
+        todo = todo[~done]
         n *= 2
+    return float(val[0]) if q.ndim == 2 else val.reshape(q.shape[:-2])

@@ -417,6 +417,24 @@ def test_exit_measure_sampled_mode(diamond):
     assert out["tv"] <= 0.05
 
 
+@pytest.mark.parametrize("k", [3, 8, 16])
+def test_exit_measure_arcs_match_per_label_loop(k):
+    m = odmap.rotated_grid("disk", 24)
+    for target, center, n_samples in (((0.0, 0.0), (0.0, 0.0), None),
+                                      ((0.4, -0.3), (0.05, 0.1), None),
+                                      ((-0.2, 0.5), (0.0, 0.0), 300)):
+        out = exit_measure_vs_arcs(m, central_primal_vertex(m, target), k=k,
+                                   n_samples=n_samples, seed=2, center=center)
+        # the per-label binning the array code replaced, bit for bit
+        arc = np.zeros(k)
+        pos, c = m.positions, np.asarray(center, float)
+        for label, p in out["exit_measure"].items():
+            ang = np.arctan2(pos[label][1] - c[1], pos[label][0] - c[0]) % (2 * np.pi)
+            arc[int(ang / (2 * np.pi / k)) % k] += p
+        assert out["arcs"].tolist() == arc.tolist()
+        assert out["tv"] == 0.5 * float(np.abs(arc - out["reference"]).sum())
+
+
 def test_theorem_shape_scaling(grid16_square):
     tf = get_test_function("x2_minus_y2")
     dom = odmap.unit_square()

@@ -230,3 +230,67 @@ def test_triangular_disk_triangulation_valid():
     assert tri.n_vertices > 50
     b = tri.boundary_cycle
     assert len(b) >= 12
+
+
+# -- array filters against the per-candidate loops they replaced ---------------
+
+
+def _rotated_grid_oracle(domain, n):
+    lo, hi = domain.bounding_box()
+    (lo_i, lo_j), (hi_i, hi_j) = ((0, 0), (n, n)) if domain.kind == "square" else \
+        (np.floor(lo * n).astype(int), np.ceil(hi * n).astype(int))
+    verts, faces = {}, []
+    for p in range(lo_i + 1, hi_i):
+        for q in range(lo_j + 1, hi_j):
+            if (p + q) % 2 != 0:
+                continue
+            if not domain.face_inside(np.array([[p + 1, q], [p, q + 1], [p - 1, q], [p, q - 1]], float) / n):
+                continue
+            corners = [(p + 1, q), (p, q + 1), (p - 1, q), (p, q - 1)]
+            if (p + 1) % 2 != 0:
+                corners = corners[1:] + corners[:1]
+            faces.append([verts.setdefault(c, len(verts)) for c in corners])
+    idx = np.array(list(verts), float).reshape(-1, 2)
+    omap = odmap.OrthodiagonalMap(idx / float(n), idx[:, 0] % 2 == 0, np.array(faces, int))
+    return odmap.blocks(omap)
+
+
+NOTCHED = DomainSpec("polygon", polygon=[[0, 0], [1, 0], [1, 0.4], [0.5, 0.5], [1, 0.9], [0, 1]])
+
+
+@pytest.mark.parametrize("domain", [odmap.unit_square(), odmap.unit_disk(), NOTCHED],
+                         ids=["square", "disk", "polygon"])
+def test_rotated_grid_matches_per_candidate_loop(domain):
+    for n in (2, 3, 5, 8, 13, 21, 40):
+        want = _rotated_grid_oracle(domain, n)
+        if not want:
+            with pytest.raises(odmap.GeometryError, match="no faces survive"):
+                rotated_grid(domain, n)
+            continue
+        got = rotated_grid(domain, n)
+        assert (got.positions == want[0].positions).all()
+        assert (got.faces == want[0].faces).all()
+        assert (got.primal_mask == want[0].primal_mask).all()
+
+
+def _clip_oracle(omap, domain, buffer):
+    keep = [i for i in range(omap.n_faces) if domain.face_inside(omap.face_polygon(i))
+            and not (buffer > 0 and domain.face_distance(omap.face_polygon(i)) < buffer)]
+    return odmap.blocks(omap.submap(keep)) if keep else []
+
+
+@pytest.mark.parametrize("domain", [odmap.unit_square(), odmap.unit_disk(), NOTCHED],
+                         ids=["square", "disk", "polygon"])
+def test_clip_and_face_inside_match_per_face_loop(domain):
+    base = perturbed(rotated_grid("square", 20), 0.3, seed=2)
+    base = odmap.OrthodiagonalMap(1.6 * (base.positions - 0.3), base.primal_mask, base.faces)
+    quads = base.positions[base.faces]
+    flags = domain.face_inside(quads)
+    assert flags.tolist() == [domain.face_inside(q) for q in quads]
+    assert 0 < flags.sum() < len(quads)
+    for buffer in (0.0, 0.05, 0.2):
+        got, want = clip_to_domain(base, domain, buffer), _clip_oracle(base, domain, buffer)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.positions == w.positions).all() and (g.faces == w.faces).all()
+            assert (g.ids == w.ids).all()
