@@ -54,26 +54,17 @@ class DomainSpec:
             return np.hypot(pts[:, 0], pts[:, 1]) <= 1.0 + tol
         if self.kind == "square":
             return np.all((pts >= -tol) & (pts <= 1.0 + tol), axis=1)
-        # winding-number point-in-polygon, boundary counted as inside
-        poly = self.polygon
-        inside = np.zeros(len(pts), bool)
-        for k, q in enumerate(pts):
-            wn = 0
-            on_boundary = False
-            for i in range(len(poly)):
-                a, b = poly[i], poly[(i + 1) % len(poly)]
-                if seg_points_distance(a, b, q.reshape(1, 2))[0] <= tol:
-                    on_boundary = True
-                    break
-                cr = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
-                if a[1] <= q[1]:
-                    if b[1] > q[1] and cr > 0:
-                        wn += 1
-                else:
-                    if b[1] <= q[1] and cr < 0:
-                        wn -= 1
-            inside[k] = on_boundary or wn != 0
-        return inside
+        # winding-number point-in-polygon, boundary counted as inside; one
+        # pass per polygon edge over all the points
+        x, y = pts.T
+        on_boundary = np.zeros(len(pts), bool)
+        wn = np.zeros(len(pts), int)
+        for a, b in self.boundary_segments():
+            on_boundary |= seg_points_distance(a, b, pts) <= tol
+            cr = (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
+            up = a[1] <= y
+            wn += (up & (b[1] > y) & (cr > 0)).astype(int) - (~up & (b[1] <= y) & (cr < 0))
+        return on_boundary | (wn != 0)
 
     def dist_to_boundary(self, pts) -> np.ndarray:
         """Unsigned distance to the domain boundary, vectorized."""

@@ -19,14 +19,20 @@ Double packings are solved in Euclidean terms on the vertex-face incidence
 structure: the tangency point of two vertex circles is also the tangency
 point of the two face circles and the circles meet orthogonally there, so
 each incidence (w, f) contributes the right-triangle angle 2 atan(r_f / r_w)
-to the flower of w, with the outer circle entering at fixed radius 1.
+to the flower of w, with the outer circle entering at fixed radius 1.  A
+3-connected map is one table of directed sides (tail, head, face, twin)
+built from its face list; the angle sums, their Jacobian, the residual
+checks and the induced map are array passes over it.  The layout treats
+every inner face as a rigid star of kites about its centre and places the
+stars in one breadth-first pass over the inner dual graph.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,7 +41,7 @@ from scipy.sparse import csgraph
 from scipy.sparse.linalg import spsolve
 from scipy.spatial import cKDTree
 
-from .core_map import OrthodiagonalMap, _biconnected_components, face_sides
+from .core_map import OrthodiagonalMap, face_sides
 from .errors import PackingError, StructuralError
 from .geometry import incircle, segments_intersect, signed_area
 from .network import edge_graph
@@ -217,8 +223,11 @@ def _angle_sum_and_jac(x, fan_v, fan_a, fan_b, interior, want_jac):
     return theta, J
 
 
-def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float, max_iter: int,
-                            damping: float) -> np.ndarray:
+_MAX_SWEEPS = 100_000
+_SWEEP_DAMPING = 0.5
+
+
+def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> np.ndarray:
     """x-parameters with angle sum 2 pi at every interior vertex."""
     n = tri.n_vertices
     boundary = tri.boundary_mask
@@ -260,13 +269,13 @@ def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float, max_iter: int,
         fallback = x[int_idx] ** (th / target)
         cand[bad] = fallback[bad]
         new = x.copy()
-        new[int_idx] = np.clip(x[int_idx] + damping * (cand - x[int_idx]), 1e-15, 1.0 - 1e-15)
+        new[int_idx] = np.clip(x[int_idx] + _SWEEP_DAMPING * (cand - x[int_idx]), 1e-15, 1.0 - 1e-15)
         return new, float(np.abs(th - target).max())
 
     err = np.inf
     it = 0
     newton_ready = False
-    while it < max_iter:
+    while it < _MAX_SWEEPS:
         x, err = sweep(x)
         it += 1
         if err < 1e-4:
@@ -461,8 +470,7 @@ def _place_horo_from_two(c1, r1, c2, r2, orient_sign):
     raise PackingError("no horocycle satisfies both tangencies")
 
 
-def pack_in_disk(tri: Triangulation, tol: float = 1e-8, max_iter: int = 100_000,
-                 damping: float = 0.5) -> CirclePacking:
+def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
     """Maximal circle packing of a triangulation in the unit disk.
 
     Boundary circles come out internally tangent to the unit circle; when an
@@ -473,7 +481,7 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8, max_iter: int = 100_000,
     n = tri.n_vertices
     boundary = tri.boundary_mask
     angle_tol = max(min(1e-12, 0.01 * tol), 1e-14)
-    x = _solve_hyperbolic_radii(tri, angle_tol, max_iter, damping)
+    x = _solve_hyperbolic_radii(tri, angle_tol)
     h_rad = np.where(boundary, np.inf, -0.5 * np.log(np.clip(x, 1e-300, None)))
 
     centers = np.full(n, np.nan + 0j, complex)
@@ -731,80 +739,118 @@ def packing_key_fact_residuals(tri: Triangulation, packing: CirclePacking) -> np
 # 3-connected planar maps and double circle packings
 
 
+class _Sides(NamedTuple):
+    """Directed sides of a face list, numbered face by face along each cycle."""
+
+    tail: np.ndarray
+    head: np.ndarray
+    face: np.ndarray
+    twin: np.ndarray  # the reverse side
+    nxt: np.ndarray   # the next side along the same face
+    edge: np.ndarray  # the side a -> b of each edge (a, b) of PlanarMap3C.edges
+
+
 @dataclass
 class PlanarMap3C:
     """Simple 3-connected planar map given by its face cycles.
 
-    Every directed edge must appear in exactly one face cycle (so the outer
-    face, like the rest, is listed; drawn in the plane its cycle runs
-    clockwise).
+    Every directed edge must appear in exactly one face cycle, and so must
+    its reverse, and the faces must close up into a sphere: the map is
+    connected, the corners at each vertex form one cycle around it, and
+    n - e + f = 2.  So the outer face, like the rest, is listed; drawn in the
+    plane its cycle runs clockwise.
     """
 
     n_vertices: int
     faces: list  # list of vertex id lists
 
     @cached_property
-    def face_left(self) -> dict:
-        out: dict = {}
-        for i, cyc in enumerate(self.faces):
-            for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
-                if (a, b) in out:
-                    raise StructuralError(f"directed edge {(a, b)} in two faces")
-                out[(int(a), int(b))] = i
-        return out
+    def _sides(self) -> _Sides:
+        """The directed-side table every derived quantity reads; raises
+        StructuralError when the faces are not a map on the sphere."""
+        n = self.n_vertices
+        lens = np.array([len(c) for c in self.faces], int)
+        if lens.min(initial=3) < 3:
+            raise StructuralError("face with fewer than 3 corners")
+        tail = np.fromiter(chain.from_iterable(self.faces), int, lens.sum())
+        if tail.min(initial=0) < 0 or tail.max(initial=-1) >= n:
+            raise StructuralError("face refers to an unknown vertex")
+        face = np.repeat(np.arange(len(lens)), lens)
+        ends = np.cumsum(lens)
+        nxt = np.arange(1, tail.size + 1)
+        nxt[ends - 1] = ends - lens
+        head = tail[nxt]
+        keys, first = np.unique(tail * n + head, return_index=True)
+        if first.size < tail.size:
+            k = np.setdiff1d(np.arange(tail.size), first)[0]  # the first repeat
+            raise StructuralError(f"directed edge {(int(tail[k]), int(head[k]))} in two faces")
+        rev = np.minimum(np.searchsorted(keys, head * n + tail), keys.size - 1)
+        lone = keys[rev] != head * n + tail
+        if lone.any():
+            k = np.argmax(lone)
+            raise StructuralError(f"directed edge {(int(tail[k]), int(head[k]))} has no reverse")
+        twin = first[rev]
+        # twin[prev] turns each side about its tail, so its cycles are the
+        # vertex rotations
+        prev = np.empty_like(nxt)
+        prev[nxt] = np.arange(tail.size)
+        n_rot = csgraph.connected_components(edge_graph(tail.size, np.arange(tail.size), twin[prev]),
+                                             directed=False, return_labels=False)
+        n_comp = csgraph.connected_components(edge_graph(n, tail, head), directed=False,
+                                              return_labels=False)
+        euler = n - tail.size // 2 + len(lens)
+        if n_comp != 1 or n_rot != n or euler != 2:
+            raise StructuralError(f"faces do not form a sphere: {n_comp} component(s), {n_rot} vertex "
+                                  f"rotations on {n} vertices, n - e + f = {euler}")
+        return _Sides(tail, head, face, twin, nxt, first[keys // n < keys % n])
 
     @cached_property
     def edges(self) -> list:
-        # a directed side (a, b), read as a two-corner face, has the one edge {a, b}
-        sides = np.array(list(self.face_left), int).reshape(-1, 2)
-        return [tuple(e) for e in face_sides(sides)[0].tolist()]
-
-    def rotation_around(self, v: int, start_face: int) -> list:
-        """Faces incident to v in rotation order, starting from start_face."""
-        prev = {}
-        for i, cyc in enumerate(self.faces):
-            for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
-                if b == v:
-                    prev[i] = a
-        order = [start_face]
-        while True:
-            f = order[-1]
-            nxt = self.face_left[(v, prev[f])]
-            if nxt == start_face:
-                break
-            order.append(nxt)
-            if len(order) > len(prev):
-                raise StructuralError(f"rotation at vertex {v} does not close")
-        return order
+        """Undirected edges (a, b), a < b, lexicographically ordered."""
+        s = self._sides
+        return list(zip(s.tail[s.edge].tolist(), s.head[s.edge].tolist()))
 
     def check_3_connected(self):
-        """Raise StructuralError naming a separating vertex pair, if any.
+        """Raise StructuralError naming the lexicographically first separating
+        vertex pair, if any.
 
-        G is 3-connected iff it has at least 4 vertices and every G - v is
-        connected with no cut vertex, i.e. one biconnected component that
-        touches all n - 1 remaining vertices: one O(m) Hopcroft-Tarjan pass
-        per vertex.
+        A map on the sphere whose faces are all cycles is 2-connected, and
+        then 3-connected iff every two faces meet in nothing, one vertex or
+        one edge; one sparse face x vertex product finds the face pairs that
+        meet in more.  Otherwise every separating pair either lies on two
+        faces that do not share it as an edge, or holds a vertex that some
+        face visits twice (a cut vertex), so only those candidate pairs are
+        removed and tested for connectivity, in order.
         """
         n = self.n_vertices
         if n < 4:
             raise StructuralError("3-connected maps need at least 4 vertices")
-        edges = np.array(self.edges).reshape(-1, 2)
-
-        def connected_without(*removed):
-            keep = ~np.isin(edges, removed).any(axis=1)
-            graph = edge_graph(n, edges[keep, 0], edges[keep, 1])
-            return csgraph.connected_components(graph, directed=False,
-                                                return_labels=False) == len(removed) + 1
-
-        for v in range(n):
-            rest = edges[(edges != v).all(axis=1)]
-            _, n_blocks = _biconnected_components(n, rest)
-            if n_blocks == 1 and np.unique(rest).size == n - 1:
-                continue
-            # v is the smallest vertex of any separating pair, so its partner
-            # is larger than v
-            u = next(u for u in range(v + 1, n) if not connected_without(v, u))
-            raise StructuralError(f"removing vertices {{{v},{u}}} disconnects the map")
+        s = self._sides
+        nf = len(self.faces)
+        inc = sp.csr_matrix((np.ones(s.tail.size), (s.face, s.tail)), shape=(nf, n))
+        twice = inc.indices[inc.data > 1]
+        inc.data[:] = 1.0
+        meet = sp.triu(inc @ inc.T, 1).tocoo()
+        two = meet.data >= 2
+        f, g, count = meet.row[two], meet.col[two], meet.data[two]
+        # the two faces on each edge, lower index first
+        ef = np.sort(np.column_stack([s.face[s.edge], s.face[s.twin[s.edge]]]), axis=1)
+        bad = (count > 2) | ~np.isin(f * nf + g, ef[:, 0] * nf + ef[:, 1])
+        if not twice.size and not bad.any():
+            return self
+        faces_of = dict(zip(self.edges, map(tuple, ef.tolist())))
+        pairs = set()
+        shared = inc[f[bad]].multiply(inc[g[bad]]).tolil().rows
+        for fg, row in zip(zip(f[bad].tolist(), g[bad].tolist()), shared):
+            pairs.update(p for p in combinations(row, 2) if faces_of.get(p) != fg)
+        for c in twice.tolist():
+            pairs.update((min(c, w), max(c, w)) for w in range(n) if w != c)
+        edges = np.array(self.edges)
+        for pair in sorted(pairs):
+            rest = edges[~np.isin(edges, pair).any(axis=1)]
+            if csgraph.connected_components(edge_graph(n, *rest.T), directed=False,
+                                            return_labels=False) > 3:
+                raise StructuralError(f"removing vertices {{{pair[0]},{pair[1]}}} disconnects the map")
         return self
 
 
@@ -819,9 +865,11 @@ class DoubleCirclePacking:
     residuals: dict = field(default_factory=dict)
     angle_residual: float = 0.0
 
-    def tangency_point(self, a: int, b: int) -> np.ndarray:
+    def tangency_point(self, a, b) -> np.ndarray:
+        """Where vertex circles a and b touch; broadcasts over index arrays."""
         d = self.vertex_centers[b] - self.vertex_centers[a]
-        return self.vertex_centers[a] + self.vertex_radii[a] * d / np.hypot(*d)
+        return (self.vertex_centers[a] + self.vertex_radii[a][..., None] * d
+                / np.hypot(d[..., 0], d[..., 1])[..., None])
 
     def to_json_dict(self) -> dict:
         return {
@@ -838,9 +886,108 @@ class DoubleCirclePacking:
         }
 
 
+def _angle_incidences(h: PlanarMap3C, outer_face: int):
+    """The double packing's angle equations as one incidence list (row, col).
+
+    The unknowns are the log radii of vertices 0..n-1, then of the inner
+    faces in order.  Incidence k adds the kite angle 2 atan(r[col] / r[row])
+    to the angle sum at unknown row; col -1 is the outer face (radius 1),
+    whose reflex wedge 2 pi - 2 atan(1 / r_v) enters instead.  The rows run
+    vertex by vertex (faces ascending), then inner face by inner face (along
+    its cycle): the order the sums are taken in.
+    """
+    s = h._sides
+    n, nf = h.n_vertices, len(h.faces)
+    slot = n + np.arange(nf) - (np.arange(nf) > outer_face)
+    slot[outer_face] = -1
+    by_vertex = np.argsort(s.tail, kind="stable")
+    inner = s.face != outer_face
+    return (np.concatenate([s.tail[by_vertex], slot[s.face[inner]]]),
+            np.concatenate([slot[s.face[by_vertex]], s.tail[inner]]))
+
+
+def _kite_ratios(u, row, col):
+    r = np.exp(u)
+    outer = col < 0
+    return np.where(outer, 1.0, r[col]) / r[row], outer
+
+
+def _angle_defects(u, row, col) -> np.ndarray:
+    """Angle-sum defects F (want 0) at every unknown circle."""
+    t, outer = _kite_ratios(u, row, col)
+    a = 2.0 * np.arctan(t)
+    return np.bincount(row, np.where(outer, 2.0 * np.pi - a, a), len(u)) - 2.0 * np.pi
+
+
+def _angle_jacobian(u, row, col) -> np.ndarray:
+    """Dense dF/du of :func:`_angle_defects`."""
+    t, outer = _kite_ratios(u, row, col)
+    d = 2.0 * t / (1.0 + t * t)
+    J = np.zeros((len(u), len(u)))
+    np.add.at(J, (row, row), np.where(outer, d, -d))
+    np.add.at(J, (row[~outer], col[~outer]), d[~outer])
+    return J
+
+
+def _double_packing_layout(h: PlanarMap3C, outer_face: int, rv, rf):
+    """Vertex and face circle centres (complex) from the radii.
+
+    Every inner face is a rigid star: corner v of face f sits at distance
+    hypot(r_v, r_f) from its centre, at the kite angles summed along the
+    cycle.  One breadth-first search over the inner dual graph places each
+    face from its parent through the two ends of their shared edge, and a
+    vertex sits where the first face that holds it puts it.  Gauge: the
+    lowest vertex off the outer face, v0, at the origin, and the centre of
+    its lowest-index inner face on the positive real axis.
+    """
+    s = h._sides
+    n, nf = h.n_vertices, len(h.faces)
+    half = np.arctan(rv[s.tail] / rf[s.face])
+    step = half + half[s.nxt]
+    # angle of each corner about its face centre, summed along each face
+    # in turn (faces of one length at a time)
+    lens = np.bincount(s.face, minlength=nf)
+    start = np.cumsum(lens) - lens
+    phi = np.zeros(s.tail.size)
+    for k in np.unique(lens):
+        sides = start[lens == k, None] + np.arange(k - 1)
+        phi[sides + 1] = np.cumsum(step[sides], axis=1)
+    corner = np.hypot(rv[s.tail], rf[s.face]) * np.exp(1j * phi)
+
+    on_outer = np.zeros(n, bool)
+    on_outer[s.tail[s.face == outer_face]] = True
+    v0 = int(np.argmin(on_outer))
+    f0 = int(s.face[(s.tail == v0) & (s.face != outer_face)].min())
+    # the inner dual graph, each entry 1 + the side of the row's face on the
+    # edge it shares with the column's (two faces of a 3-connected map share
+    # at most one edge)
+    inner = np.flatnonzero((s.face != outer_face) & (s.face[s.twin] != outer_face))
+    dual = sp.csr_matrix((inner + 1, (s.face[inner], s.face[s.twin[inner]])), shape=(nf, nf))
+    order, parent = csgraph.breadth_first_order(dual, f0)
+    # the rigid motion from each child face's frame to its parent's
+    kids = order[1:]
+    side = np.asarray(dual[kids, parent[kids]]).ravel() - 1
+    rot = ((corner[s.twin[side]] - corner[s.nxt[s.twin[side]]])
+           / (corner[s.nxt[side]] - corner[side]))
+    rot /= np.abs(rot)
+    shift = corner[s.nxt[s.twin[side]]] - rot * corner[side]
+    frame_rot, frame_shift = [1 + 0j] * nf, [0j] * nf
+    for g, p, w, t in zip(kids.tolist(), parent[kids].tolist(), rot.tolist(), shift.tolist()):
+        frame_rot[g] = frame_rot[p] * w
+        frame_shift[g] = frame_rot[p] * t + frame_shift[p]
+    fc = np.array(frame_shift)
+    at = np.array(frame_rot)[s.face] * corner + fc[s.face]
+
+    rank = np.full(nf, nf)
+    rank[order] = np.arange(order.size)
+    by_vertex = np.lexsort((rank[s.face], s.tail))
+    vc = at[by_vertex[np.unique(s.tail[by_vertex], return_index=True)[1]]]
+    gauge = np.conj(fc[f0] - vc[v0]) / np.abs(fc[f0] - vc[v0])
+    return (vc - vc[v0]) * gauge, (fc - vc[v0]) * gauge
+
+
 def double_pack(h: PlanarMap3C, outer_face: int = 0, tol: float = 1e-9,
-                max_iter: int = 100_000, damping: float = 0.5,
-                attested_3_connected: bool = False) -> DoubleCirclePacking:
+                max_iter: int = 100_000) -> DoubleCirclePacking:
     """Double circle packing with the chosen outer face sent to the unit circle.
 
     Angle model: each incidence of a vertex circle with an inner face circle
@@ -849,82 +996,29 @@ def double_pack(h: PlanarMap3C, outer_face: int = 0, tol: float = 1e-9,
     circles cross the unit circle orthogonally, so the outer face occupies
     the reflex wedge 2 pi - 2 atan(1 / r_w) at their centers.
     """
-    if not attested_3_connected:
-        h.check_3_connected()
+    h.check_3_connected()
     n = h.n_vertices
-    nf = len(h.faces)
-    inner = [f for f in range(nf) if f != outer_face]
-    # unknown slots: vertices 0..n-1, then inner faces
-    slot_of_face = {f: n + k for k, f in enumerate(inner)}
-    n_unk = n + len(inner)
-
-    incid_v = [[] for _ in range(n)]   # per vertex: face slots (-1 = outer)
-    for f, cyc in enumerate(h.faces):
-        for v in cyc:
-            incid_v[v].append(-1 if f == outer_face else slot_of_face[f])
-    incid_f = [[v for v in h.faces[f]] for f in inner]
-
-    u = np.zeros(n_unk)  # log radii, uniform start
-    target = 2.0 * np.pi
-
-    def residuals(uu):
-        """Angle-sum defects F (want 0) at every unknown circle."""
-        r = np.exp(uu)
-        F = np.zeros(n_unk)
-        for v in range(n):
-            rv = r[v]
-            acc = 0.0
-            for s in incid_v[v]:
-                if s == -1:
-                    acc += target - 2.0 * np.arctan(1.0 / rv)
-                else:
-                    acc += 2.0 * np.arctan(r[s] / rv)
-            F[v] = acc - target
-        for k, verts in enumerate(incid_f):
-            rf = r[n + k]
-            F[n + k] = sum(2.0 * np.arctan(r[v] / rf) for v in verts) - target
-        return F
-
-    def jacobian(uu):
-        r = np.exp(uu)
-        J = np.zeros((n_unk, n_unk))
-        for v in range(n):
-            for s in incid_v[v]:
-                if s == -1:
-                    t = 1.0 / r[v]
-                    J[v, v] += 2.0 * t / (1.0 + t * t)  # d/du of -2 atan(e^{-u})
-                else:
-                    t = r[s] / r[v]
-                    d = 2.0 * t / (1.0 + t * t)
-                    J[v, v] -= d
-                    J[v, s] += d
-        for k, verts in enumerate(incid_f):
-            fslot = n + k
-            for v in verts:
-                t = r[v] / r[fslot]
-                d = 2.0 * t / (1.0 + t * t)
-                J[fslot, fslot] -= d
-                J[fslot, v] += d
-        return J
+    row, col = _angle_incidences(h, outer_face)
+    u = np.zeros(n + len(h.faces) - 1)  # log radii, uniform start
 
     # damped Newton with backtracking on ||F||; these systems are small
     err = np.inf
     it = 0
     while it < max_iter:
-        F = residuals(u)
+        F = _angle_defects(u, row, col)
         err = float(np.abs(F).max())
         if err < 1e-13:
             break
         # minimum-norm step: the unit-circle normalization leaves a residual
         # Mobius freedom, so the Jacobian is rank deficient along it
-        du, *_ = np.linalg.lstsq(jacobian(u), -F, rcond=None)
+        du, *_ = np.linalg.lstsq(_angle_jacobian(u, row, col), -F, rcond=None)
         du = np.clip(du, -2.0, 2.0)
         norm0 = float(np.linalg.norm(F))
         step = 1.0
         stalled = False
         for _ in range(40):
             cand = np.clip(u + step * du, -30.0, 30.0)
-            if float(np.linalg.norm(residuals(cand))) < norm0 * (1.0 - 0.25 * step):
+            if float(np.linalg.norm(_angle_defects(cand, row, col))) < norm0 * (1.0 - 0.25 * step):
                 break
             step *= 0.5
         else:
@@ -938,104 +1032,20 @@ def double_pack(h: PlanarMap3C, outer_face: int = 0, tol: float = 1e-9,
     if err > 1e-11:
         raise PackingError(f"double packing Newton stalled (angle residual {err:.3e})")
 
-    r_all = np.exp(u)
-    angle_resid = err
+    r = np.exp(u)
+    rv, rf = r[:n], np.insert(r[n:], outer_face, 1.0)
+    vc, fc = _double_packing_layout(h, outer_face, rv, rf)
 
-    # ------------------------------------------------------------------ layout
-    vc = np.full(n, np.nan + 0j, complex)
-    fc = np.full(nf, np.nan + 0j, complex)
-    v_done = np.zeros(n, bool)
-    f_done = np.zeros(nf, bool)
-    f_done[outer_face] = True  # never placed by the walk
-
-    def rad_v(v):
-        return r_all[v]
-
-    def rad_f(f):
-        return 1.0 if f == outer_face else r_all[slot_of_face[f]]
-
-    def half_angle(v, f):
-        # half the kite angle at the vertex center; the outer face occupies
-        # a reflex wedge there
-        if f == outer_face:
-            return np.pi - np.arctan(1.0 / rad_v(v))
-        return np.arctan(rad_f(f) / rad_v(v))
-
-    outer_cycle = set(h.faces[outer_face])
-    try:
-        v0 = next(v for v in range(n) if v not in outer_cycle)
-    except StopIteration:
-        v0 = 0
-    vc[v0] = 0j
-    v_done[v0] = True
-    rot0 = h.rotation_around(v0, next(f for f in range(nf)
-                                      if f != outer_face and v0 in h.faces[f]))
-    f0 = rot0[0]
-    fc[f0] = complex(np.hypot(rad_v(v0), rad_f(f0)))
-    f_done[f0] = True
-
-    for _ in range(2 * (n + nf) + 4):
-        progress = False
-        # around each placed vertex, sweep its rotation
-        for v in range(n):
-            if not v_done[v]:
-                continue
-            placed_f = [f for f in range(nf) if f != outer_face and f_done[f] and v in h.faces[f]]
-            if not placed_f:
-                continue
-            rot = h.rotation_around(v, placed_f[0])
-            ang = np.angle(fc[rot[0]] - vc[v])
-            for i in range(len(rot)):
-                f_cur, f_nxt = rot[i], rot[(i + 1) % len(rot)]
-                ang += half_angle(v, f_cur) + half_angle(v, f_nxt)
-                if f_nxt != outer_face and not f_done[f_nxt]:
-                    d = np.hypot(rad_v(v), rad_f(f_nxt))
-                    fc[f_nxt] = vc[v] + d * np.exp(1j * ang)
-                    f_done[f_nxt] = True
-                    progress = True
-        # around each placed inner face, sweep its cycle
-        for f in range(nf):
-            if f == outer_face or not f_done[f]:
-                continue
-            cyc = h.faces[f]
-            done_pos = [i for i, v in enumerate(cyc) if v_done[v]]
-            if not done_pos:
-                continue
-            i0 = done_pos[0]
-            ang = np.angle(vc[cyc[i0]] - fc[f])
-            for k in range(len(cyc)):
-                a = cyc[(i0 + k) % len(cyc)]
-                b = cyc[(i0 + k + 1) % len(cyc)]
-                step = np.arctan(rad_v(a) / rad_f(f)) + np.arctan(rad_v(b) / rad_f(f))
-                ang += step
-                if not v_done[b]:
-                    d = np.hypot(rad_f(f), rad_v(b))
-                    vc[b] = fc[f] + d * np.exp(1j * ang)
-                    v_done[b] = True
-                    progress = True
-        if v_done.all() and all(f_done[f] for f in range(nf)):
-            break
-        if not progress:
-            raise PackingError("double packing layout stalled")
-
-    # fit the outer circle and normalize it to the unit circle
-    rows = []
-    rhs = []
-    boundary_faces = set()
-    for (a, b), f in h.face_left.items():
-        if f == outer_face:
-            g = h.face_left[(b, a)]
-            boundary_faces.add(g)
-    for g in sorted(boundary_faces):
-        cg = fc[g]
-        rg = rad_f(g)
-        rows.append([-2 * cg.real, -2 * cg.imag, 2 * rg, 1.0])
-        rhs.append(rg**2 - abs(cg) ** 2)
-    for v in sorted(outer_cycle):
-        cv = vc[v]
-        rows.append([-2 * cv.real, -2 * cv.imag, 0.0, 1.0])
-        rhs.append(rad_v(v) ** 2 - abs(cv) ** 2)
-    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+    # fit the outer circle (z0, R0), internally tangent to the inner faces g
+    # on it, |c_g - z0| = R0 - r_g, and orthogonal to its vertex circles,
+    # |c_v - z0|^2 = R0^2 + r_v^2; then make it the unit circle
+    s = h._sides
+    rim = s.face == outer_face
+    g, v = np.unique(s.face[s.twin[rim]]), np.unique(s.tail[rim])
+    c = np.concatenate([fc[g], vc[v]])
+    A = np.column_stack([-2 * c.real, -2 * c.imag, np.concatenate([2 * rf[g], np.zeros(v.size)]),
+                         np.ones(c.size)])
+    sol, *_ = np.linalg.lstsq(A, np.concatenate([rf[g], rv[v]]) ** 2 - np.abs(c) ** 2, rcond=None)
     z0 = complex(sol[0], sol[1])
     R0 = float(sol[2])
     if R0 <= 0:
@@ -1043,58 +1053,59 @@ def double_pack(h: PlanarMap3C, outer_face: int = 0, tol: float = 1e-9,
 
     vc = (vc - z0) / R0
     fc = (fc - z0) / R0
-    v_r = np.array([rad_v(v) / R0 for v in range(n)])
-    f_r = np.array([rad_f(f) / R0 if f != outer_face else 1.0 for f in range(nf)])
     fc[outer_face] = 0j
-
+    f_r = rf / R0
+    f_r[outer_face] = 1.0
     dp = DoubleCirclePacking(
         planar_map=h,
         outer_face=outer_face,
         vertex_centers=np.column_stack([vc.real, vc.imag]),
-        vertex_radii=v_r,
+        vertex_radii=rv / R0,
         face_centers=np.column_stack([fc.real, fc.imag]),
         face_radii=f_r,
-        angle_residual=angle_resid,
+        angle_residual=err,
     )
     dp.residuals = _double_packing_residuals(dp)
     worst = max(dp.residuals["max_vertex_tangency"], dp.residuals["max_face_tangency"],
                 dp.residuals["max_point_mismatch"])
-    if worst > tol * max(1.0, float(v_r.max())) * 10:
+    if worst > tol * max(1.0, float(dp.vertex_radii.max())) * 10:
         raise PackingError(f"double packing residual {worst:.3e} exceeds tolerance")
     return dp
 
 
+def _edge_kites(h: PlanarMap3C, outer_face: int):
+    """Per edge (a, b) of ``h.edges``: a, b, the faces left and right of
+    a -> b, whether the edge lies on the outer face, and its inner face (the
+    left one unless that is the outer face)."""
+    s = h._sides
+    left, right = s.face[s.edge], s.face[s.twin[s.edge]]
+    return (s.tail[s.edge], s.head[s.edge], left, right,
+            (left == outer_face) | (right == outer_face), np.where(left == outer_face, right, left))
+
+
 def _double_packing_residuals(dp: DoubleCirclePacking) -> dict:
-    h = dp.planar_map
-    vc = dp.vertex_centers
-    vr = dp.vertex_radii
-    fcc = dp.face_centers
-    fr = dp.face_radii
-    out = {"max_vertex_tangency": 0.0, "max_face_tangency": 0.0,
-           "max_point_mismatch": 0.0, "max_orthogonality": 0.0}
-    for (a, b) in h.edges:
-        fl = h.face_left[(a, b)]
-        fr_face = h.face_left[(b, a)]
-        gap = np.hypot(*(vc[a] - vc[b])) - (vr[a] + vr[b])
-        out["max_vertex_tangency"] = max(out["max_vertex_tangency"], abs(gap))
-        q = dp.tangency_point(a, b)
-        if fl != dp.outer_face and fr_face != dp.outer_face:
-            gap_f = np.hypot(*(fcc[fl] - fcc[fr_face])) - (fr[fl] + fr[fr_face])
-            out["max_face_tangency"] = max(out["max_face_tangency"], abs(gap_f))
-            d = fcc[fr_face] - fcc[fl]
-            q2 = fcc[fl] + fr[fl] * d / np.hypot(*d)
-            inner = fl
-        else:
-            # boundary edge: the inner face circle is internally tangent to
-            # the unit circle at the shared tangency point
-            inner = fl if fl != dp.outer_face else fr_face
-            nrm = np.hypot(*fcc[inner])
-            out["max_face_tangency"] = max(out["max_face_tangency"], abs(nrm + fr[inner] - 1.0))
-            q2 = fcc[inner] * (1.0 + fr[inner] / nrm)
-        out["max_point_mismatch"] = max(out["max_point_mismatch"], float(np.hypot(*(q - q2))))
-        ortho = abs(np.dot(vc[a] - q, fcc[inner] - q)) / (vr[a] * fr[inner])
-        out["max_orthogonality"] = max(out["max_orthogonality"], float(ortho))
-    return out
+    a, b, left, right, rim, inner = _edge_kites(dp.planar_map, dp.outer_face)
+    vc, vr, fcc, fr = dp.vertex_centers, dp.vertex_radii, dp.face_centers, dp.face_radii
+    gap = np.hypot(*(vc[a] - vc[b]).T) - (vr[a] + vr[b])
+    q = dp.tangency_point(a, b)
+    # the face circles of an edge: two inner ones touch each other at q2; an
+    # inner one on the rim is internally tangent to the unit circle at q2
+    face_gap = np.empty(len(a))
+    q2 = np.empty((len(a), 2))
+    f, g = left[~rim], right[~rim]
+    d = fcc[g] - fcc[f]
+    face_gap[~rim] = np.hypot(*(fcc[f] - fcc[g]).T) - (fr[f] + fr[g])
+    q2[~rim] = fcc[f] + fr[f, None] * d / np.hypot(*d.T)[:, None]
+    f = inner[rim]
+    nrm = np.hypot(*fcc[f].T)
+    face_gap[rim] = nrm + fr[f] - 1.0
+    q2[rim] = fcc[f] * (1.0 + fr[f] / nrm)[:, None]
+    # row-times-column matmuls sum in the same order as np.dot
+    dot = ((vc[a] - q)[:, None, :] @ (fcc[inner] - q)[:, :, None])[:, 0, 0]
+    return {"max_vertex_tangency": float(np.abs(gap).max(initial=0.0)),
+            "max_face_tangency": float(np.abs(face_gap).max(initial=0.0)),
+            "max_point_mismatch": float(np.hypot(*(q - q2).T).max(initial=0.0)),
+            "max_orthogonality": float((np.abs(dot) / (vr[a] * fr[inner])).max(initial=0.0))}
 
 
 def orthodiagonal_from_double_packing(h: PlanarMap3C, dp: DoubleCirclePacking,
@@ -1104,50 +1115,26 @@ def orthodiagonal_from_double_packing(h: PlanarMap3C, dp: DoubleCirclePacking,
     One quad per edge of the map; boundary edges (those on the outer face)
     get an extension point past the tangency point on the unit circle.
     """
-    n = h.n_vertices
-    vc = dp.vertex_centers
-    fcc = dp.face_centers
-    fr = dp.face_radii
-    outer = dp.outer_face
-
-    inner_faces = [f for f in range(len(h.faces)) if f != outer]
-    slot = {f: n + k for k, f in enumerate(inner_faces)}
-
-    delta_b = float(dp.vertex_radii[list(set(h.faces[outer]))].max())
-
-    positions = [vc[i] for i in range(n)] + [fcc[f] for f in inner_faces]
-    primal = [True] * n + [False] * len(inner_faces)
-    faces = []
-    ext_pts = []
-    for (a, b) in h.edges:
-        fl = h.face_left[(a, b)]
-        frc = h.face_left[(b, a)]
-        q = dp.tangency_point(a, b)
-        if fl != outer and frc != outer:
-            quad = [a, slot[fl], b, slot[frc]]
-            pts = np.array([positions[i] for i in quad])
-            if signed_area(pts) < 0:
-                quad = [quad[0], quad[3], quad[2], quad[1]]
-            faces.append(quad)
-        else:
-            inner = fl if fl != outer else frc
-            u = q - fcc[inner]
-            u = u / np.hypot(*u)
-            cap = 0.5 * min(dp.vertex_radii[a], dp.vertex_radii[b], delta_b)
-            e = cap if eta is None else min(eta, cap)
-            p_e = q + e * u
-            k = n + len(inner_faces) + len(ext_pts)
-            ext_pts.append(p_e)
-            positions.append(p_e)
-            primal.append(False)
-            quad = [a, slot[inner], b, k]
-            pts = np.array([positions[i] for i in quad])
-            if signed_area(pts) < 0:
-                quad = [quad[0], quad[3], quad[2], quad[1]]
-            faces.append(quad)
-
-    return OrthodiagonalMap(np.array(positions), np.array(primal, bool),
-                            np.array(faces, int))
+    n, nf = h.n_vertices, len(h.faces)
+    a, b, left, right, rim, inner = _edge_kites(h, dp.outer_face)
+    vr = dp.vertex_radii
+    slot = n + np.arange(nf) - (np.arange(nf) > dp.outer_face)
+    # extension points: past each rim tangency point, away from the centre
+    # of its inner face circle
+    q = dp.tangency_point(a[rim], b[rim])
+    u = q - dp.face_centers[inner[rim]]
+    u = u / np.hypot(*u.T)[:, None]
+    delta_b = float(vr[h._sides.tail[h._sides.face == dp.outer_face]].max())
+    cap = 0.5 * np.minimum(np.minimum(vr[a[rim]], vr[b[rim]]), delta_b)
+    e = cap if eta is None else np.minimum(eta, cap)
+    positions = np.vstack([dp.vertex_centers, np.delete(dp.face_centers, dp.outer_face, axis=0),
+                           q + e[:, None] * u])
+    fourth = slot[right]
+    fourth[rim] = n + nf - 1 + np.arange(rim.sum())
+    faces = np.column_stack([a, slot[inner], b, fourth])
+    cw = signed_area(positions[faces]) < 0
+    faces[cw] = faces[cw][:, [0, 3, 2, 1]]
+    return OrthodiagonalMap(positions, np.arange(len(positions)) < n, faces)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import odmap
 from odmap.core_map import martingale_residuals
@@ -294,3 +296,50 @@ def test_clip_and_face_inside_match_per_face_loop(domain):
         for g, w in zip(got, want):
             assert (g.positions == w.positions).all() and (g.faces == w.faces).all()
             assert (g.ids == w.ids).all()
+
+
+def _contains_point_loop(domain, pts, tol):
+    """Winding-number containment one point and one polygon edge at a time
+    (the oracle for DomainSpec.contains on polygons)."""
+    from odmap.geometry import seg_points_distance
+
+    poly = domain.polygon
+    inside = np.zeros(len(pts), bool)
+    for k, q in enumerate(pts):
+        wn = 0
+        on_boundary = False
+        for i in range(len(poly)):
+            a, b = poly[i], poly[(i + 1) % len(poly)]
+            if seg_points_distance(a, b, q.reshape(1, 2))[0] <= tol:
+                on_boundary = True
+                break
+            cr = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
+            if a[1] <= q[1]:
+                if b[1] > q[1] and cr > 0:
+                    wn += 1
+            elif b[1] <= q[1] and cr < 0:
+                wn -= 1
+        inside[k] = on_boundary or wn != 0
+    return inside
+
+
+@given(seed=st.integers(0, 10_000), corners=st.integers(3, 12), tol=st.sampled_from([1e-12, 1e-3]))
+@example(seed=0, corners=0, tol=1e-12)  # corners=0: the notched hexagon
+@settings(max_examples=40, deadline=None)
+def test_polygon_contains_matches_point_loop(seed, corners, tol):
+    rng = np.random.default_rng(seed)
+    if corners:  # a random star-shaped polygon
+        angle = np.sort(rng.uniform(0, 2 * np.pi, corners))
+        radius = rng.uniform(0.2, 1.0, corners)
+        domain = DomainSpec("polygon", polygon=np.column_stack([radius * np.cos(angle),
+                                                                radius * np.sin(angle)]))
+    else:
+        domain = NOTCHED
+    poly = domain.polygon
+    k = rng.integers(len(poly), size=60)
+    on_edges = poly[k] + rng.random(60)[:, None] * (np.roll(poly, -1, axis=0)[k] - poly[k])
+    pts = np.vstack([rng.uniform(poly.min(0) - 0.2, poly.max(0) + 0.2, (300, 2)), poly, on_edges,
+                     on_edges + rng.normal(0.0, tol, (60, 2))])
+    got = domain.contains(pts, tol)
+    assert np.array_equal(got, _contains_point_loop(domain, pts, tol))
+    assert got[300:300 + len(poly) + 60].all() and 0 < got[:300].sum() < 300
