@@ -94,10 +94,11 @@ class DomainSpec:
         quad = np.asarray(quad, float)
         inside = self.contains(quad.reshape(-1, 2), tol).reshape(-1, 4).all(1)
         if self.kind == "polygon":  # not convex: corner containment does not suffice
-            segs = self.boundary_segments()
-            inside[inside] = [not any(segments_intersect(a, b, q[i], q[(i + 1) % 4], include_endpoints=False)
-                                      for a, b in segs for i in range(4))
-                              for q in quad.reshape(-1, 4, 2)[inside]]
+            # one test over the quads x polygon edges x quad sides
+            p = self.polygon[:, None, :]
+            q = quad.reshape(-1, 4, 2)[inside][:, None]
+            inside[inside] = ~segments_intersect(p, np.roll(p, -1, axis=0), q, np.roll(q, -1, axis=2),
+                                                 include_endpoints=False).any(axis=(1, 2))
         return bool(inside[0]) if quad.ndim == 2 else inside.reshape(quad.shape[:-2])
 
     def perimeter(self) -> float:

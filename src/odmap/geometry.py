@@ -70,25 +70,23 @@ def seg_seg_distance(a, b, c, d) -> float:
     )
 
 
-def segments_intersect(a, b, c, d, include_endpoints: bool = True) -> bool:
+def segments_intersect(a, b, c, d, include_endpoints: bool = True):
+    """Whether segments ab and cd meet, broadcast over any leading axes (a
+    bool for one pair of segments, an array of flags for stacks)."""
     a, b, c, d = (np.asarray(p, float) for p in (a, b, c, d))
     d1 = cross2(b - a, c - a)
     d2 = cross2(b - a, d - a)
     d3 = cross2(d - c, a - c)
     d4 = cross2(d - c, b - c)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4:
-        return True
-    if not include_endpoints:
-        return False
+    hit = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != d2) & (d3 != d4)
+    if include_endpoints:
 
-    def on_seg(p, q, r):
-        return (
-            cross2(q - p, r - p) == 0.0
-            and min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
-            and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
-        )
+        def on_seg(p, q, r):
+            lo, hi = np.minimum(p, q), np.maximum(p, q)
+            return (cross2(q - p, r - p) == 0.0) & ((lo <= r) & (r <= hi)).all(-1)
 
-    return on_seg(a, b, c) or on_seg(a, b, d) or on_seg(c, d, a) or on_seg(c, d, b)
+        hit = hit | on_seg(a, b, c) | on_seg(a, b, d) | on_seg(c, d, a) | on_seg(c, d, b)
+    return bool(hit) if hit.ndim == 0 else hit
 
 
 def incircle(a, b, c):

@@ -8,12 +8,15 @@ tangent triple (p, a, b) is
 
     alpha = 2 asin sqrt( x_p (1-x_a)(1-x_b) / ((1-x_p x_a)(1-x_p x_b)) ).
 
-Uniform-neighbor sweeps give global progress; a sparse Newton polish drives
-the angle-sum residuals to ~1e-12 so the laid-out tangency residuals are far
-below requested tolerances.  The layout places Euclidean circles directly in
-the disk model (horocycles are ordinary circles internally tangent to the
-unit circle), tracking hyperbolic centers / ideal points so every placement
-is a closed form plus the occasional 1-d root find for all-boundary faces.
+One sparse Newton solve in log x, from x = 1/2 with step halving, drives
+the angle-sum residuals below ~1e-12 in about ten steps, so the laid-out
+tangency residuals are far below requested tolerances.  The layout places
+Euclidean circles directly in the disk model (horocycles are ordinary
+circles internally tangent to the unit circle), tracking hyperbolic centers /
+ideal points, in one breadth-first pass over the faces from the centre
+circle: every placement is a closed form, except for the occasional 1-d
+root find where both placed corners of a face are boundary circles.  A packing is accepted on its tangency
+residuals relative to the smaller circle of each edge.
 
 Double packings are solved in Euclidean terms on the vertex-face incidence
 structure: the tangency point of two vertex circles is also the tangency
@@ -190,122 +193,72 @@ def _angles(xp, xa, xb):
     return 2.0 * np.arcsin(np.sqrt(g))
 
 
-def _angle_sum_and_jac(x, fan_v, fan_a, fan_b, interior, want_jac):
-    """Angle sums at the interior vertices and (optionally) the sparse
-    Jacobian with respect to x restricted to interior columns."""
-    xa = x[fan_a]
-    xb = x[fan_b]
-    xp = x[fan_v]
-    theta = np.zeros(len(x))
-    vals = _angles(xp, xa, xb)
-    np.add.at(theta, fan_v, vals)
-    if not want_jac:
-        return theta, None
-
-    num = xp * (1.0 - xa) * (1.0 - xb)
-    den = (1.0 - xp * xa) * (1.0 - xp * xb)
-    g = np.clip(num / den, 1e-300, 1.0 - 1e-15)
-    pref = 1.0 / np.sqrt(g * (1.0 - g))  # d(2 asin sqrt g)/dg
-
-    dg_dxp = g * (1.0 / xp + xa / (1.0 - xp * xa) + xb / (1.0 - xp * xb))
-    rows, cols, data = [], [], []
-    rows.append(fan_v); cols.append(fan_v); data.append(pref * dg_dxp)
-    for nb in (fan_a, fan_b):
-        xn = x[nb]
-        dg_dxn = g * (-1.0 / np.clip(1.0 - xn, 1e-300, None) + xp / (1.0 - xp * xn))
-        rows.append(fan_v); cols.append(nb); data.append(pref * dg_dxn)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    keep = interior[cols]
-    n = len(x)
-    J = sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(n, n))
-    return theta, J
-
-
-_MAX_SWEEPS = 100_000
-_SWEEP_DAMPING = 0.5
+_NEWTON_STEPS = 100  # Newton steps before the radius solve gives up
+_HALVINGS = 40       # halvings of one Newton step before it gives up
 
 
 def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> np.ndarray:
-    """x-parameters with angle sum 2 pi at every interior vertex."""
-    n = tri.n_vertices
+    """x-parameters with angle sum 2 pi at every interior vertex.
+
+    Newton's method in u = log x on the angle-sum defects F at the interior
+    vertices, from x = 1/2.  Each step is halved until ||F||_2 falls: the
+    Newton direction descends on ||F||^2 wherever the Jacobian is
+    nonsingular, and F is, up to a change of variable, the gradient of
+    Colin de Verdiere's strictly convex functional.  Raises PackingError when
+    halving bottoms out or after _NEWTON_STEPS steps.
+    """
     boundary = tri.boundary_mask
-    interior = ~boundary
     x = np.where(boundary, 0.0, 0.5)
-    if not interior.any():
+    if boundary.all():
         return x
+    # the angle fans: corner v of face (v, a, b) for every interior v
+    corners = np.concatenate([tri.faces, tri.faces[:, [1, 2, 0]], tri.faces[:, [2, 0, 1]]])
+    v, a, b = corners[~boundary[corners[:, 0]]].T
+    inner = np.flatnonzero(~boundary)
+    slot = np.cumsum(~boundary) - 1  # row of each interior vertex in F
 
-    fan_v, fan_a, fan_b = [], [], []
-    for v in np.flatnonzero(interior):
-        fl = tri.flowers[v]
-        k = len(fl)
-        for i in range(k):
-            fan_v.append(v)
-            fan_a.append(fl[i])
-            fan_b.append(fl[(i + 1) % k])
-    fan_v = np.array(fan_v, int)
-    fan_a = np.array(fan_a, int)
-    fan_b = np.array(fan_b, int)
-    deg = np.zeros(n, int)
-    np.add.at(deg, fan_v, 1)
+    def defects(x):
+        return np.bincount(slot[v], _angles(x[v], x[a], x[b]), inner.size) - 2.0 * np.pi
 
-    int_idx = np.flatnonzero(interior)
-    target = 2.0 * np.pi
+    def jacobian(x):
+        """dF/du; boundary columns (x = 0) drop out."""
+        xp, xa, xb = x[v], x[a], x[b]
+        g = np.minimum(xp * (1.0 - xa) * (1.0 - xb) / ((1.0 - xp * xa) * (1.0 - xp * xb)),
+                       1.0 - 1e-15)
+        pref = np.sqrt(g / (1.0 - g))  # g d(2 asin sqrt g)/dg
+        rows, cols, data = [slot[v]], [slot[v]], [pref * (1.0 + xp * xa / (1.0 - xp * xa)
+                                                           + xp * xb / (1.0 - xp * xb))]
+        for w in (a, b):
+            xw, keep = x[w], ~boundary[w]
+            rows.append(slot[v[keep]])
+            cols.append(slot[w[keep]])
+            data.append((pref * (xp * xw / (1.0 - xp * xw) - xw / (1.0 - xw)))[keep])
+        return sp.csc_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(inner.size, inner.size))
 
-    def sweep(x):
-        theta, _ = _angle_sum_and_jac(x, fan_v, fan_a, fan_b, interior, False)
-        k = deg[int_idx]
-        th = theta[int_idx]
-        beta = np.sin(th / (2 * k))
-        delta = np.sin(np.pi / k)
-        sx = np.sqrt(x[int_idx])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            xt = (sx - beta) / np.clip(sx - beta * x[int_idx], 1e-300, None)
-            disc = (1.0 - xt) ** 2 + 4.0 * delta**2 * xt
-            s_new = (-(1.0 - xt) + np.sqrt(np.clip(disc, 0.0, None))) / (2.0 * delta * np.clip(xt, 1e-300, None))
-            cand = s_new**2
-        bad = ~np.isfinite(cand) | (cand <= 0.0) | (cand >= 1.0) | (xt <= 0.0) | (xt >= 1.0)
-        fallback = x[int_idx] ** (th / target)
-        cand[bad] = fallback[bad]
-        new = x.copy()
-        new[int_idx] = np.clip(x[int_idx] + _SWEEP_DAMPING * (cand - x[int_idx]), 1e-15, 1.0 - 1e-15)
-        return new, float(np.abs(th - target).max())
-
-    err = np.inf
-    it = 0
-    newton_ready = False
-    while it < _MAX_SWEEPS:
-        x, err = sweep(x)
-        it += 1
-        if err < 1e-4:
-            newton_ready = True
-            break
-        if err < angle_tol:
-            return x
-    if not newton_ready and err >= angle_tol:
-        raise PackingError(f"radius iteration stalled after {it} sweeps (residual {err:.3e})")
-
-    # Newton polish in u = log x
-    for _ in range(80):
-        theta, J = _angle_sum_and_jac(x, fan_v, fan_a, fan_b, interior, True)
-        F = theta[int_idx] - target
-        err = float(np.abs(F).max())
-        if err < angle_tol:
-            return x
-        Jr = J[int_idx][:, int_idx].tocsc()
-        # d theta / du = d theta / dx * x
-        Jr = Jr.multiply(x[int_idx][None, :]).tocsc()
-        try:
-            du = spsolve(Jr, -F)
-        except Exception as exc:  # singular Jacobian
-            raise PackingError(f"Newton step failed: {exc}") from exc
+    F = defects(x)
+    steps = 0
+    while (err := float(np.abs(F).max())) >= angle_tol:
+        if steps == _NEWTON_STEPS:
+            raise PackingError(f"radius solve stopped after {steps} Newton steps "
+                               f"(angle residual {err:.3e})")
+        steps += 1
+        du = spsolve(jacobian(x), -F)
+        if not np.isfinite(du).all():
+            raise PackingError(f"singular Jacobian in the radius solve (angle residual {err:.3e})")
         du = np.clip(du, -2.0, 2.0)
-        x[int_idx] = np.clip(x[int_idx] * np.exp(du), 1e-15, 1.0 - 1e-15)
-    theta, _ = _angle_sum_and_jac(x, fan_v, fan_a, fan_b, interior, False)
-    err = float(np.abs(theta[int_idx] - target).max())
-    if err >= angle_tol:
-        raise PackingError(f"Newton polish stalled (angle residual {err:.3e})")
+        norm, step = np.linalg.norm(F), 1.0
+        for _ in range(_HALVINGS):
+            trial = x.copy()
+            trial[inner] = np.clip(x[inner] * np.exp(step * du), 1e-15, 1.0 - 1e-15)
+            F_trial = defects(trial)
+            if np.linalg.norm(F_trial) < norm:
+                break
+            step *= 0.5
+        else:
+            raise PackingError(f"radius solve stalled: no Newton step lowers the angle "
+                               f"residual {err:.3e}")
+        x, F = trial, F_trial
     return x
 
 
@@ -391,8 +344,9 @@ class CirclePacking:
         }
 
 
-def _place_interior_from_two(c1, r1, c2, r2, h_target, orient_sign):
-    """Circle of prescribed hyperbolic radius tangent to two placed circles."""
+def _place_interior_from_two(c1, r1, c2, r2, h_target):
+    """Circle of prescribed hyperbolic radius tangent to two placed circles,
+    counterclockwise of circle 2 about circle 1."""
 
     def center_at(rho):
         d = abs(c2 - c1)
@@ -402,7 +356,7 @@ def _place_interior_from_two(c1, r1, c2, r2, h_target, orient_sign):
         if h2 < 0:
             return None
         u = (c2 - c1) / d
-        return c1 + aa * u + orient_sign * 1j * np.sqrt(h2) * u
+        return c1 + aa * u + 1j * np.sqrt(h2) * u
 
     def g(rho):
         c = center_at(rho)
@@ -435,8 +389,9 @@ def _place_interior_from_two(c1, r1, c2, r2, h_target, orient_sign):
     return center_at(rho), rho
 
 
-def _place_horo_from_two(c1, r1, c2, r2, orient_sign):
-    """Horocycle tangent to two placed circles, chosen by orientation."""
+def _place_horo_from_two(c1, r1, c2, r2):
+    """Horocycle tangent to two placed circles, counterclockwise of circle 2
+    about circle 1."""
 
     def candidate(theta):
         zeta = np.exp(1j * theta)
@@ -462,7 +417,7 @@ def _place_horo_from_two(c1, r1, c2, r2, orient_sign):
             roots.append(brentq(g, thetas[i], thetas[i + 1], xtol=1e-15, rtol=8.9e-16))
     for th in roots:
         c, rho = candidate(th)
-        if orient_sign * ((c2 - c1).conjugate() * (c - c1)).imag > 0:
+        if ((c2 - c1).conjugate() * (c - c1)).imag > 0:
             return c, rho
     if roots:  # orientation degenerate (collinear): take the best root
         c, rho = candidate(roots[0])
@@ -475,10 +430,14 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
 
     Boundary circles come out internally tangent to the unit circle; when an
     interior vertex exists, the most central one is centered at the origin.
-    Raises PackingError when residuals exceed tol.
+    The circles are laid out face by face in one breadth-first pass over the
+    faces from one at that centre.  Raises PackingError when a tangency
+    residual relative to the smaller circle, or a boundary residual, exceeds
+    tol.
     """
     tri.validate()
     n = tri.n_vertices
+    faces = tri.faces
     boundary = tri.boundary_mask
     angle_tol = max(min(1e-12, 0.01 * tol), 1e-14)
     x = _solve_hyperbolic_radii(tri, angle_tol)
@@ -502,8 +461,10 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
                                 unweighted=True, min_only=True)
         seed = int(interior_idx[np.argmax(dist[interior_idx])])
         place(seed, 0j, _t_of_x(x[seed]), 0j)
-        # first neighbor along the positive real axis
-        q = tri.flowers[seed][0]
+        # the first face at the seed, and the seed's successor q in it (the
+        # first petal of its flower) along the positive real axis
+        root, k = divmod(int(np.argmax(faces.ravel() == seed)), 3)
+        q = int(faces[root, (k + 1) % 3])
         if boundary[q]:
             rho = (1.0 - radii[seed]) / 2.0
             place(q, complex(1.0 - rho), rho, 1 + 0j)
@@ -512,70 +473,55 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
             c, rho = _euclid_from_hyp(z, x[q])
             place(q, c, rho, z)
     else:
-        a, b, c = (int(v) for v in tri.faces[0])
+        root = 0
+        a, b, c = (int(v) for v in faces[0])
         place(a, complex(-0.5), 0.5, -1 + 0j)
         place(b, complex(0.5), 0.5, 1 + 0j)
         cc, rr = _horo_from_tangency(1j, complex(-0.5), 0.5)
         place(c, cc, rr, 1j)
 
-    # layout over faces: always prefer placements that pivot on a placed
-    # interior circle (closed form); fall back to tangency root-finds only
-    # when a face has no such pivot (all-boundary corners)
-
-    def place_via_pivot(f, r_new, p, q):
-        order = list(f)
-        sign = +1 if order[(order.index(p) + 1) % 3] == q else -1
-        alpha = float(_angles(x[p], x[q], x[r_new]))
-        dq = _mobius(anchors[p], anchors[q])
-        dq /= abs(dq)
-        # CCW face (p, q, r): r sits CCW of q around p
-        dr = dq * np.exp(1j * sign * alpha)
-        if boundary[r_new]:
+    # every face after the root shares an edge with a face before it in
+    # breadth-first order, so a circle is placed at its first corner in that
+    # order from the two corners before it
+    left, right = _edge_faces(tri)[1].T
+    inner = right >= 0
+    order = csgraph.breadth_first_order(edge_graph(len(faces), left[inner], right[inner]), root,
+                                        directed=False, return_predecessors=False)
+    if order.size < len(faces):
+        raise PackingError(f"layout reaches {order.size} of {len(faces)} faces")
+    _, first = np.unique(faces[order].ravel(), return_index=True)
+    for i in np.sort(first).tolist():
+        f = faces[order[i // 3]]
+        r, p, q = (int(f[(i + j) % 3]) for j in range(3))  # (p, q, r) is CCW
+        if placed[r]:
+            continue
+        if boundary[p] and boundary[q]:
+            # no interior pivot: root-find the circle tangent to both
+            if boundary[r]:
+                c, rho = _place_horo_from_two(centers[p], radii[p], centers[q], radii[q])
+                place(r, c, rho, c / abs(c))
+            else:
+                c, rho = _place_interior_from_two(centers[p], radii[p], centers[q], radii[q],
+                                                  h_rad[r])
+                place(r, c, rho, _hyp_center(c, rho))
+            continue
+        # closed form about an interior pivot p: move p's hyperbolic centre
+        # to the origin, where r sits at angle alpha from q, counterclockwise
+        # when q follows p around the face
+        sign = 1
+        if boundary[p]:
+            p, q, sign = q, p, -1
+        dr = _mobius(anchors[p], anchors[q])
+        dr *= np.exp(1j * sign * float(_angles(x[p], x[q], x[r]))) / abs(dr)
+        if boundary[r]:
             zeta = _mobius_inv(anchors[p], dr)
             zeta /= abs(zeta)
             c, rho = _horo_from_tangency(zeta, centers[p], radii[p])
-            place(int(r_new), c, rho, zeta)
+            place(r, c, rho, zeta)
         else:
-            z = _mobius_inv(anchors[p], _t_of_x(x[p] * x[r_new]) * dr)
-            c, rho = _euclid_from_hyp(z, x[r_new])
-            place(int(r_new), c, rho, z)
-
-    def place_via_tangency(f, r_new, p, q):
-        order = list(f)
-        sign = +1 if order[(order.index(p) + 1) % 3] == q else -1
-        if boundary[r_new]:
-            c, rho = _place_horo_from_two(centers[p], radii[p], centers[q],
-                                          radii[q], sign)
-            place(int(r_new), c, rho, c / abs(c))
-        else:
-            c, rho = _place_interior_from_two(centers[p], radii[p], centers[q],
-                                              radii[q], h_rad[r_new], sign)
-            place(int(r_new), c, rho, _hyp_center(c, rho))
-
-    while not placed.all():
-        progress = False
-        deferred = []
-        for f in tri.faces:
-            got = placed[f]
-            if got.sum() != 2:
-                continue
-            (r_new,) = f[~got]
-            pivots = [int(v) for v in f[got] if not boundary[v]]
-            if pivots:
-                p = pivots[0]
-                q = int([v for v in f[got] if v != p][0])
-                place_via_pivot(f, int(r_new), p, q)
-                progress = True
-            else:
-                deferred.append((f, int(r_new)))
-        if progress:
-            continue
-        if deferred:
-            f, r_new = deferred[0]
-            p, q = (int(v) for v in f[placed[f]])
-            place_via_tangency(f, r_new, p, q)
-            continue
-        raise PackingError(f"layout stalled with {int((~placed).sum())} circles left")
+            z = _mobius_inv(anchors[p], _t_of_x(x[p] * x[r]) * dr)
+            c, rho = _euclid_from_hyp(z, x[r])
+            place(r, c, rho, z)
 
     if not interior_idx.size:
         # recenter on the incircle of the first face's tangency points
@@ -604,9 +550,10 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
     delta2 = 2.0 * packing.max_boundary_radius
     packing.residuals["centered_circle"] = bool(dist0.min() <= 1e-9)
     packing.residuals["center_in_small_disk"] = bool((dist0 < 1.0 - delta2).any())
-    worst = max(packing.residuals["max_tangency"], packing.residuals["max_boundary"])
-    if worst > tol * max(1.0, packing.max_radius):
-        raise PackingError(f"packing residual {worst:.3e} exceeds tolerance {tol:.1e}")
+    rel, rim = packing.residuals["max_relative_tangency"], packing.residuals["max_boundary"]
+    if not (rel <= tol and rim <= tol):  # NaN fails too
+        raise PackingError(f"packing residual exceeds tolerance {tol:.1e}: relative tangency "
+                           f"{rel:.3e}, boundary {rim:.3e}")
     return packing
 
 
@@ -619,7 +566,7 @@ def _packing_residuals(tri: Triangulation, p: CirclePacking) -> dict:
         return np.hypot(*(c[i] - c[j]).T) - (r[i] + r[j])
 
     a, b = tri.edges.T
-    tang = np.abs(separation(a, b)).max(initial=0.0)
+    gap = np.abs(separation(a, b))
     rim = np.flatnonzero(p.boundary_mask)
     bound = np.abs(np.hypot(*c[rim].T) + r[rim] - 1.0).max(initial=0.0)
     inside = float((np.hypot(c[:, 0], c[:, 1]) + r).max() - 1.0)
@@ -633,7 +580,8 @@ def _packing_residuals(tri: Triangulation, p: CirclePacking) -> dict:
     keep = (i != j) & ~np.isin(pair, a * n + b)
     overlap = min(float(separation(i[keep], j[keep]).min(initial=0.0)), 0.0)
     return {
-        "max_tangency": float(tang),
+        "max_tangency": float(gap.max(initial=0.0)),
+        "max_relative_tangency": float((gap / np.minimum(r[a], r[b])).max(initial=0.0)),
         "max_boundary": float(bound),
         "protrusion": max(inside, 0.0),
         "worst_overlap": overlap,
@@ -678,14 +626,8 @@ def orthodiagonal_from_packing(tri: Triangulation, packing: CirclePacking,
     etas = 0.5 * np.minimum(np.minimum(r[a], r[b]), np.maximum(1.0 - np.hypot(*q.T), 1e-12))
     if eta is not None:
         etas = np.minimum(eta, etas)
-    nxt = np.roll(np.arange(len(a)), -1)
     for _ in range(12):
-        ext = q + etas[:, None] * u
-        if not any(segments_intersect(*seg, include_endpoints=False)
-                   for i, j in zip(range(len(a)), nxt)
-                   for seg in ((c[a[i]], ext[i], c[a[j]], ext[j]),
-                               (c[a[i]], ext[i], ext[j], c[b[j]]),
-                               (ext[i], c[b[i]], ext[j], c[b[j]]))):
+        if not _extensions_cross(c[a], c[b], q + etas[:, None] * u):
             break
         warnings.warn("boundary extension overlaps; shrinking eta")
         etas = 0.5 * etas
@@ -704,6 +646,16 @@ def orthodiagonal_from_packing(tri: Triangulation, packing: CirclePacking,
     return OrthodiagonalMap(positions, primal, faces)
 
 
+def _extensions_cross(ca, cb, ext) -> bool:
+    """Whether the outer sides (ca_k, ext_k, cb_k) of a boundary edge's quad
+    cross those of the next edge's, for any k around the cycle."""
+    ext_next, cb_next = np.roll(ext, -1, axis=0), np.roll(cb, -1, axis=0)
+    return bool(segments_intersect(np.stack([ca, ca, ext]), np.stack([ext, ext, cb]),
+                                   np.stack([cb, ext_next, ext_next]),
+                                   np.stack([ext_next, cb_next, cb_next]),
+                                   include_endpoints=False).any())
+
+
 def _edge_faces(tri: Triangulation):
     """Edges (e, 2) and the faces on each (e, 2), lower index first; -1 in
     the second column of an edge that borders one face."""
@@ -718,21 +670,20 @@ def _edge_faces(tri: Triangulation):
 
 
 def packing_key_fact_residuals(tri: Triangulation, packing: CirclePacking) -> np.ndarray:
-    """Per interior edge: |tangency of the two vertex circles - tangency of
-    an adjacent inscribed circle with that edge| (zero in exact arithmetic)."""
+    """Per edge and each face on it (edge-major): |tangency point of the two
+    vertex circles - tangency point of the face's inscribed circle with that
+    edge| (zero in exact arithmetic)."""
     c = packing.centers
     r = packing.radii
     inc_centers, _ = incircle(*c[tri.faces].transpose(1, 0, 2))
-    out = []
-    for (a, b), fs in zip(*_edge_faces(tri)):
-        d = c[b] - c[a]
-        L = np.hypot(*d)
-        q = c[a] + r[a] * d / L
-        for f in fs[fs >= 0]:
-            t = np.clip(np.dot(inc_centers[f] - c[a], d) / L**2, 0.0, 1.0)
-            foot = c[a] + t * d
-            out.append(np.hypot(*(q - foot)))
-    return np.array(out)
+    edges, edge_faces = _edge_faces(tri)
+    e, k = np.nonzero(edge_faces >= 0)
+    a, b = edges[e].T
+    d = c[b] - c[a]
+    L = np.hypot(*d.T)
+    q = c[a] + r[a, None] * d / L[:, None]
+    t = np.clip(np.sum((inc_centers[edge_faces[e, k]] - c[a]) * d, axis=1) / L**2, 0.0, 1.0)
+    return np.hypot(*(q - (c[a] + t[:, None] * d)).T)
 
 
 # ---------------------------------------------------------------------------

@@ -79,3 +79,30 @@ def concave_fan():
         [0, 6, 3, 4],
     ])
     return odmap.OrthodiagonalMap(pts, primal, faces)
+
+
+def segments_intersect_scalar(a, b, c, d, include_endpoints=True):
+    """One pair of segments at a time (the oracle for the broadcast
+    geometry.segments_intersect)."""
+    a, b, c, d = (np.asarray(p, float) for p in (a, b, c, d))
+
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    d1 = cross(b - a, c - a)
+    d2 = cross(b - a, d - a)
+    d3 = cross(d - c, a - c)
+    d4 = cross(d - c, b - c)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4:
+        return True
+    if not include_endpoints:
+        return False
+
+    def on_seg(p, q, r):
+        return (
+            cross(q - p, r - p) == 0.0
+            and min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+            and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
+        )
+
+    return on_seg(a, b, c) or on_seg(a, b, d) or on_seg(c, d, a) or on_seg(c, d, b)

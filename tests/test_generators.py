@@ -15,6 +15,9 @@ from odmap.generators import (
     rotated_grid,
     triangular_disk_triangulation,
 )
+from odmap.geometry import segments_intersect
+
+from conftest import segments_intersect_scalar
 
 
 def test_rotated_grid_basics():
@@ -296,6 +299,68 @@ def test_clip_and_face_inside_match_per_face_loop(domain):
         for g, w in zip(got, want):
             assert (g.positions == w.positions).all() and (g.faces == w.faces).all()
             assert (g.ids == w.ids).all()
+
+
+@given(seed=st.integers(0, 10_000), size=st.sampled_from([2, 4, 1000]),
+       include_endpoints=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_segments_intersect_broadcasts_like_scalar_loop(seed, size, include_endpoints):
+    # small integer grids make touching, collinear and overlapping pairs common
+    rng = np.random.default_rng(seed)
+    a, b, c, d = (rng.integers(0, size, (2, 3, 50, 2)).astype(float) / size for _ in range(4))
+    a[0, 0, :10] = c[0, 0, :10]  # shared endpoints
+    got = segments_intersect(a, b, c, d, include_endpoints=include_endpoints)
+    assert got.shape == (2, 3, 50)
+    want = [segments_intersect_scalar(*pts, include_endpoints=include_endpoints)
+            for pts in zip(*(p.reshape(-1, 2) for p in (a, b, c, d)))]
+    assert got.ravel().tolist() == want
+    one = segments_intersect(a[0, 0, 0], b[0, 0, 0], c[0, 0, 0], d[0, 0, 0], include_endpoints)
+    assert type(one) is bool and one == want[0]
+    # broadcasting one segment against a stack
+    row = segments_intersect(a[0, 0, 0], b[0, 0, 0], c[0, 0], d[0, 0], include_endpoints)
+    assert row.tolist() == [segments_intersect_scalar(a[0, 0, 0], b[0, 0, 0], s, t, include_endpoints)
+                            for s, t in zip(c[0, 0], d[0, 0])]
+
+
+def _face_inside_loop(domain, quads, tol=1e-12):
+    """Corner containment, then one quad side against one polygon edge at a
+    time (the oracle for polygon DomainSpec.face_inside)."""
+    out = []
+    for q in quads:
+        inside = bool(domain.contains(q, tol).all())
+        if inside:
+            inside = not any(segments_intersect_scalar(a, b, q[i], q[(i + 1) % 4], include_endpoints=False)
+                             for a, b in domain.boundary_segments() for i in range(4))
+        out.append(inside)
+    return out
+
+
+@given(seed=st.integers(0, 10_000), corners=st.integers(3, 12))
+@example(seed=0, corners=0)  # corners=0: the notched hexagon
+@settings(max_examples=20, deadline=None)
+def test_polygon_face_inside_matches_edge_loop(seed, corners):
+    rng = np.random.default_rng(seed)
+    if corners:  # a random star-shaped polygon
+        angle = np.sort(rng.uniform(0, 2 * np.pi, corners))
+        radius = rng.uniform(0.2, 1.0, corners)
+        domain = DomainSpec("polygon", polygon=np.column_stack([radius * np.cos(angle),
+                                                                radius * np.sin(angle)]))
+    else:
+        domain = NOTCHED
+    base = perturbed(rotated_grid("square", 12), 0.3, seed=seed)
+    quads = 2.4 * (base.positions[base.faces] - 0.5)
+    assert domain.face_inside(quads).tolist() == _face_inside_loop(domain, quads)
+
+
+def test_notched_grid_face_inside_matches_edge_loop():
+    n = 40
+    p, q = np.mgrid[-1:n + 2, -1:n + 2].reshape(2, -1)
+    centres = np.column_stack([p, q])[(p + q) % 2 == 0]
+    quads = (centres[:, None, :] + np.array([[1, 0], [0, 1], [-1, 0], [0, -1]])) / n
+    flags = NOTCHED.face_inside(quads)
+    assert flags.tolist() == _face_inside_loop(NOTCHED, quads)
+    assert 0 < flags.sum() < len(quads)
+    assert NOTCHED.face_inside(quads[0]) is bool(flags[0])
 
 
 def _contains_point_loop(domain, pts, tol):

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import odmap
-from odmap.errors import StructuralError
+from odmap import packing
+from odmap.errors import PackingError, StructuralError
 from odmap.generators import (
     SHAPES,
     bare_triangle_triangulation,
@@ -16,7 +17,9 @@ from odmap.generators import (
     k4_map,
     octahedron_map,
     prism_map,
+    random_delaunay_triangulation,
     single_interior_triangulation,
+    triangular_disk_triangulation,
 )
 from odmap.geometry import cross2, dist, incircle, signed_area
 from odmap.packing import (
@@ -28,9 +31,13 @@ from odmap.packing import (
     _angle_incidences,
     _angle_jacobian,
     _double_packing_residuals,
+    _edge_faces,
+    _extensions_cross,
     _packing_residuals,
     packing_key_fact_residuals,
 )
+
+from conftest import segments_intersect_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +165,111 @@ def test_key_fact_tangency_points(packed500):
     tri, p, _ = packed500
     res = packing_key_fact_residuals(tri, p)
     assert res.max() <= 1e-9
+
+
+def _key_fact_loop(tri, p):
+    """One edge and one face at a time (the oracle for
+    packing_key_fact_residuals)."""
+    c, r = p.centers, p.radii
+    inc_centers, _ = incircle(*c[tri.faces].transpose(1, 0, 2))
+    out = []
+    for (a, b), fs in zip(*_edge_faces(tri)):
+        d = c[b] - c[a]
+        L = np.hypot(*d)
+        q = c[a] + r[a] * d / L
+        for f in fs[fs >= 0]:
+            t = np.clip(np.dot(inc_centers[f] - c[a], d) / L**2, 0.0, 1.0)
+            out.append(np.hypot(*(q - (c[a] + t * d))))
+    return np.array(out)
+
+
+def test_key_fact_residuals_match_edge_loop(packed500):
+    bench = random_delaunay_triangulation(1000, seed=1)  # the pack_solve.N1000 input
+    for tri, p in ((packed500[0], packed500[1]), (bench, odmap.pack_in_disk(bench))):
+        got, want = packing_key_fact_residuals(tri, p), _key_fact_loop(tri, p)
+        assert got.shape == want.shape == (2 * len(tri.edges) - len(tri.boundary_cycle),)
+        assert np.abs(got - want).max() <= 1e-15
+
+
+def _extensions_cross_loop(ca, cb, ext):
+    k = len(ext)
+    return any(segments_intersect_scalar(*seg, include_endpoints=False)
+               for i, j in zip(range(k), np.roll(np.arange(k), -1))
+               for seg in ((ca[i], ext[i], ca[j], ext[j]),
+                           (ca[i], ext[i], ext[j], cb[j]),
+                           (ext[i], cb[i], ext[j], cb[j])))
+
+
+@given(seed=st.integers(0, 10_000), k=st.integers(3, 40), grid=st.sampled_from([3, 8, 0]))
+@settings(max_examples=60, deadline=None)
+def test_extensions_cross_matches_pair_loop(seed, k, grid):
+    # consecutive boundary edges share an end: cb[i] is ca[i + 1]; small
+    # integer grids make touching and collinear sides common
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, grid, (2, k, 2)) / grid if grid else rng.random((2, k, 2))
+    ca, ext = pts
+    cb = np.roll(ca, -1, axis=0)
+    assert _extensions_cross(ca, cb, ext) == _extensions_cross_loop(ca, cb, ext)
+
+
+@pytest.mark.parametrize("drift, tol", [(1e-6, 1e-8), (1e-9, 1e-7)])
+def test_drifting_layout_raises(monkeypatch, drift, tol):
+    # radii off by `drift` leave the flowers open, and the laid-out circles
+    # miss their tangencies; on this input by about 37 drift absolute and
+    # 1060 drift relative to the smaller circle, so at drift 1e-9 only the
+    # relative check exceeds tol = 1e-7
+    tri = random_delaunay_triangulation(200, seed=3)
+    solve = packing._solve_hyperbolic_radii
+
+    def drifting(tri, angle_tol):
+        x = solve(tri, angle_tol)
+        noise = np.random.default_rng(0).standard_normal(len(x))
+        return np.where(x > 0, x * (1.0 + drift * noise), x)
+
+    monkeypatch.setattr(packing, "_solve_hyperbolic_radii", drifting)
+    with pytest.raises(PackingError, match="relative tangency"):
+        odmap.pack_in_disk(tri, tol=tol)
+
+
+def _interior_angle_sums(tri, p):
+    """Euclidean angle sum at each circle centre over its centre triangles."""
+    corners = p.centers[tri.faces]
+    sums = np.zeros(tri.n_vertices)
+    for k in range(3):
+        u = corners[:, (k + 1) % 3] - corners[:, k]
+        w = corners[:, (k + 2) % 3] - corners[:, k]
+        sums += np.bincount(tri.faces[:, k], np.arctan2(cross2(u, w), np.sum(u * w, axis=1)),
+                            tri.n_vertices)
+    return sums[~p.boundary_mask]
+
+
+def _assert_packing_sound(tri, p):
+    m = odmap.orthodiagonal_from_packing(tri, p)
+    assert odmap.validate(m, tol=1e-9).passed
+    assert p.residuals["max_relative_tangency"] <= 1e-8
+    assert np.abs(_interior_angle_sums(tri, p) - 2 * np.pi).max(initial=0.0) <= 1e-9
+
+
+@given(kind=st.sampled_from(["delaunay", "lattice"]), seed=st.integers(0, 10_000),
+       n=st.integers(10, 3000), rows=st.integers(3, 25))
+@example(kind="delaunay", seed=2, n=3000, rows=3)
+@example(kind="lattice", seed=0, n=10, rows=25)
+@settings(max_examples=8, deadline=None)
+def test_pack_in_disk_valid_or_raises(kind, seed, n, rows):
+    tri = (random_delaunay_triangulation(n, seed=seed) if kind == "delaunay"
+           else triangular_disk_triangulation(rows))
+    try:
+        p = odmap.pack_in_disk(tri)
+    except PackingError:
+        return
+    _assert_packing_sound(tri, p)
+
+
+def test_pack_solve_n3000_seed1_validates():
+    # the pack_solve.N3000 input at seed 1, whose induced map once failed
+    # validate at 1e-9 (orthogonality 3.8e-9) while its packing passed
+    tri = random_delaunay_triangulation(3000, seed=1)
+    _assert_packing_sound(tri, odmap.pack_in_disk(tri))
 
 
 def test_packing_to_map_symmetric_fixture():
