@@ -390,11 +390,15 @@ def _contains_point_loop(domain, pts, tol):
 
 @given(seed=st.integers(0, 10_000), corners=st.integers(3, 12), tol=st.sampled_from([1e-12, 1e-3]))
 @example(seed=0, corners=0, tol=1e-12)  # corners=0: the notched hexagon
+@example(seed=4688, corners=3, tol=1e-12)  # drew a sliver triangle before the angles were spread
 @settings(max_examples=40, deadline=None)
 def test_polygon_contains_matches_point_loop(seed, corners, tol):
     rng = np.random.default_rng(seed)
-    if corners:  # a random star-shaped polygon
-        angle = np.sort(rng.uniform(0, 2 * np.pi, corners))
+    if corners:  # a random star-shaped polygon around the origin
+        # one angle in the first half of each of `corners` equal sectors, so
+        # no two neighbouring corners are pi or more apart: the polygon is
+        # never a sliver that the 300 box samples below all miss
+        angle = 2 * np.pi * (np.arange(corners) + rng.uniform(0, 0.5, corners)) / corners
         radius = rng.uniform(0.2, 1.0, corners)
         domain = DomainSpec("polygon", polygon=np.column_stack([radius * np.cos(angle),
                                                                 radius * np.sin(angle)]))
