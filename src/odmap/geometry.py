@@ -53,7 +53,9 @@ def seg_points_distance(a, b, pts: np.ndarray) -> np.ndarray:
     denom = float(d @ d)
     if denom == 0.0:
         return np.hypot(w[:, 0], w[:, 1])
-    t = np.clip((w @ d) / denom, 0.0, 1.0)
+    # elementwise, not w @ d: a matrix product may round differently with
+    # the number of rows, and a point must get one distance in any batch
+    t = np.clip((w[:, 0] * d[0] + w[:, 1] * d[1]) / denom, 0.0, 1.0)
     r = w - t[:, None] * d
     return np.hypot(r[:, 0], r[:, 1])
 

@@ -15,8 +15,9 @@ Euclidean circles directly in the disk model (horocycles are ordinary
 circles internally tangent to the unit circle), tracking hyperbolic centers /
 ideal points, in one breadth-first pass over the faces from the centre
 circle: every placement is a closed form, except for the occasional 1-d
-root find where both placed corners of a face are boundary circles.  A packing is accepted on its tangency
-residuals relative to the smaller circle of each edge.
+root find where both placed corners of a face are boundary circles.  A
+packing is accepted on its tangency residuals relative to the smaller
+circle of each edge.
 
 Double packings are solved in Euclidean terms on the vertex-face incidence
 structure: the tangency point of two vertex circles is also the tangency
@@ -201,9 +202,10 @@ def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> np.ndarray:
     """x-parameters with angle sum 2 pi at every interior vertex.
 
     Newton's method in u = log x on the angle-sum defects F at the interior
-    vertices, from x = 1/2.  Each step is halved until ||F||_2 falls: the
-    Newton direction descends on ||F||^2 wherever the Jacobian is
-    nonsingular, and F is, up to a change of variable, the gradient of
+    vertices, from x = 1/2.  A step longer than 2 in any component is scaled
+    down as a whole, then halved until ||F||_2 falls: the Newton direction
+    descends on ||F||^2 wherever the Jacobian is nonsingular, and scaling
+    keeps that direction.  F is, up to a change of variable, the gradient of
     Colin de Verdiere's strictly convex functional.  Raises PackingError when
     halving bottoms out or after _NEWTON_STEPS steps.
     """
@@ -246,7 +248,7 @@ def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> np.ndarray:
         du = spsolve(jacobian(x), -F)
         if not np.isfinite(du).all():
             raise PackingError(f"singular Jacobian in the radius solve (angle residual {err:.3e})")
-        du = np.clip(du, -2.0, 2.0)
+        du *= min(1.0, 2.0 / np.abs(du).max())  # scaled, not clipped: same direction
         norm, step = np.linalg.norm(F), 1.0
         for _ in range(_HALVINGS):
             trial = x.copy()
@@ -447,6 +449,7 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
     radii = np.full(n, np.nan)
     anchors = np.full(n, np.nan + 0j, complex)  # hyp center or ideal point
     placed = np.zeros(n, bool)
+    steps = np.zeros(n, int)  # placements between the seed and each circle
 
     def place(v, c, rho, anchor):
         centers[v] = c
@@ -504,13 +507,17 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
                 c, rho = _place_interior_from_two(centers[p], radii[p], centers[q], radii[q],
                                                   h_rad[r])
                 place(r, c, rho, _hyp_center(c, rho))
+            steps[r] = max(steps[p], steps[q]) + 1
             continue
         # closed form about an interior pivot p: move p's hyperbolic centre
         # to the origin, where r sits at angle alpha from q, counterclockwise
-        # when q follows p around the face
+        # when q follows p around the face.  The pivot's own error passes to
+        # r magnified, so pivot on the corner fewer placements from the seed
+        # (else, around a high-degree vertex, error grows along the ring)
         sign = 1
-        if boundary[p]:
+        if boundary[p] or (not boundary[q] and steps[q] < steps[p]):
             p, q, sign = q, p, -1
+        steps[r] = steps[p] + 1
         dr = _mobius(anchors[p], anchors[q])
         dr *= np.exp(1j * sign * float(_angles(x[p], x[q], x[r]))) / abs(dr)
         if boundary[r]:

@@ -272,6 +272,36 @@ def test_pack_solve_n3000_seed1_validates():
     _assert_packing_sound(tri, odmap.pack_in_disk(tri))
 
 
+def hub_triangulation(degree, rings):
+    """Vertex 0 inside `rings` rings of `degree` vertices each, every ring
+    joined to the next by a band of triangles; the last ring is the boundary."""
+    ring = np.arange(rings)[:, None] * degree + 1 + np.arange(degree)
+    nxt = np.roll(ring, -1, axis=1)
+    faces = [np.column_stack([np.zeros(degree, int), ring[0], nxt[0]])]
+    for k in range(rings - 1):
+        faces += [np.column_stack([ring[k], ring[k + 1], nxt[k + 1]]),
+                  np.column_stack([ring[k], nxt[k + 1], nxt[k]])]
+    return Triangulation(1 + rings * degree, np.concatenate(faces))
+
+
+@given(degree=st.integers(3, 300), rings=st.integers(2, 6))
+@example(degree=200, rings=3)
+@example(degree=80, rings=3)
+@settings(max_examples=10, deadline=None)
+def test_hub_layout_sound(degree, rings):
+    # unbounded degrees are in scope; a layout that pivots on the circle
+    # placed last around the ring compounds its error by about 1.5 per
+    # circle here, to relative tangency 1e-7 at degree 80 and 13 at 200
+    tri = hub_triangulation(degree, rings)
+    try:
+        p = odmap.pack_in_disk(tri)
+    except PackingError as err:
+        # nested rings of three floor the angle residual above the target
+        assert degree == 3 and "radius solve" in str(err)
+        return
+    _assert_packing_sound(tri, p)
+
+
 def test_packing_to_map_symmetric_fixture():
     tri = single_interior_triangulation()
     p = odmap.pack_in_disk(tri)
