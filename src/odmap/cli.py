@@ -219,13 +219,10 @@ def _run(args) -> int:
             report = flows.argument_flow(omap, x, args.r,
                                          relax_radius_hypothesis=args.relax)
         else:
-            pos = omap.positions[omap.primal_vertices]
-            r = np.hypot(pos[:, 0], pos[:, 1])
-            S = [int(v) for v, pr in zip(omap.primal_vertices, pos)
-                 if pr[0] <= -abs(pr[1])]
-            T = [int(v) for v, pr in zip(omap.primal_vertices, pos)
-                 if pr[0] >= abs(pr[1])]
-            report = flows.random_path_flow(omap, S, T, args.r1, args.r2, m=args.m)
+            pv = omap.primal_vertices
+            x, y = omap.positions[pv].T
+            report = flows.random_path_flow(omap, pv[x <= -abs(y)].tolist(),
+                                            pv[x >= abs(y)].tolist(), args.r1, args.r2, m=args.m)
         with open(args.output, "w") as fh:
             json.dump(report.to_json_dict(), fh, sort_keys=True)
         print(f"flow strength {report.strength:.12g}, energy {report.energy:.12g}, "
@@ -274,7 +271,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return _run(args)
     except (StructuralError, GeometryError, PackingError, RhoPathError,
-            FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+            FileNotFoundError, KeyError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
               file=sys.stderr)
         return 1

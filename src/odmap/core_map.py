@@ -17,11 +17,13 @@ available everywhere for free.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import DegenerateFaceError, StructuralError
@@ -262,7 +264,9 @@ class OrthodiagonalMap:
     def submap(self, face_indices) -> "OrthodiagonalMap":
         """Map made of a subset of faces (vertices renumbered, ids preserved)."""
         face_indices = np.asarray(face_indices, int)
-        used = np.unique(self.faces[face_indices].ravel())
+        used = np.zeros(self.n_vertices, bool)
+        used[self.faces[face_indices]] = True
+        used = np.flatnonzero(used)
         remap = -np.ones(self.n_vertices, int)
         remap[used] = np.arange(len(used))
         return OrthodiagonalMap(
@@ -594,21 +598,61 @@ def blocks(omap: OrthodiagonalMap) -> list:
 
     Accepts quad meshes whose outer boundary is not simple (e.g. clipped
     maps with pinch points).  Faces are partitioned among the blocks; the
-    union of the returned face sets is the original face set.
+    union of the returned face sets is the original face set.  Faces joined
+    across shared edges make 2-connected pieces (one ``connected_components``
+    pass), and the block search runs only on the small bipartite graph of
+    pieces and the vertices two or more pieces share: the pieces in one block
+    of it, or in two of its blocks that share a piece, make one block of the
+    map.  Blocks come largest first, then by least vertex id, then in the
+    order a block search of the whole map finds them.
     """
-    omap._check_face_indices()
-    edges = omap.edges
-    comp_of_edge, n_comps = _biconnected_components(omap.n_vertices, edges)
-    if n_comps == 0:
+    edges, side_edge = omap._sides
+    if not omap.n_faces:
         return []
+    n, n_f, f = omap.n_vertices, omap.n_faces, omap.faces
+    # a face that repeats a corner is no cycle: it joins its first side only
+    cycle = (f[:, 0] != f[:, 2]) & (f[:, 1] != f[:, 3])
+    link = np.where(cycle[:, None], side_edge, side_edge[:, :1])
+    n_p, piece = csgraph.connected_components(
+        edge_graph(n_f + len(edges), np.repeat(np.arange(n_f), 4), n_f + link.ravel()),
+        directed=False)
+    piece = piece[n_f:]  # of each edge
+    inc = sp.csr_matrix((np.ones(edges.size), (edges.ravel(), np.repeat(piece, 2))), (n, n_p))
+    count = np.diff(inc.indptr)  # pieces at each vertex
+    shared = np.repeat(count > 1, count)
+    p_of, v_of = inc.indices[shared], n_p + np.repeat(np.cumsum(count > 1) - 1, count)[shared]
+    h_block, n_h = _biconnected_components(v_of.max(initial=n_p - 1) + 1,
+                                           np.column_stack([p_of, v_of]))
+    group = csgraph.connected_components(edge_graph(n_p + n_h, p_of, n_p + h_block),
+                                         directed=False)[1][piece]  # of each edge
+    face_block = group[side_edge[:, 0]]
+    order = np.argsort(face_block, kind="stable")
+    parts = [(omap.submap(fidx), face_block[fidx[0]])
+             for fidx in np.split(order, np.flatnonzero(np.diff(face_block[order])) + 1)]
 
-    # each face goes with its first side
-    face_comp = comp_of_edge[omap._sides[1][:, 0]]
+    def size_and_least_id(part):
+        return -part[0].n_faces, int(part[0].ids.min())
 
     out = []
-    for comp in range(n_comps):
-        fidx = np.flatnonzero(face_comp == comp)
-        if fidx.size:
-            out.append(omap.submap(fidx))
-    out.sort(key=lambda m: (-m.n_faces, int(m.ids.min())))
+    for (_, least), tied in itertools.groupby(sorted(parts, key=size_and_least_id),
+                                              key=size_and_least_id):
+        tied = list(tied)
+        if len(tied) > 1:
+            tied.sort(key=_search_order(edges, group, int(np.argmax(omap.ids == least)), n))
+        out += [block for block, _ in tied]
     return out
+
+
+def _search_order(edges, edge_block, m, n):
+    """Sort key for (block, group label) pairs of blocks that share vertex m,
+    in the order :func:`_biconnected_components` on all edges pops them: those
+    it enters from m by least neighbour of m, then the one it reached m by."""
+    cc = csgraph.connected_components(edge_graph(n, *edges.T), directed=False)[1]
+    root = np.argmax(cc == cc[m])  # where the search of m's component starts
+    at_m = (edges == m).any(1)
+    cc = csgraph.connected_components(edge_graph(n, *edges[~at_m].T), directed=False)[1]
+
+    def key(part):
+        nb = (edges[at_m & (edge_block == part[1])].sum(1) - m).min(initial=n - 1)
+        return root != m and cc[nb] == cc[root], nb
+    return key

@@ -55,26 +55,13 @@ def diamond_map(scale: float = 1.0, center=(0.0, 0.0)) -> OrthodiagonalMap:
 
 def two_diamonds_sharing_vertex() -> OrthodiagonalMap:
     """Two diamond maps glued at one primal vertex (non-simple boundary)."""
-    m1 = diamond_map()
-    pts = [tuple(p) for p in m1.positions]
-    primal = list(m1.primal_mask)
-    index = {p: i for i, p in enumerate(pts)}
-    faces = [list(f) for f in m1.faces]
-    shift = np.array([4.0, 0.0])
-    m2 = diamond_map(center=(4.0, 0.0))
-    remap = {}
-    for i, p in enumerate(m2.positions):
-        key = tuple(p)
-        if key in index:
-            remap[i] = index[key]
-        else:
-            index[key] = len(pts)
-            pts.append(key)
-            primal.append(m2.primal_mask[i])
-            remap[i] = index[key]
-    for f in m2.faces:
-        faces.append([remap[int(v)] for v in f])
-    return OrthodiagonalMap(np.array(pts), np.array(primal, bool), np.array(faces, int))
+    m1, m2 = diamond_map(), diamond_map(center=(4.0, 0.0))
+    # m2's west corner 3 at (2, 0) is m1's east corner 1
+    new = np.arange(m2.n_vertices) != 3
+    remap = np.where(new, m1.n_vertices + np.cumsum(new) - 1, 1)
+    return OrthodiagonalMap(np.vstack([m1.positions, m2.positions[new]]),
+                            np.concatenate([m1.primal_mask, m2.primal_mask[new]]),
+                            np.vstack([m1.faces, remap[m2.faces]]))
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +94,11 @@ def rotated_grid(domain: DomainSpec | str, n: int) -> OrthodiagonalMap:
     # v1 must be primal: even first coordinate
     corners = np.where(corners[:, :1, :1] % 2 != 0, np.roll(corners, -1, axis=1), corners)
     # vertex ids in order of first appearance
-    lattice, first, inv = np.unique(corners.reshape(-1, 2), axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    ids = np.empty_like(order)
-    ids[order] = np.arange(len(order))
-    lattice = lattice[order]
-    omap = OrthodiagonalMap(lattice / float(n), lattice[:, 0] % 2 == 0, ids[inv].reshape(-1, 4))
+    corners = corners.reshape(-1, 2)
+    first, faces = _first_appearance((corners[:, 0] - lo_i) * (hi_j - lo_j + 1)
+                                     + corners[:, 1] - lo_j)
+    lattice = corners[first]
+    omap = OrthodiagonalMap(lattice / float(n), lattice[:, 0] % 2 == 0, faces.reshape(-1, 4))
     bl = blocks(omap)
     if not bl:
         raise GeometryError("no faces survive clipping; increase n")
@@ -131,39 +117,29 @@ def rect_nonuniform(x_cuts, y_cuts) -> OrthodiagonalMap:
     if p < 1 or q < 1:
         raise GeometryError("need at least one cell per direction")
 
-    corners = {}
-    centers = {}
-    positions = []
-    primal = []
-
-    def corner(i, j):
-        if (i, j) not in corners:
-            corners[(i, j)] = len(positions)
-            positions.append([x[i], y[j]])
-            primal.append(True)
-        return corners[(i, j)]
-
-    def center(i, j):
-        if (i, j) not in centers:
-            centers[(i, j)] = len(positions)
-            positions.append([(x[i] + x[i + 1]) / 2, (y[j] + y[j + 1]) / 2])
-            primal.append(False)
-        return centers[(i, j)]
-
-    faces = []
+    corner = np.arange((p + 1) * (q + 1)).reshape(p + 1, q + 1)
+    center = corner.size + np.arange(p * q).reshape(p, q)
     # vertical interior grid edges: quad [bottom, right center, top, left center]
-    for i in range(1, p):
-        for j in range(q):
-            faces.append([corner(i, j), center(i, j), corner(i, j + 1), center(i - 1, j)])
-    # horizontal interior grid edges: quad [left, below center, right, above center]
-    for j in range(1, q):
-        for i in range(p):
-            faces.append([corner(i, j), center(i, j - 1), corner(i + 1, j), center(i, j)])
-    if not faces:
+    vertical = np.stack([corner[1:-1, :-1], center[1:], corner[1:-1, 1:], center[:-1]], -1)
+    # horizontal interior grid edges, row by row: quad [left, below center, right, above center]
+    horizontal = np.stack([corner[:-1, 1:-1], center[:, :-1], corner[1:, 1:-1], center[:, 1:]], -1)
+    keys = np.concatenate([vertical.reshape(-1, 4), horizontal.transpose(1, 0, 2).reshape(-1, 4)])
+    if not len(keys):
         raise GeometryError("mesh has no interior grid edges; refine the cuts")
-
-    omap = OrthodiagonalMap(np.array(positions), np.array(primal, bool), np.array(faces, int))
+    points = np.concatenate([np.stack(np.meshgrid(u, v, indexing="ij"), -1).reshape(-1, 2) for u, v
+                             in ((x, y), ((x[:-1] + x[1:]) / 2, (y[:-1] + y[1:]) / 2))])
+    first, faces = _first_appearance(keys.ravel())
+    used = keys.ravel()[first]
+    omap = OrthodiagonalMap(points[used], used < corner.size, faces.reshape(-1, 4))
     return blocks(omap)[0]
+
+
+def _first_appearance(keys):
+    """For a 1-d int array: the index of the first appearance of each distinct
+    value, in order of first appearance, and each entry's rank in that order."""
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inv]
 
 
 # ---------------------------------------------------------------------------
@@ -261,39 +237,21 @@ def triangular_disk_triangulation(rows: int) -> Triangulation:
     hugs the circle, which makes these good disk approximants.
     """
     s = 2.0 / rows
-    pts = []
-    index = {}
     jmax = int(np.ceil(1.0 / (s * np.sqrt(3) / 2))) + 2
     imax = int(np.ceil(1.0 / s)) + 2
-    for j in range(-jmax, jmax + 1):
-        y = j * s * np.sqrt(3) / 2
-        off = 0.5 * s if j % 2 else 0.0
-        for i in range(-imax, imax + 1):
-            x = i * s + off
-            index[(i, j)] = len(pts)
-            pts.append([x, y])
-    pts = np.array(pts)
+    j, i = np.meshgrid(np.arange(-jmax, jmax + 1), np.arange(-imax, imax + 1), indexing="ij")
+    pts = np.column_stack([(i * s + np.where(j % 2, 0.5 * s, 0.0)).ravel(),
+                           (j * s * np.sqrt(3) / 2).ravel()])
     inside = np.hypot(pts[:, 0], pts[:, 1]) <= 1.0
-    faces = []
-    for j in range(-jmax, jmax):
-        for i in range(-imax, imax):
-            # two triangles per lattice cell; neighbor pattern depends on row parity
-            if j % 2 == 0:
-                tris = [
-                    (index[(i, j)], index[(i + 1, j)], index[(i, j + 1)]),
-                    (index[(i + 1, j)], index[(i + 1, j + 1)], index[(i, j + 1)]),
-                ]
-            else:
-                tris = [
-                    (index[(i, j)], index[(i + 1, j)], index[(i + 1, j + 1)]),
-                    (index[(i, j)], index[(i + 1, j + 1)], index[(i, j + 1)]),
-                ]
-            for tri in tris:
-                if all(inside[v] for v in tri):
-                    faces.append(tri)
-    if not faces:
+    # two triangles per lattice cell; neighbor pattern depends on row parity
+    k = np.arange(len(pts)).reshape(j.shape)
+    a, b, c, d = k[:-1, :-1], k[:-1, 1:], k[1:, :-1], k[1:, 1:]
+    tris = np.where((np.arange(-jmax, jmax) % 2 == 1)[:, None, None, None],
+                    np.stack([np.stack([a, b, d], -1), np.stack([a, d, c], -1)], -2),
+                    np.stack([np.stack([a, b, c], -1), np.stack([b, d, c], -1)], -2)).reshape(-1, 3)
+    faces = tris[inside[tris].all(1)]
+    if not len(faces):
         raise GeometryError("no triangles survive the disk clip; increase rows")
-    faces = np.array(faces, int)
     a, b, c = pts[faces].transpose(1, 0, 2)
     cw = cross2(b - a, c - a) < 0
     faces[cw] = faces[cw, ::-1]

@@ -486,6 +486,46 @@ def star_cycle_decomposition(network: Network, theta: EdgeField):
 # exit measure of the weighted random walk
 
 
+class _WalkTable:
+    """Next-vertex table of the conductance-weighted walk.  Each edge is
+    listed at both ends, sorted by (vertex, neighbour, edge id), with the
+    running sum ``cum`` of its conductances.  A walker at v with uniform u
+    takes the first slot k with cum[k] > base[v] + u seg_total[v].  A guide
+    table (Chen and Asau) gives, for bucket floor(u deg(v)), a slot at or
+    before k, from which a short forward scan finds k."""
+
+    def __init__(self, net: Network):
+        src = np.concatenate([net.tails, net.heads])
+        nb = np.concatenate([net.heads, net.tails])
+        by_vertex = np.lexsort((np.tile(np.arange(net.n_edges), 2), nb, src))
+        cum = np.cumsum(np.tile(net.conductances, 2)[by_vertex])
+        deg = np.bincount(src, minlength=net.n_vertices)
+        ends = np.concatenate([[0.0], cum])[np.concatenate([[0], np.cumsum(deg)])]
+        self.base, self.seg_total, self.buckets = ends[:-1], np.diff(ends), deg.astype(float)
+        # buckets 0..deg(v) of v from slot first[v]; bucket j starts at the
+        # slot of the least u in it, lowered by a few ulps against rounding
+        self.first = np.cumsum(deg + 1) - deg - 1
+        owner = np.repeat(np.arange(net.n_vertices), deg + 1)
+        u_low = (np.arange(owner.size) - self.first[owner]) / deg[owner] * (1.0 - 2.0 ** -50)
+        self.guide = np.searchsorted(cum, self.base[owner] + u_low * self.seg_total[owner],
+                                     side="right")
+        # sentinels: a scan stops at slot len(cum), which steps as the last slot
+        self.cum = np.append(cum, np.inf)
+        self.neighbour = nb[np.append(by_vertex, by_vertex[-1])]
+
+    def slots(self, at: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """searchsorted(cum, base[at] + u seg_total[at], side="right")."""
+        target = self.base[at] + u * self.seg_total[at]
+        k = self.guide[self.first[at] + (u * self.buckets[at]).astype(int)]
+        behind = self.cum[k] <= target
+        if behind.any():
+            behind = behind.nonzero()[0]
+            while behind.size:
+                k[behind] += 1
+                behind = behind[self.cum[k[behind]] <= target[behind]]
+        return k
+
+
 def random_walk_exit_measure(problem: DirichletProblem, start,
                              n_samples: int | None = None, seed: int | None = None,
                              max_steps: int = 10_000_000) -> dict:
@@ -493,13 +533,16 @@ def random_walk_exit_measure(problem: DirichletProblem, start,
 
     Exact mode (default) is -L[B][:, I] y for L_II y = e_start, by the cached
     interior factorisation; sampled mode simulates ``n_samples`` weighted walks
-    with the given seed, and raises RuntimeError unless every walk reaches the
+    with the given seed, one uniform per walker and step through
+    :class:`_WalkTable`, and raises RuntimeError unless every walk reaches the
     boundary within ``max_steps`` steps.  Returns {boundary label: probability}.
     """
     net = problem.network
     s = net.index_of(start)
     B = problem.boundary_idx
-    if s in set(B.tolist()):
+    is_boundary = np.zeros(net.n_vertices, bool)
+    is_boundary[B] = True
+    if is_boundary[s]:
         return {int(net.labels[s]): 1.0}
     if n_samples is None:
         solver = net.grounded(B)
@@ -508,41 +551,27 @@ def random_walk_exit_measure(problem: DirichletProblem, start,
         mu = -(solver.rows.T @ solver.solve(e_s))[B]
         return {int(net.labels[b]): float(p) for b, p in zip(B, mu)}
 
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if not net.is_connected:
         raise DisconnectedNetworkError("exit measure requires a connected network")
     rng = np.random.default_rng(seed)
-    # flat per-vertex cumulative conductances for O(log deg) transitions:
-    # each edge listed at both ends, sorted by (vertex, neighbor, edge id)
-    src = np.concatenate([net.tails, net.heads])
-    flat_nb = np.concatenate([net.heads, net.tails])
-    by_vertex = np.lexsort((np.tile(np.arange(net.n_edges), 2), flat_nb, src))
-    flat_nb = flat_nb[by_vertex]
-    cum = np.cumsum(np.tile(net.conductances, 2)[by_vertex])
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=net.n_vertices))])
-    ends = np.concatenate([[0.0], cum])[indptr]
-    base = ends[:-1]
-    seg_total = ends[1:] - base
-
-    is_boundary = np.zeros(net.n_vertices, bool)
-    is_boundary[B] = True
-    counts: dict = {}
-    pos = np.full(n_samples, s, int)
-    active = np.arange(n_samples)
+    table = _WalkTable(net)
+    exits = [np.empty(0, int)]
+    at = np.full(n_samples, s)
     steps = 0
-    while active.size and steps < max_steps:
-        u = rng.random(active.size)
-        target = base[pos[active]] + u * seg_total[pos[active]]
-        k = np.searchsorted(cum, target, side="right")
-        pos[active] = flat_nb[np.minimum(k, len(flat_nb) - 1)]
-        done = is_boundary[pos[active]]
-        for v in pos[active[done]]:
-            counts[int(v)] = counts.get(int(v), 0) + 1
-        active = active[~done]
+    while at.size and steps < max_steps:
+        at = table.neighbour[table.slots(at, rng.random(at.size))]
+        done = is_boundary[at]
+        if done.any():
+            exits.append(at[done])
+            at = at[~done]
         steps += 1
-    total = sum(counts.values())
+    counts = np.bincount(np.concatenate(exits), minlength=net.n_vertices)
+    total = int(counts.sum())
     if not total:
         raise RuntimeError(f"no walk reached the boundary within max_steps={max_steps}")
-    if active.size:
-        raise RuntimeError(f"{active.size} of {n_samples} walks had not reached the boundary "
+    if at.size:
+        raise RuntimeError(f"{at.size} of {n_samples} walks had not reached the boundary "
                            f"after max_steps={max_steps}")
-    return {int(net.labels[b]): counts.get(int(b), 0) / total for b in B}
+    return {int(net.labels[b]): int(counts[b]) / total for b in B}

@@ -126,37 +126,6 @@ class Triangulation:
         mask[self.boundary_cycle] = True
         return mask
 
-    @cached_property
-    def flowers(self) -> list:
-        """Neighbors of each vertex in CCW order (cyclic iff interior)."""
-        succ: list = [dict() for _ in range(self.n_vertices)]
-        for a, b, c in self.faces:
-            succ[a][int(b)] = int(c)
-            succ[b][int(c)] = int(a)
-            succ[c][int(a)] = int(b)
-        flowers = []
-        for v in range(self.n_vertices):
-            s = succ[v]
-            if not s:
-                raise StructuralError(f"vertex {v} lies on no face")
-            if self.boundary_mask[v]:
-                starts = set(s) - set(s.values())
-                if len(starts) != 1:
-                    raise StructuralError(f"boundary fan at vertex {v} is broken")
-                cur = starts.pop()
-            else:
-                cur = next(iter(s))
-            fl = [cur]
-            while True:
-                cur = s.get(cur)
-                if cur is None or cur == fl[0]:
-                    break
-                fl.append(cur)
-                if len(fl) > len(s) + 1:
-                    raise StructuralError(f"flower at vertex {v} does not close")
-            flowers.append(fl)
-        return flowers
-
     def validate(self):
         """Raise StructuralError when not a simple triangulation with boundary."""
         corners = np.sort(self.faces, axis=1)
@@ -164,7 +133,10 @@ class Triangulation:
         if repeats.size:
             raise StructuralError(f"face {repeats[0]} repeats a vertex")
         _ = self.boundary_cycle  # after the incidence and orientation checks
-        _ = self.flowers
+        # with those, each boundary vertex's fan is one path: a bare vertex is all that is left
+        bare = np.setdiff1d(np.arange(self.n_vertices), self.faces)
+        if bare.size:
+            raise StructuralError(f"vertex {bare[0]} lies on no face")
         if csgraph.connected_components(self.graph, directed=False, return_labels=False) != 1:
             raise StructuralError("triangulation is not connected")
         return self

@@ -150,3 +150,24 @@ def test_exitmeasure_cli(tmp_path):
     data = json.loads(out_path.read_text())
     assert data["tv"] <= 1e-9
     assert sum(data["arcs"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_exitmeasure_cli_rejects_zero_samples(tmp_path, capsys):
+    map_path = tmp_path / "map.json"
+    odmap.diamond_map(scale=0.5).to_json(map_path)
+    assert run(["exitmeasure", "--map", map_path, "--samples", 0, "-o", tmp_path / "x.json"]) == 1
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["error"] == "ValueError" and "n_samples must be at least 1" in diag["detail"]
+
+
+def test_flow_cli_random_path_runs_between_the_cones(tmp_path):
+    map_path = tmp_path / "map.json"
+    flow_path = tmp_path / "flow.json"
+    odmap.rotated_grid("disk", 16).to_json(map_path)
+    assert run(["flow", "--map", map_path, "--kind", "random_path", "-o", flow_path]) == 0
+    m = odmap.OrthodiagonalMap.from_json(map_path)
+    pos = m.positions[m.primal_vertices]
+    S = [int(v) for v, p in zip(m.primal_vertices, pos) if p[0] <= -abs(p[1])]
+    T = [int(v) for v, p in zip(m.primal_vertices, pos) if p[0] >= abs(p[1])]
+    want = odmap.flows.random_path_flow(m, S, T, 0.1, 0.3, m=32).to_json_dict()
+    assert json.loads(flow_path.read_text()) == json.loads(json.dumps(want))

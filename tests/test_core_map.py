@@ -2,9 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import odmap
-from odmap.core_map import AugmentedDuals, martingale_residuals, orientation_residuals
+from odmap.core_map import (
+    AugmentedDuals,
+    _biconnected_components,
+    martingale_residuals,
+    orientation_residuals,
+)
 from odmap.errors import StructuralError
 
 
@@ -285,6 +292,89 @@ def test_blocks_of_clipped_pinch():
     out = odmap.blocks(sub)
     assert len(out) == 2
     assert all(odmap.validate(b).passed for b in out)
+
+
+def _blocks_oracle(omap):
+    """Blocks by Hopcroft-Tarjan over every edge of the map, each face with
+    the block of its first side, largest first, then by least id."""
+    comp, n_comps = _biconnected_components(omap.n_vertices, omap.edges)
+    face_comp = comp[omap._sides[1][:, 0]]
+    out = [omap.submap(np.flatnonzero(face_comp == c)) for c in range(n_comps)
+           if (face_comp == c).any()]
+    out.sort(key=lambda m: (-m.n_faces, int(m.ids.min())))
+    return out
+
+
+def _assert_blocks_match_oracle(omap):
+    got, want = odmap.blocks(omap), _blocks_oracle(omap)
+    assert [b.n_faces for b in got] == [b.n_faces for b in want]
+    for g, w in zip(got, want):
+        for a, b in ((g.faces, w.faces), (g.ids, w.ids), (g.positions, w.positions),
+                     (g.primal_mask, w.primal_mask)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    return got
+
+
+def _grid_faces_at(n, centres):
+    """rotated_grid("square", n) cut down to the faces centred at the given
+    lattice points (p, q), p + q even."""
+    g = odmap.rotated_grid("square", n)
+    at = {tuple(c): i for i, c in
+          enumerate(np.rint(g.positions[g.faces].mean(1) * n).astype(int).tolist())}
+    return g.submap([at[c] for c in centres])
+
+
+def _relabelled(omap, seed):
+    """The map with its vertices in random order, each keeping its id."""
+    perm = np.random.default_rng(seed).permutation(omap.n_vertices)
+    inv = np.argsort(perm)
+    return odmap.OrthodiagonalMap(omap.positions[inv], omap.primal_mask[inv], perm[omap.faces],
+                                  ids=omap.ids[inv])
+
+
+RING = [(2, 2), (4, 2), (4, 4), (2, 4)]  # four faces pinched around a hole
+
+
+@pytest.mark.parametrize("centres, sizes", [
+    (RING, [4]),
+    (RING + [(6, 4), (6, 6), (4, 6)], [7]),  # two rings of pinches share face (4, 4)
+    (RING[:3] + [(6, 4), (6, 6), (4, 6)], [4, 1, 1]),
+    ([(2, 2), (4, 2), (6, 2), (3, 3)], [3, 1]),  # (3, 3) has an edge on (2, 2) and (4, 2)
+    ([(3, 3), (5, 3), (3, 5), (5, 5), (1, 3), (3, 1)], [4, 1, 1]),
+    ([(2, 2), (4, 2)], [1, 1]),
+], ids=["ring", "rings_share_a_face", "path_into_ring", "path_and_edge", "ring_and_tails",
+        "bowtie"])
+def test_blocks_of_pinch_structures_match_oracle(centres, sizes):
+    m = _grid_faces_at(8, centres)
+    assert [b.n_faces for b in _assert_blocks_match_oracle(m)] == sizes
+    for seed in range(20):
+        _assert_blocks_match_oracle(_relabelled(m, seed))
+
+
+def test_blocks_of_glued_diamonds_match_oracle():
+    from odmap.generators import two_diamonds_sharing_vertex
+
+    glued = two_diamonds_sharing_vertex()
+    assert [b.n_faces for b in _assert_blocks_match_oracle(glued)] == [4, 4]
+    for seed in range(20):
+        _assert_blocks_match_oracle(_relabelled(glued, seed))
+
+
+@given(seed=st.integers(0, 10_000), n=st.sampled_from([4, 6, 10, 16]),
+       domain=st.sampled_from(["square", "disk"]), keep=st.floats(0.1, 0.9),
+       relabel=st.booleans())
+@example(seed=17, n=10, domain="square", keep=0.6, relabel=False)
+@settings(max_examples=150, deadline=None)
+def test_blocks_of_random_clips_match_oracle(seed, n, domain, keep, relabel):
+    """Face partition and block order, ties included, agree with the
+    full-map block search on randomly clipped grids."""
+    g = odmap.rotated_grid(domain, n)
+    rng = np.random.default_rng(seed)
+    faces = np.flatnonzero(rng.random(g.n_faces) < keep)
+    if not faces.size:
+        return
+    m = g.submap(faces)
+    _assert_blocks_match_oracle(_relabelled(m, seed) if relabel else m)
 
 
 # ---------------------------------------------------------------------------

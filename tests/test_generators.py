@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 import odmap
-from odmap.core_map import martingale_residuals
+from odmap.core_map import face_sides, martingale_residuals
 from odmap.domains import DomainSpec
 from odmap.generators import (
     GeneratorSpec,
@@ -15,7 +17,7 @@ from odmap.generators import (
     rotated_grid,
     triangular_disk_triangulation,
 )
-from odmap.geometry import segments_intersect
+from odmap.geometry import cross2, segments_intersect
 
 from conftest import segments_intersect_scalar
 
@@ -240,6 +242,79 @@ def test_triangular_disk_triangulation_valid():
 # -- array filters against the per-candidate loops they replaced ---------------
 
 
+def _two_diamonds_oracle():
+    """The gluing loop two_diamonds_sharing_vertex was: m2's vertices joined
+    to m1's by position."""
+    m1, m2 = odmap.diamond_map(), odmap.diamond_map(center=(4.0, 0.0))
+    pts, primal = [tuple(p) for p in m1.positions], list(m1.primal_mask)
+    index = {p: i for i, p in enumerate(pts)}
+    remap = {}
+    for i, p in enumerate(m2.positions):
+        if tuple(p) not in index:
+            index[tuple(p)] = len(pts)
+            pts.append(tuple(p))
+            primal.append(m2.primal_mask[i])
+        remap[i] = index[tuple(p)]
+    faces = [list(f) for f in m1.faces] + [[remap[int(v)] for v in f] for f in m2.faces]
+    return odmap.OrthodiagonalMap(np.array(pts), np.array(primal, bool), np.array(faces, int))
+
+
+def test_two_diamonds_matches_gluing_loop():
+    from odmap.generators import two_diamonds_sharing_vertex
+
+    got, want = two_diamonds_sharing_vertex(), _two_diamonds_oracle()
+    for a, b in ((got.positions, want.positions), (got.primal_mask, want.primal_mask),
+                 (got.faces, want.faces)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _triangular_disk_oracle(rows):
+    """triangular_disk_triangulation with its per-cell lattice loop."""
+    s = 2.0 / rows
+    pts, index, faces = [], {}, []
+    jmax = int(np.ceil(1.0 / (s * np.sqrt(3) / 2))) + 2
+    imax = int(np.ceil(1.0 / s)) + 2
+    for j in range(-jmax, jmax + 1):
+        for i in range(-imax, imax + 1):
+            index[(i, j)] = len(pts)
+            pts.append([i * s + (0.5 * s if j % 2 else 0.0), j * s * np.sqrt(3) / 2])
+    pts = np.array(pts)
+    inside = np.hypot(pts[:, 0], pts[:, 1]) <= 1.0
+    for j in range(-jmax, jmax):
+        for i in range(-imax, imax):
+            a, b, c, d = index[(i, j)], index[(i + 1, j)], index[(i, j + 1)], index[(i + 1, j + 1)]
+            for tri in ([(a, b, d), (a, d, c)] if j % 2 else [(a, b, c), (b, d, c)]):
+                if all(inside[v] for v in tri):
+                    faces.append(tri)
+    if not faces:
+        return None
+    faces = np.array(faces, int)
+    a, b, c = pts[faces].transpose(1, 0, 2)
+    cw = cross2(b - a, c - a) < 0
+    faces[cw] = faces[cw, ::-1]
+    _, side_edge = face_sides(faces)
+    face_of = np.repeat(np.arange(len(faces)), 3)
+    incidence = sp.csr_matrix((np.ones(face_of.size), (face_of, side_edge.ravel())))
+    _, comp = csgraph.connected_components(incidence @ incidence.T, directed=False)
+    faces = faces[comp == np.argmax(np.bincount(comp))]
+    used = np.unique(faces)
+    remap = -np.ones(len(pts), int)
+    remap[used] = np.arange(len(used))
+    return remap[faces], pts[used]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 10, 25])
+def test_triangular_disk_matches_per_cell_loop(rows):
+    want = _triangular_disk_oracle(rows)
+    if want is None:
+        with pytest.raises(odmap.GeometryError, match="no triangles survive"):
+            triangular_disk_triangulation(rows)
+        return
+    tri = triangular_disk_triangulation(rows)
+    for a, b in ((tri.faces, want[0]), (tri.positions, want[1])):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def _rotated_grid_oracle(domain, n):
     lo, hi = domain.bounding_box()
     (lo_i, lo_j), (hi_i, hi_j) = ((0, 0), (n, n)) if domain.kind == "square" else \
@@ -276,6 +351,56 @@ def test_rotated_grid_matches_per_candidate_loop(domain):
         assert (got.positions == want[0].positions).all()
         assert (got.faces == want[0].faces).all()
         assert (got.primal_mask == want[0].primal_mask).all()
+
+
+def _rect_nonuniform_oracle(x, y):
+    """The per-cell loop rect_nonuniform was: vertices numbered by first
+    appearance, corners at grid points and centres at cell midpoints."""
+    p, q = len(x) - 1, len(y) - 1
+    index, positions, primal = {}, [], []
+
+    def vertex(key, pos, is_primal):
+        if key not in index:
+            index[key] = len(positions)
+            positions.append(pos)
+            primal.append(is_primal)
+        return index[key]
+
+    def corner(i, j):
+        return vertex(("corner", i, j), [x[i], y[j]], True)
+
+    def center(i, j):
+        return vertex(("center", i, j), [(x[i] + x[i + 1]) / 2, (y[j] + y[j + 1]) / 2], False)
+
+    faces = []
+    for i in range(1, p):
+        for j in range(q):
+            faces.append([corner(i, j), center(i, j), corner(i, j + 1), center(i - 1, j)])
+    for j in range(1, q):
+        for i in range(p):
+            faces.append([corner(i, j), center(i, j - 1), corner(i + 1, j), center(i, j)])
+    if not faces:
+        return None
+    omap = odmap.OrthodiagonalMap(np.array(positions), np.array(primal, bool), np.array(faces, int))
+    return odmap.blocks(omap)[0]
+
+
+@given(seed=st.integers(0, 10_000), p=st.integers(1, 12), q=st.integers(1, 12))
+@example(seed=0, p=1, q=1)
+@settings(max_examples=60, deadline=None)
+def test_rect_nonuniform_matches_per_cell_loop(seed, p, q):
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.01, 1.0, p + 1))
+    y = np.cumsum(rng.uniform(0.01, 1.0, q + 1))
+    want = _rect_nonuniform_oracle(x, y)
+    if want is None:
+        with pytest.raises(odmap.GeometryError, match="no interior grid edges"):
+            rect_nonuniform(x, y)
+        return
+    got = rect_nonuniform(x, y)
+    for a, b in ((got.positions, want.positions), (got.primal_mask, want.primal_mask),
+                 (got.faces, want.faces), (got.ids, want.ids)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def _clip_oracle(omap, domain, buffer):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,9 +25,12 @@ from odmap.network import (
     sandwich_check,
     star_cycle_decomposition,
     strength,
+    _WalkTable,
 )
 
 from conftest import random_network
+
+DATA = Path(__file__).parent / "data"
 
 
 def path_network(conductances):
@@ -647,6 +653,61 @@ def test_sampled_exit_measure_raises_on_walks_left_at_max_steps(diamond):
         random_walk_exit_measure(prob, 0, n_samples=40, seed=0, max_steps=1)
     mu = random_walk_exit_measure(prob, 0, n_samples=40, seed=0)
     assert mu == {1: 1.0}
+
+
+def test_sampled_exit_measure_needs_a_walk(diamond):
+    prob = DirichletProblem(diamond.primal_network(), {v: 0.0 for v in [1, 2, 3, 4]})
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            random_walk_exit_measure(prob, 0, n_samples=n, seed=0)
+
+
+def test_sampled_exit_measure_pinned():
+    """The seeded walk from the centre of the 32-grid disk gives the measures
+    recorded from the binary-search step that the guide table replaced."""
+    with open(DATA / "sampled_exit_disk32.json") as fh:
+        pinned = json.load(fh)
+    m = odmap.rotated_grid("disk", pinned["grid"])
+    bdry, _ = m.boundary_vertices()
+    prob = DirichletProblem(m.primal_network(), {int(v): 0.0 for v in bdry})
+    for seed, want in pinned["measures"].items():
+        mu = random_walk_exit_measure(prob, pinned["start"], n_samples=pinned["n_samples"],
+                                      seed=int(seed))
+        assert list(mu.items()) == [tuple(kv) for kv in want]
+
+
+@given(seed=st.integers(0, 10_000), hub=st.integers(500, 700), extra=st.integers(0, 300),
+       log_range=st.sampled_from([0.0, 2.0, 6.0]), integral=st.booleans(),
+       hub_c=st.sampled_from([None, 1.0, 3.0, 0.1, 1e6]))
+@settings(max_examples=60, deadline=None)
+def test_walk_table_slot_matches_searchsorted(seed, hub, extra, log_range, integral, hub_c):
+    """The guide-table step picks the slot of the binary search over the
+    whole cumulative array, at bucket edges j/deg, an ulp either side of
+    them and at random u, for conductances across 1e-6..1e6, a hub and
+    degree-1 leaves.  Equal conductances at the hub put partial sums on the
+    bucket edges, where an unlowered guide would start past the slot."""
+    rng = np.random.default_rng(seed)
+    n = hub + 1 + int(rng.integers(0, 40))
+    tails = np.concatenate([np.zeros(hub, int), rng.integers(1, n, extra), np.arange(hub + 1, n)])
+    heads = np.concatenate([np.arange(1, hub + 1), rng.integers(1, n, extra), np.arange(hub, n - 1)])
+    loop = tails == heads
+    tails, heads = tails[~loop], heads[~loop]
+    c = 10.0 ** rng.uniform(-log_range, log_range, len(tails))
+    if integral:
+        c = np.ceil(c)
+    if hub_c is not None:
+        c[:hub] = hub_c
+    table = _WalkTable(odmap.Network(np.arange(n), tails, heads, c))
+    deg = table.buckets.astype(int)
+    at = np.repeat(np.arange(n), deg + 1)
+    edge = (np.arange(len(at)) - table.first[at]) / deg[at]
+    u = np.concatenate([edge, np.nextafter(edge, -1.0), np.nextafter(edge, 2.0),
+                        rng.random(len(at)), np.full(len(at), 1.0 - 2.0 ** -53)])
+    at = np.tile(at, 5)
+    inside = (u >= 0.0) & (u < 1.0)
+    at, u = at[inside], u[inside]
+    want = np.searchsorted(table.cum[:-1], table.base[at] + u * table.seg_total[at], side="right")
+    assert np.array_equal(table.slots(at, u), want)
 
 
 def test_label_lookup():
