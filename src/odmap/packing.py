@@ -40,10 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import brentq
 from scipy.sparse import csgraph
-from scipy.sparse.linalg import spsolve
-from scipy.spatial import cKDTree
+from scipy.sparse.linalg import splu
 
 from .core_map import OrthodiagonalMap, face_sides
 from .errors import PackingError, StructuralError
@@ -217,7 +215,13 @@ def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> np.ndarray:
             raise PackingError(f"radius solve stopped after {steps} Newton steps "
                                f"(angle residual {err:.3e})")
         steps += 1
-        du = spsolve(jacobian(x), -F)
+        # J diag(-(1 - x)/sqrt x) is symmetric negative definite, so the
+        # diagonal pivots of a symmetric ordering never vanish
+        try:
+            du = splu(jacobian(x), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True}).solve(-F)
+        except RuntimeError:  # exactly singular factor
+            du = np.full_like(F, np.nan)
         if not np.isfinite(du).all():
             raise PackingError(f"singular Jacobian in the radius solve (angle residual {err:.3e})")
         du *= min(1.0, 2.0 / np.abs(du).max())  # scaled, not clipped: same direction
@@ -321,6 +325,7 @@ class CirclePacking:
 def _place_interior_from_two(c1, r1, c2, r2, h_target):
     """Circle of prescribed hyperbolic radius tangent to two placed circles,
     counterclockwise of circle 2 about circle 1."""
+    from scipy.optimize import brentq
 
     def center_at(rho):
         d = abs(c2 - c1)
@@ -366,6 +371,7 @@ def _place_interior_from_two(c1, r1, c2, r2, h_target):
 def _place_horo_from_two(c1, r1, c2, r2):
     """Horocycle tangent to two placed circles, counterclockwise of circle 2
     about circle 1."""
+    from scipy.optimize import brentq
 
     def candidate(theta):
         zeta = np.exp(1j * theta)
@@ -537,6 +543,8 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
 
 
 def _packing_residuals(tri: Triangulation, p: CirclePacking) -> dict:
+    from scipy.spatial import cKDTree
+
     c = p.centers
     r = p.radii
     n = len(r)

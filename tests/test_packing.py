@@ -302,6 +302,43 @@ def test_hub_layout_sound(degree, rings):
     _assert_packing_sound(tri, p)
 
 
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(packing, name)
+    monkeypatch.setattr(packing, name, lambda *a: calls.append(1) or inner(*a))
+    return calls
+
+
+def _assert_tight(tri, p):
+    _assert_packing_sound(tri, p)
+    assert p.residuals["max_relative_tangency"] <= 1e-12
+    assert p.residuals["max_boundary"] <= 1e-12
+
+
+@pytest.mark.parametrize("k", [4, 6, 10])
+def test_fan_places_horocycles_from_two(k, monkeypatch):
+    # a fan of a convex k-gon has no interior vertex, so every circle after
+    # the first face is a horocycle placed by root-finding against two
+    calls = _count_calls(monkeypatch, "_place_horo_from_two")
+    tri = Triangulation(k, [[0, i, i + 1] for i in range(1, k - 1)])
+    p = odmap.pack_in_disk(tri)
+    assert calls
+    _assert_tight(tri, p)
+
+
+def test_glued_wheels_place_interior_from_two(monkeypatch):
+    # two 6-wheels sharing the boundary chord (1, 2): the second hub is laid
+    # out from the two chord circles, not from a placed neighbour's fan
+    def wheel(hub, rim):
+        return [[hub, rim[i], rim[(i + 1) % len(rim)]] for i in range(len(rim))]
+
+    calls = _count_calls(monkeypatch, "_place_interior_from_two")
+    tri = Triangulation(12, wheel(0, [1, 2, 3, 4, 5, 6]) + wheel(7, [2, 1, 8, 9, 10, 11]))
+    p = odmap.pack_in_disk(tri)
+    assert len(calls) == 1
+    _assert_tight(tri, p)
+
+
 def test_packing_to_map_symmetric_fixture():
     tri = single_interior_triangulation()
     p = odmap.pack_in_disk(tri)

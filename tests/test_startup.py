@@ -1,0 +1,28 @@
+"""`import odmap` loads numpy and scipy.sparse only; the rest loads on first use."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DEFERRED = ("scipy.optimize", "scipy.spatial", "scipy.fft", "scipy.special")
+
+PROBE = f"""
+import sys
+import odmap, odmap.cli
+print(*[m in sys.modules for m in {DEFERRED!r}])
+from odmap.packing import Triangulation, pack_in_disk
+pack_in_disk(Triangulation(6, [[0, i, i + 1] for i in range(1, 5)]))
+print(*[m in sys.modules for m in {DEFERRED!r}])
+"""
+
+
+def test_import_defers_optimize_and_spatial():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    after_import, after_pack = done.stdout.split("\n")[:2]
+    assert after_import == " ".join(["False"] * len(DEFERRED))
+    assert after_pack == " ".join(["True"] * len(DEFERRED))
