@@ -6,9 +6,10 @@ and ``w1, w2`` dual.  Everything else (edges, boundary walk, vertex
 partitions, the weighted primal/dual networks) is derived deterministically
 from the face list.
 
-Faces are the single source of truth, and :func:`face_sides` (one sort/unique
-pass over the face sides) is the one derivation of edges from them; incidence,
-boundary and blocks are array operations on its table.  Edge ``i`` of the
+Faces are the single source of truth, and :func:`side_table` (one stable sort
+of the face sides by edge) is the one derivation of edges and twins from a
+face list, for maps, triangulations and 3-connected maps alike; incidence,
+boundary and blocks are array operations on it.  Edge ``i`` of the
 primal network, edge ``i`` of the dual network and face ``i`` of the map
 always correspond: the primal edge joins ``v1, v2`` with conductance
 |w1 w2| / |v1 v2| and the dual edge joins ``w1, w2`` with the reciprocal
@@ -21,28 +22,70 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import DegenerateFaceError, StructuralError
-from .geometry import dist, hull_diameter, signed_area
+from .geometry import max_distance, signed_area
 from .network import Network, edge_graph
 
-def face_sides(faces):
-    """Undirected edges of an (m, k) face array and the edge of each side.
 
-    Side j of face i joins corners j and j + 1 (mod k).  Returns the distinct
-    edges (e, 2), each row sorted and the rows in lexicographic order, and
-    the (m, k) array of edge ids, one per side.
+class SideTable(NamedTuple):
+    """Directed sides of a face list, numbered face by face along each cycle."""
+
+    tail: np.ndarray   # side k runs from tail[k] to head[k] along face[k]
+    head: np.ndarray
+    face: np.ndarray
+    nxt: np.ndarray    # the side after k on its face
+    edge: np.ndarray   # the row of edges that side k lies on
+    twin: np.ndarray   # the other side of k's edge if it has exactly two, else -1
+    edges: np.ndarray  # distinct undirected edges (e, 2), rows sorted, in lexicographic order
+    count: np.ndarray  # the number of sides on each edge
+    first: np.ndarray  # the lowest-numbered side on each edge
+
+    def first_repeat(self) -> int:
+        """The first side that runs along its edge the way an earlier side does, or -1."""
+        k = np.arange(self.tail.size)
+        key = 2 * self.edge + (self.tail > self.head)
+        seen = np.full(2 * len(self.edges), k.size)
+        np.minimum.at(seen, key, k)  # the first side of each direction of each edge
+        repeat = seen[key] < k
+        return int(np.argmax(repeat)) if repeat.any() else -1
+
+
+def side_table(faces) -> SideTable:
+    """:class:`SideTable` of an (m, k) face array or a ragged list of faces.
+
+    One stable argsort of the undirected side keys groups the sides by edge,
+    in side order within each edge.
     """
-    faces = np.asarray(faces, int)
-    ends = np.roll(faces, -1, axis=1)
-    n = int(faces.max(initial=0)) + 1
-    keys, side_edge = np.unique(np.minimum(faces, ends) * n + np.maximum(faces, ends),
-                                return_inverse=True)
-    return np.column_stack([keys // n, keys % n]), side_edge.reshape(faces.shape)
+    if isinstance(faces, np.ndarray):
+        lens = np.full(len(faces), faces.shape[1])
+        tail = np.asarray(faces, int).ravel()
+    else:
+        lens = np.array([len(f) for f in faces], int)
+        tail = np.fromiter(itertools.chain.from_iterable(faces), int, lens.sum())
+    face = np.repeat(np.arange(len(lens)), lens)
+    ends = np.cumsum(lens)
+    nxt = np.arange(1, tail.size + 1)
+    nxt[ends - 1] = ends - lens
+    head = tail[nxt]
+    n = int(tail.max(initial=0)) + 1
+    key = np.minimum(tail, head) * n + np.maximum(tail, head)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
+    count = np.diff(start, append=key.size)
+    edge = np.empty_like(order)
+    edge[order] = np.repeat(np.arange(start.size), count)
+    twin = np.full_like(order, -1)
+    pair = start[count == 2]
+    twin[order[pair]], twin[order[pair + 1]] = order[pair + 1], order[pair]
+    return SideTable(tail, head, face, nxt, edge, twin,
+                     np.column_stack([key[start] // n, key[start] % n]), count, order[start])
 
 
 class OrthodiagonalMap:
@@ -82,22 +125,22 @@ class OrthodiagonalMap:
     # -- derived combinatorics --------------------------------------------
 
     @cached_property
-    def _sides(self):
-        """:func:`face_sides` of the faces: (edges, edge id of each side)."""
+    def _sides(self) -> SideTable:
+        """:func:`side_table` of the faces (side 4 i + j joins corners j, j + 1 of face i)."""
         self._check_face_indices()
         if np.any(self.faces == np.roll(self.faces, -1, axis=1)):
             raise StructuralError("face repeats a vertex on consecutive corners")
-        return face_sides(self.faces)
+        return side_table(self.faces)
 
     @cached_property
     def edges(self) -> np.ndarray:
         """Undirected G-edges (k, 2), each row sorted, lexicographically ordered."""
-        return self._sides[0]
+        return self._sides.edges
 
     @cached_property
     def edge_face_count(self) -> np.ndarray:
         """Number of face sides on each edge of :attr:`edges`."""
-        return np.bincount(self._sides[1].ravel(), minlength=len(self.edges))
+        return self._sides.count
 
     @cached_property
     def boundary_edges(self) -> list:
@@ -183,7 +226,9 @@ class OrthodiagonalMap:
         return float(self.face_areas().sum())
 
     def diameter(self) -> float:
-        return hull_diameter(self.positions)
+        """Largest distance between two vertices; on an embedded map the
+        extreme points of the convex hull lie on the boundary walk."""
+        return max_distance(self.positions[self.boundary_walk])
 
     def face_polygon(self, i: int) -> np.ndarray:
         return self.positions[self.faces[i]]
@@ -339,14 +384,12 @@ def validate(omap: OrthodiagonalMap, tol: float = 1e-9) -> ValidationReport:
 
     # colors alternate primal, dual, primal, dual
     pm = omap.primal_mask
-    color_ok = np.all(pm[omap.faces[:, 0]] & ~pm[omap.faces[:, 1]] & pm[omap.faces[:, 2]] & ~pm[omap.faces[:, 3]])
-    bad_color = [int(i) for i in np.flatnonzero(
-        ~(pm[omap.faces[:, 0]] & ~pm[omap.faces[:, 1]] & pm[omap.faces[:, 2]] & ~pm[omap.faces[:, 3]])
-    )]
-    report.add("faces/alternating_colors", bool(color_ok), f"faces {bad_color[:8]}" if bad_color else "")
+    f = omap.faces
+    bad_color = np.flatnonzero(~(pm[f[:, 0]] & ~pm[f[:, 1]] & pm[f[:, 2]] & ~pm[f[:, 3]]))
+    report.add("faces/alternating_colors", bad_color.size == 0,
+               f"faces {bad_color[:8].tolist()}" if bad_color.size else "")
 
     # orthogonality of diagonals, relative to diagonal lengths
-    f = omap.faces
     dv = p[f[:, 2]] - p[f[:, 0]]
     dw = p[f[:, 3]] - p[f[:, 1]]
     lv = np.hypot(*dv.T)
@@ -372,10 +415,8 @@ def validate(omap: OrthodiagonalMap, tol: float = 1e-9) -> ValidationReport:
 
     # edge/face incidence and boundary structure
     over = np.flatnonzero(omap.edge_face_count > 2)
-    if over.size:  # list them in the order their first sides come in the faces
-        _, first_side = np.unique(omap._sides[1], return_index=True)
-        over = over[np.argsort(first_side[over])]
-    over = [tuple(e) for e in omap.edges[over].tolist()]
+    # listed in the order their first sides come in the faces
+    over = [tuple(e) for e in omap.edges[over[np.argsort(omap._sides.first[over])]].tolist()]
     report.add("edges/at_most_two_faces", not over, f"edges {over[:8]}")
     report.offending_edges = over
 
@@ -477,51 +518,36 @@ def augmented_duals(omap: OrthodiagonalMap, apex_norm: float | None = None) -> A
     walk = omap.boundary_walk
     pm = omap.primal_mask
     # rotate the walk to start at a primal vertex
-    start = next(i for i, v in enumerate(walk) if pm[v])
-    walk = np.roll(walk, -start)
-    if not all(pm[a] != pm[b] for a, b in zip(walk, np.roll(walk, -1))):
+    walk = np.roll(walk, -int(np.argmax(pm[walk])))
+    if np.any(pm[walk] == pm[np.roll(walk, -1)]):
         raise StructuralError("boundary walk does not alternate primal/dual")
 
     eps = omap.mesh_size()
     if apex_norm is None:
         apex_norm = 10.0 * float(np.abs(omap.positions).max() + 1.0)
-    apex_pos = np.array([apex_norm, 0.0])
+    # new primal edge j joins v[j] to v[j + 1] around boundary dual vertex w[j]
+    p = omap.positions
+    v, w = walk[0::2], walk[1::2]
+    v_next = np.roll(v, -1)
+    # bend points just outside each w, away from the map, within eps of w
+    out = p[w] - p.mean(axis=0)
+    nrm = np.hypot(*out.T)[:, None]
+    out = np.where(nrm > 0, out / np.where(nrm > 0, nrm, 1.0), [1.0, 0.0])
+    t = 0.25 * np.minimum(eps, np.minimum(np.hypot(*(p[v] - p[w]).T), np.hypot(*(p[v_next] - p[w]).T)))
 
     base = omap.primal_network()
-    tails = list(base.tails_labels)
-    heads = list(base.heads_labels)
-    cond = list(base.conductances)
-    dual_pairs = [(int(f[1]), int(f[3])) for f in omap.faces]
-    polylines = []
-
-    k = len(walk) // 2
-    centroid = omap.positions.mean(axis=0)
-    for j in range(k):
-        v_j = int(walk[2 * j])
-        w_j = int(walk[2 * j + 1])
-        v_next = int(walk[(2 * j + 2) % len(walk)])
-        tails.append(v_j)
-        heads.append(v_next)
-        cond.append(1.0)
-        dual_pairs.append((w_j, AugmentedDuals.APEX))
-        # bend point just outside w_j, away from the map, within eps of w_j
-        w = omap.positions[w_j]
-        out = w - centroid
-        nrm = np.hypot(*out)
-        out = out / nrm if nrm > 0 else np.array([1.0, 0.0])
-        t = 0.25 * min(eps, dist(w, omap.positions[v_j]), dist(w, omap.positions[v_next]))
-        polylines.append((omap.positions[v_j], w + t * out, omap.positions[v_next]))
-
     labels = omap.primal_vertices
-    primal = Network(labels, np.array(tails), np.array(heads), np.array(cond),
-                     positions=omap.positions[labels])
+    primal = Network(labels, np.concatenate([base.tails_labels, v]),
+                     np.concatenate([base.heads_labels, v_next]),
+                     np.concatenate([base.conductances, np.ones(len(v))]), positions=p[labels])
     return AugmentedDuals(
         omap=omap,
         primal=primal,
-        dual_pairs=np.array(dual_pairs, int),
+        dual_pairs=np.vstack([omap.faces[:, [1, 3]],
+                              np.column_stack([w, np.full(len(w), AugmentedDuals.APEX)])]),
         n_core_edges=omap.n_faces,
-        apex_pos=apex_pos,
-        new_edge_polylines=polylines,
+        apex_pos=np.array([apex_norm, 0.0]),
+        new_edge_polylines=list(zip(p[v], p[w] + t[:, None] * out, p[v_next])),
     )
 
 
@@ -606,7 +632,7 @@ def blocks(omap: OrthodiagonalMap) -> list:
     map.  Blocks come largest first, then by least vertex id, then in the
     order a block search of the whole map finds them.
     """
-    edges, side_edge = omap._sides
+    edges, side_edge = omap._sides.edges, omap._sides.edge.reshape(-1, 4)
     if not omap.n_faces:
         return []
     n, n_f, f = omap.n_vertices, omap.n_faces, omap.faces

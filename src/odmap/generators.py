@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import cg as sparse_cg
 
-from .core_map import OrthodiagonalMap, blocks, face_sides, validate
+from .core_map import OrthodiagonalMap, blocks, side_table, validate
 from .domains import DomainSpec, hausdorff_delta, unit_disk, unit_square
 from .errors import GeometryError
 from .geometry import cross2
@@ -257,9 +257,8 @@ def triangular_disk_triangulation(rows: int) -> Triangulation:
     faces[cw] = faces[cw, ::-1]
     # keep the largest edge-connected component of triangles: two triangles
     # are adjacent when they share a side
-    _, side_edge = face_sides(faces)
-    face_of = np.repeat(np.arange(len(faces)), 3)
-    incidence = sp.csr_matrix((np.ones(face_of.size), (face_of, side_edge.ravel())))
+    sides = side_table(faces)
+    incidence = sp.csr_matrix((np.ones(sides.face.size), (sides.face, sides.edge)))
     _, comp = csgraph.connected_components(incidence @ incidence.T, directed=False)
     best = np.argmax(np.bincount(comp))
     faces = faces[comp == best]

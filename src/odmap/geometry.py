@@ -125,8 +125,6 @@ def circumcircle(a, b, c):
 def hull_diameter(points: np.ndarray) -> float:
     """Diameter of a finite point set (max pairwise distance)."""
     pts = np.asarray(points, float)
-    if len(pts) < 2:
-        return 0.0
     if len(pts) > 40:
         from scipy.spatial import ConvexHull, QhullError  # type: ignore
 
@@ -134,8 +132,18 @@ def hull_diameter(points: np.ndarray) -> float:
             pts = pts[ConvexHull(pts).vertices]
         except QhullError:
             pass
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.max()))
+    return max_distance(pts)
+
+
+def max_distance(points: np.ndarray) -> float:
+    """Largest distance between two of the points, over all pairs (64 rows
+    of the distance matrix at a time, which stay in cache)."""
+    x, y = np.asarray(points, float).reshape(-1, 2).T
+    d2 = 0.0
+    for i in range(0, len(x), 64):
+        dx, dy = x[i:i + 64, None] - x, y[i:i + 64, None] - y
+        d2 = max(d2, float((dx * dx + dy * dy).max()))
+    return float(np.sqrt(d2))
 
 
 # ---------------------------------------------------------------------------

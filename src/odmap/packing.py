@@ -24,9 +24,9 @@ structure: the tangency point of two vertex circles is also the tangency
 point of the two face circles and the circles meet orthogonally there, so
 each incidence (w, f) contributes the right-triangle angle 2 atan(r_f / r_w)
 to the flower of w, with the outer circle entering at fixed radius 1.  A
-3-connected map is one table of directed sides (tail, head, face, twin)
-built from its face list; the angle sums, their Jacobian, the residual
-checks and the induced map are array passes over it.  The layout treats
+3-connected map, like a triangulation, reads the directed-side table of
+:func:`~odmap.core_map.side_table`; the angle sums, their Jacobian, the
+residual checks and the induced map are array passes over it.  The layout treats
 every inner face as a rigid star of kites about its centre and places the
 stars in one breadth-first pass over the inner dual graph.
 """
@@ -36,14 +36,13 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
-from .core_map import OrthodiagonalMap, face_sides
+from .core_map import OrthodiagonalMap, SideTable, side_table
 from .errors import PackingError, StructuralError
 from .geometry import incircle, segments_intersect, signed_area
 from .network import edge_graph
@@ -70,53 +69,53 @@ class Triangulation:
             raise StructuralError("face refers to an unknown vertex")
 
     @cached_property
-    def _sides(self):
-        """:func:`~odmap.core_map.face_sides` of the faces and the number of
-        sides on each edge, checked: no edge borders more than two faces, and
-        no directed side occurs twice (the faces are consistently oriented)."""
-        edges, side_edge = face_sides(self.faces)
-        ids = side_edge.ravel()
-        count = np.bincount(ids, minlength=len(edges))
-        over = count[ids] > 2
+    def _sides(self) -> SideTable:
+        """:func:`~odmap.core_map.side_table` of the faces, checked: no edge
+        borders more than two faces, and no directed side occurs twice (the
+        faces are consistently oriented)."""
+        s = side_table(self.faces)
+        over = s.count[s.edge] > 2
         if over.any():
-            e = ids[np.argmax(over)]
-            raise StructuralError(f"edge {tuple(edges[e].tolist())} borders {count[e]} faces")
-        ends = np.roll(self.faces, -1, axis=1).ravel()
-        _, first = np.unique(2 * ids + (self.faces.ravel() > ends), return_index=True)
-        if first.size < ids.size:
-            k = np.setdiff1d(np.arange(ids.size), first)[0]  # the first repeat
-            raise StructuralError(f"directed edge {(int(self.faces.flat[k]), int(ends[k]))} "
+            e = s.edge[np.argmax(over)]
+            raise StructuralError(f"edge {tuple(s.edges[e].tolist())} borders {s.count[e]} faces")
+        if (k := s.first_repeat()) >= 0:
+            raise StructuralError(f"directed edge {(int(s.tail[k]), int(s.head[k]))} "
                                   "used twice; orientation inconsistent")
-        return edges, side_edge, count
+        return s
 
     @cached_property
     def edges(self) -> np.ndarray:
         """Undirected edges (e, 2), each row sorted, lexicographically ordered."""
-        return self._sides[0]
+        return self._sides.edges
 
     @cached_property
     def graph(self) -> sp.csr_matrix:
         """Vertex adjacency in the sparse form scipy.sparse.csgraph takes."""
-        f = self.faces
-        return edge_graph(self.n_vertices, f.ravel(), f[:, [1, 2, 0]].ravel())
+        return edge_graph(self.n_vertices, self._sides.tail, self._sides.head)
 
     @cached_property
-    def boundary_cycle(self) -> list:
-        """Boundary vertices in CCW order (the sides no other face shares)."""
-        _, side_edge, count = self._sides
-        lone = count[side_edge] == 1
-        a, b = self.faces[lone], np.roll(self.faces, -1, axis=1)[lone]
+    def _boundary_sides(self) -> np.ndarray:
+        """The sides no other face shares (those without a twin), in CCW
+        order of their heads around the boundary."""
+        s = self._sides
+        lone = np.flatnonzero(s.twin < 0)
+        a, b = s.tail[lone], s.head[lone]
         if np.unique(b).size < b.size:
             raise StructuralError("boundary is not a simple cycle")
         if not b.size:
             raise StructuralError("triangulation has no boundary")
         # a lone side a -> b runs clockwise around the outside, so following
         # the sides backwards (every vertex has one successor) walks CCW
-        cyc = csgraph.depth_first_order(edge_graph(self.n_vertices, b, a), b.min(),
-                                        return_predecessors=False)
+        graph = sp.csr_matrix((lone + 1, (b, a)), shape=(self.n_vertices,) * 2)
+        cyc = csgraph.depth_first_order(graph, b.min(), return_predecessors=False)
         if cyc.size != b.size:
             raise StructuralError("boundary has more than one cycle")
-        return cyc.tolist()
+        return np.asarray(graph[cyc, np.roll(cyc, -1)]).ravel() - 1
+
+    @cached_property
+    def boundary_cycle(self) -> list:
+        """Boundary vertices in CCW order (the heads of the lone sides)."""
+        return self._sides.head[self._boundary_sides].tolist()
 
     @cached_property
     def boundary_mask(self) -> np.ndarray:
@@ -464,10 +463,10 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
     # every face after the root shares an edge with a face before it in
     # breadth-first order, so a circle is placed at its first corner in that
     # order from the two corners before it
-    left, right = _edge_faces(tri)[1].T
-    inner = right >= 0
-    order = csgraph.breadth_first_order(edge_graph(len(faces), left[inner], right[inner]), root,
-                                        directed=False, return_predecessors=False)
+    s = tri._sides
+    inner = s.first[s.twin[s.first] >= 0]  # one side of each edge with two faces
+    order = csgraph.breadth_first_order(edge_graph(len(faces), s.face[inner], s.face[s.twin[inner]]),
+                                        root, directed=False, return_predecessors=False)
     if order.size < len(faces):
         raise PackingError(f"layout reaches {order.size} of {len(faces)} faces")
     _, first = np.unique(faces[order].ravel(), return_index=True)
@@ -596,13 +595,9 @@ def orthodiagonal_from_packing(tri: Triangulation, packing: CirclePacking,
 
     # boundary edge k joins a[k] to b[k] = a[k + 1] along the boundary cycle;
     # its triangle holds the lone side that runs from b[k] to a[k]
-    a = np.array(tri.boundary_cycle)
-    b = np.roll(a, -1)
-    _, side_edge, count = tri._sides
-    lone = np.flatnonzero(count[side_edge].ravel() == 1)
-    side_at = np.zeros(n, int)
-    side_at[np.roll(tri.faces, -1, axis=1).ravel()[lone]] = lone
-    bface, bedge = side_at[a] // 3, side_edge.ravel()[side_at[a]]
+    s = tri._sides
+    lone = tri._boundary_sides
+    a, b, bface, bedge = s.head[lone], s.tail[lone], s.face[lone], s.edge[lone]
 
     # extension points: eta past each tangency point q, away from the
     # incenter, halved while the quads of consecutive boundary edges cross
@@ -622,12 +617,11 @@ def orthodiagonal_from_packing(tri: Triangulation, packing: CirclePacking,
     primal = np.zeros(len(positions), bool)
     primal[:n] = True
 
-    # one quad per edge: its two triangles' incenters, or its one triangle's
-    # incenter and its extension point
-    edges, edge_faces = _edge_faces(tri)
-    fourth = n + edge_faces[:, 1]
+    # one quad per edge: its two triangles' incenters, or (an edge without
+    # a twin) its one triangle's incenter and its extension point
+    fourth = n + s.face[s.twin[s.first]]
     fourth[bedge] = n + m + np.arange(len(a))
-    faces = np.column_stack([edges[:, 0], n + edge_faces[:, 0], edges[:, 1], fourth])
+    faces = np.column_stack([s.edges[:, 0], n + s.face[s.first], s.edges[:, 1], fourth])
     cw = signed_area(positions[faces]) < 0
     faces[cw] = faces[cw][:, [0, 3, 2, 1]]
     return OrthodiagonalMap(positions, primal, faces)
@@ -643,19 +637,6 @@ def _extensions_cross(ca, cb, ext) -> bool:
                                    include_endpoints=False).any())
 
 
-def _edge_faces(tri: Triangulation):
-    """Edges (e, 2) and the faces on each (e, 2), lower index first; -1 in
-    the second column of an edge that borders one face."""
-    edges, side_edge, count = tri._sides
-    by_edge = np.argsort(side_edge.ravel(), kind="stable")
-    first = np.cumsum(count) - count
-    faces = np.full((len(edges), 2), -1)
-    faces[:, 0] = by_edge[first] // 3
-    two = count == 2
-    faces[two, 1] = by_edge[first[two] + 1] // 3
-    return edges, faces
-
-
 def packing_key_fact_residuals(tri: Triangulation, packing: CirclePacking) -> np.ndarray:
     """Per edge and each face on it (edge-major): |tangency point of the two
     vertex circles - tangency point of the face's inscribed circle with that
@@ -663,29 +644,19 @@ def packing_key_fact_residuals(tri: Triangulation, packing: CirclePacking) -> np
     c = packing.centers
     r = packing.radii
     inc_centers, _ = incircle(*c[tri.faces].transpose(1, 0, 2))
-    edges, edge_faces = _edge_faces(tri)
-    e, k = np.nonzero(edge_faces >= 0)
-    a, b = edges[e].T
+    s = tri._sides
+    sides = np.column_stack([s.first, s.twin[s.first]])  # -1: no second face
+    e, k = np.nonzero(sides >= 0)
+    a, b = s.edges[e].T
     d = c[b] - c[a]
     L = np.hypot(*d.T)
     q = c[a] + r[a, None] * d / L[:, None]
-    t = np.clip(np.sum((inc_centers[edge_faces[e, k]] - c[a]) * d, axis=1) / L**2, 0.0, 1.0)
+    t = np.clip(np.sum((inc_centers[s.face[sides[e, k]]] - c[a]) * d, axis=1) / L**2, 0.0, 1.0)
     return np.hypot(*(q - (c[a] + t[:, None] * d)).T)
 
 
 # ---------------------------------------------------------------------------
 # 3-connected planar maps and double circle packings
-
-
-class _Sides(NamedTuple):
-    """Directed sides of a face list, numbered face by face along each cycle."""
-
-    tail: np.ndarray
-    head: np.ndarray
-    face: np.ndarray
-    twin: np.ndarray  # the reverse side
-    nxt: np.ndarray   # the next side along the same face
-    edge: np.ndarray  # the side a -> b of each edge (a, b) of PlanarMap3C.edges
 
 
 @dataclass
@@ -703,50 +674,47 @@ class PlanarMap3C:
     faces: list  # list of vertex id lists
 
     @cached_property
-    def _sides(self) -> _Sides:
-        """The directed-side table every derived quantity reads; raises
+    def _sides(self) -> SideTable:
+        """:func:`~odmap.core_map.side_table` of the faces; raises
         StructuralError when the faces are not a map on the sphere."""
         n = self.n_vertices
-        lens = np.array([len(c) for c in self.faces], int)
-        if lens.min(initial=3) < 3:
+        if min(map(len, self.faces), default=3) < 3:
             raise StructuralError("face with fewer than 3 corners")
-        tail = np.fromiter(chain.from_iterable(self.faces), int, lens.sum())
-        if tail.min(initial=0) < 0 or tail.max(initial=-1) >= n:
+        s = side_table(self.faces)
+        if s.tail.min(initial=0) < 0 or s.tail.max(initial=-1) >= n:
             raise StructuralError("face refers to an unknown vertex")
-        face = np.repeat(np.arange(len(lens)), lens)
-        ends = np.cumsum(lens)
-        nxt = np.arange(1, tail.size + 1)
-        nxt[ends - 1] = ends - lens
-        head = tail[nxt]
-        keys, first = np.unique(tail * n + head, return_index=True)
-        if first.size < tail.size:
-            k = np.setdiff1d(np.arange(tail.size), first)[0]  # the first repeat
-            raise StructuralError(f"directed edge {(int(tail[k]), int(head[k]))} in two faces")
-        rev = np.minimum(np.searchsorted(keys, head * n + tail), keys.size - 1)
-        lone = keys[rev] != head * n + tail
-        if lone.any():
+        if (k := s.first_repeat()) >= 0:
+            raise StructuralError(f"directed edge {(int(s.tail[k]), int(s.head[k]))} in two faces")
+        # with no direction repeated, a side without a twin is alone on its edge
+        if (lone := s.twin < 0).any():
             k = np.argmax(lone)
-            raise StructuralError(f"directed edge {(int(tail[k]), int(head[k]))} has no reverse")
-        twin = first[rev]
+            raise StructuralError(f"directed edge {(int(s.tail[k]), int(s.head[k]))} has no reverse")
         # twin[prev] turns each side about its tail, so its cycles are the
         # vertex rotations
-        prev = np.empty_like(nxt)
-        prev[nxt] = np.arange(tail.size)
-        n_rot = csgraph.connected_components(edge_graph(tail.size, np.arange(tail.size), twin[prev]),
+        sides = np.arange(s.tail.size)
+        prev = np.empty_like(s.nxt)
+        prev[s.nxt] = sides
+        n_rot = csgraph.connected_components(edge_graph(sides.size, sides, s.twin[prev]),
                                              directed=False, return_labels=False)
-        n_comp = csgraph.connected_components(edge_graph(n, tail, head), directed=False,
+        n_comp = csgraph.connected_components(edge_graph(n, s.tail, s.head), directed=False,
                                               return_labels=False)
-        euler = n - tail.size // 2 + len(lens)
+        euler = n - sides.size // 2 + len(self.faces)
         if n_comp != 1 or n_rot != n or euler != 2:
             raise StructuralError(f"faces do not form a sphere: {n_comp} component(s), {n_rot} vertex "
                                   f"rotations on {n} vertices, n - e + f = {euler}")
-        return _Sides(tail, head, face, twin, nxt, first[keys // n < keys % n])
+        return s
 
     @cached_property
-    def edges(self) -> list:
-        """Undirected edges (a, b), a < b, lexicographically ordered."""
+    def edges(self) -> np.ndarray:
+        """Undirected edges (e, 2), each row sorted, lexicographically ordered."""
+        return self._sides.edges
+
+    @cached_property
+    def _flanks(self) -> np.ndarray:
+        """(e, 2): the faces left and right of each edge (a, b), run a -> b."""
         s = self._sides
-        return list(zip(s.tail[s.edge].tolist(), s.head[s.edge].tolist()))
+        ab = np.where(s.tail[s.first] < s.head[s.first], s.first, s.twin[s.first])
+        return s.face[np.column_stack([ab, s.twin[ab]])]
 
     def check_3_connected(self):
         """Raise StructuralError naming the lexicographically first separating
@@ -772,20 +740,19 @@ class PlanarMap3C:
         two = meet.data >= 2
         f, g, count = meet.row[two], meet.col[two], meet.data[two]
         # the two faces on each edge, lower index first
-        ef = np.sort(np.column_stack([s.face[s.edge], s.face[s.twin[s.edge]]]), axis=1)
+        ef = np.sort(self._flanks, axis=1)
         bad = (count > 2) | ~np.isin(f * nf + g, ef[:, 0] * nf + ef[:, 1])
         if not twice.size and not bad.any():
             return self
-        faces_of = dict(zip(self.edges, map(tuple, ef.tolist())))
+        faces_of = dict(zip(map(tuple, self.edges.tolist()), map(tuple, ef.tolist())))
         pairs = set()
         shared = inc[f[bad]].multiply(inc[g[bad]]).tolil().rows
         for fg, row in zip(zip(f[bad].tolist(), g[bad].tolist()), shared):
             pairs.update(p for p in combinations(row, 2) if faces_of.get(p) != fg)
         for c in twice.tolist():
             pairs.update((min(c, w), max(c, w)) for w in range(n) if w != c)
-        edges = np.array(self.edges)
         for pair in sorted(pairs):
-            rest = edges[~np.isin(edges, pair).any(axis=1)]
+            rest = self.edges[~np.isin(self.edges, pair).any(axis=1)]
             if csgraph.connected_components(edge_graph(n, *rest.T), directed=False,
                                             return_labels=False) > 3:
                 raise StructuralError(f"removing vertices {{{pair[0]},{pair[1]}}} disconnects the map")
@@ -934,6 +901,8 @@ def double_pack(h: PlanarMap3C, outer_face: int = 0, tol: float = 1e-9,
     circles cross the unit circle orthogonally, so the outer face occupies
     the reflex wedge 2 pi - 2 atan(1 / r_w) at their centers.
     """
+    if not 0 <= outer_face < len(h.faces):
+        raise StructuralError(f"outer face {outer_face} out of range for {len(h.faces)} faces")
     h.check_3_connected()
     n = h.n_vertices
     row, col = _angle_incidences(h, outer_face)
@@ -1011,18 +980,12 @@ def double_pack(h: PlanarMap3C, outer_face: int = 0, tol: float = 1e-9,
     return dp
 
 
-def _edge_kites(h: PlanarMap3C, outer_face: int):
-    """Per edge (a, b) of ``h.edges``: a, b, the faces left and right of
-    a -> b, whether the edge lies on the outer face, and its inner face (the
-    left one unless that is the outer face)."""
-    s = h._sides
-    left, right = s.face[s.edge], s.face[s.twin[s.edge]]
-    return (s.tail[s.edge], s.head[s.edge], left, right,
-            (left == outer_face) | (right == outer_face), np.where(left == outer_face, right, left))
-
-
 def _double_packing_residuals(dp: DoubleCirclePacking) -> dict:
-    a, b, left, right, rim, inner = _edge_kites(dp.planar_map, dp.outer_face)
+    # per edge (a, b): the faces left and right of a -> b, and its inner face
+    a, b = dp.planar_map.edges.T
+    left, right = dp.planar_map._flanks.T
+    rim = (left == dp.outer_face) | (right == dp.outer_face)
+    inner = np.where(left == dp.outer_face, right, left)
     vc, vr, fcc, fr = dp.vertex_centers, dp.vertex_radii, dp.face_centers, dp.face_radii
     gap = np.hypot(*(vc[a] - vc[b]).T) - (vr[a] + vr[b])
     q = dp.tangency_point(a, b)
@@ -1054,7 +1017,10 @@ def orthodiagonal_from_double_packing(h: PlanarMap3C, dp: DoubleCirclePacking,
     get an extension point past the tangency point on the unit circle.
     """
     n, nf = h.n_vertices, len(h.faces)
-    a, b, left, right, rim, inner = _edge_kites(h, dp.outer_face)
+    a, b = h.edges.T
+    left, right = h._flanks.T
+    rim = (left == dp.outer_face) | (right == dp.outer_face)
+    inner = np.where(left == dp.outer_face, right, left)
     vr = dp.vertex_radii
     slot = n + np.arange(nf) - (np.arange(nf) > dp.outer_face)
     # extension points: past each rim tangency point, away from the centre

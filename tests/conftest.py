@@ -106,3 +106,17 @@ def segments_intersect_scalar(a, b, c, d, include_endpoints=True):
         )
 
     return on_seg(a, b, c) or on_seg(a, b, d) or on_seg(c, d, a) or on_seg(c, d, b)
+
+
+def coned(tri):
+    """The sphere map of a triangulation plus one apex joined to its boundary cycle."""
+    apex = tri.n_vertices
+    cyc = tri.boundary_cycle
+    cone = [[cyc[k], cyc[(k + 1) % len(cyc)], apex] for k in range(len(cyc))]
+    return odmap.PlanarMap3C(apex + 1, [list(map(int, f)) for f in tri.faces] + cone)
+
+
+def closed(tri):
+    """The triangulation with its boundary cycle as the outer face."""
+    return odmap.PlanarMap3C(tri.n_vertices,
+                             [list(map(int, f)) for f in tri.faces] + [tri.boundary_cycle])

@@ -47,6 +47,15 @@ def test_bad_arguments_exit_1(capsys):
     assert diag["error"] == "StructuralError"
 
 
+@pytest.mark.parametrize("outer", [9, -1])
+def test_doublepack_outer_face_out_of_range_exit_1(tmp_path, capsys, outer):
+    assert run(["doublepack", "--shape", "cube", "--outer-face", outer,
+                "-o", tmp_path / "dp.json"]) == 1
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag == {"error": "StructuralError",
+                    "detail": f"outer face {outer} out of range for 6 faces"}
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     json_out = tmp_path / "sweep.json"

@@ -298,7 +298,7 @@ def _blocks_oracle(omap):
     """Blocks by Hopcroft-Tarjan over every edge of the map, each face with
     the block of its first side, largest first, then by least id."""
     comp, n_comps = _biconnected_components(omap.n_vertices, omap.edges)
-    face_comp = comp[omap._sides[1][:, 0]]
+    face_comp = comp[omap._sides.edge[::4]]
     out = [omap.submap(np.flatnonzero(face_comp == c)) for c in range(n_comps)
            if (face_comp == c).any()]
     out.sort(key=lambda m: (-m.n_faces, int(m.ids.min())))

@@ -1,14 +1,17 @@
-"""The face-side table against the per-face dict/set derivations it replaced."""
+"""The directed-side table against per-side dict/set derivations."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import odmap
-from odmap.core_map import face_sides
+from odmap.core_map import side_table
 from odmap.errors import StructuralError
+from odmap.generators import SHAPES
 from odmap.geometry import signed_area
 from odmap.packing import Triangulation
+
+from conftest import closed, coned
 
 # -- reference derivations, one face side at a time ---------------------------
 
@@ -20,6 +23,33 @@ def _edge_faces_oracle(faces):
         for a, b in zip(f, np.roll(f, -1)):
             out.setdefault((min(int(a), int(b)), max(int(a), int(b))), []).append(i)
     return out
+
+
+def _assert_table_matches_oracle(faces, s):
+    """Every column of the side table against a walk over the sides, one
+    dict entry per side and per edge."""
+    sides = [(i, j) for i, f in enumerate(faces) for j in range(len(f))]
+    number = {side: k for k, side in enumerate(sides)}
+    on_edge: dict = {}
+    for k, (i, j) in enumerate(sides):
+        a, b = int(faces[i][j]), int(faces[i][(j + 1) % len(faces[i])])
+        on_edge.setdefault((min(a, b), max(a, b)), []).append(k)
+    edges = sorted(on_edge)
+    edge_of = {k: e for e, ks in enumerate(on_edge[ab] for ab in edges) for k in ks}
+    twin = {k: (ks[1 - ks.index(k)] if len(ks) == 2 else -1) for ks in on_edge.values() for k in ks}
+    want = {
+        "tail": [int(faces[i][j]) for i, j in sides],
+        "head": [int(faces[i][(j + 1) % len(faces[i])]) for i, j in sides],
+        "face": [i for i, _ in sides],
+        "nxt": [number[(i, (j + 1) % len(faces[i]))] for i, j in sides],
+        "edge": [edge_of[k] for k in range(len(sides))],
+        "twin": [twin[k] for k in range(len(sides))],
+        "count": [len(on_edge[e]) for e in edges],
+        "first": [on_edge[e][0] for e in edges],
+    }
+    for name, column in want.items():
+        assert getattr(s, name).tolist() == column, name
+    assert s.edges.dtype == np.int64 and s.edges.tolist() == [list(e) for e in edges]
 
 
 def _boundary_walk_oracle(omap, boundary_edges):
@@ -49,6 +79,7 @@ def _boundary_cycle_oracle(tri):
 
 
 def _assert_map_matches_oracle(m):
+    _assert_table_matches_oracle(m.faces, m._sides)
     incidence = _edge_faces_oracle(m.faces)
     edges = sorted(incidence)
     assert np.array_equal(m.edges, np.array(edges, int).reshape(-1, 2))
@@ -63,14 +94,22 @@ def _assert_map_matches_oracle(m):
 
 
 def _assert_triangulation_matches_oracle(tri):
+    _assert_table_matches_oracle(tri.faces, tri._sides)
     assert [tuple(e) for e in tri.edges.tolist()] == sorted(_edge_faces_oracle(tri.faces))
     assert tri.boundary_cycle == _boundary_cycle_oracle(tri)
 
 
-@given(kind=st.sampled_from(["grid", "perturbed", "packed"]), seed=st.integers(0, 10_000),
-       size=st.integers(3, 40))
-@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["grid", "perturbed", "packed", "coned", "closed", *SHAPES]),
+       seed=st.integers(0, 10_000), size=st.integers(3, 40))
+@settings(max_examples=40, deadline=None)
 def test_face_side_table_matches_oracle(kind, seed, size):
+    if kind in SHAPES or kind in ("coned", "closed"):
+        # ragged face lists of 3-connected maps
+        h = SHAPES[kind]() if kind in SHAPES else \
+            (coned if kind == "coned" else closed)(odmap.random_delaunay_triangulation(size + 4, seed))
+        _assert_table_matches_oracle(h.faces, h._sides)
+        assert np.array_equal(h.edges, h._sides.edges)
+        return
     if kind == "packed":
         tri = odmap.random_delaunay_triangulation(size + 10, seed=seed)
         _assert_triangulation_matches_oracle(tri)
@@ -89,10 +128,18 @@ def test_triangular_disk_table_matches_oracle(rows):
 
 def test_face_sides_of_mixed_orientation_quads():
     faces = np.array([[0, 1, 2, 3], [2, 1, 4, 5]])
-    edges, side_edge = face_sides(faces)
-    assert edges.tolist() == [[0, 1], [0, 3], [1, 2], [1, 4], [2, 3], [2, 5], [4, 5]]
-    assert side_edge.tolist() == [[0, 2, 4, 1], [2, 3, 6, 5]]
-    assert edges[side_edge].shape == (2, 4, 2)
+    s = side_table(faces)
+    assert s.edges.tolist() == [[0, 1], [0, 3], [1, 2], [1, 4], [2, 3], [2, 5], [4, 5]]
+    assert s.edge.reshape(2, 4).tolist() == [[0, 2, 4, 1], [2, 3, 6, 5]]
+    assert s.twin.tolist() == [-1, 4, -1, -1, 1, -1, -1, -1]
+    assert s.first_repeat() == -1
+    _assert_table_matches_oracle(faces, s)
+    # the same faces as a ragged list give the same table
+    assert all(np.array_equal(u, v) for u, v in zip(side_table(faces.tolist()), s))
+    # three sides on edge (0, 1), so no twins there; the later 0 -> 1 repeats the first
+    ragged = [[0, 1, 2], [3, 0, 1], [1, 0, 4]]
+    _assert_table_matches_oracle(ragged, side_table(ragged))
+    assert side_table(ragged).first_repeat() == 4
 
 
 def test_malformed_triangulations_name_the_first_bad_edge():

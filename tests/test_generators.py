@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
 import odmap
-from odmap.core_map import face_sides, martingale_residuals
+from odmap.core_map import martingale_residuals, side_table
 from odmap.domains import DomainSpec
 from odmap.generators import (
     GeneratorSpec,
@@ -292,9 +292,8 @@ def _triangular_disk_oracle(rows):
     a, b, c = pts[faces].transpose(1, 0, 2)
     cw = cross2(b - a, c - a) < 0
     faces[cw] = faces[cw, ::-1]
-    _, side_edge = face_sides(faces)
-    face_of = np.repeat(np.arange(len(faces)), 3)
-    incidence = sp.csr_matrix((np.ones(face_of.size), (face_of, side_edge.ravel())))
+    sides = side_table(faces)
+    incidence = sp.csr_matrix((np.ones(sides.face.size), (sides.face, sides.edge)))
     _, comp = csgraph.connected_components(incidence @ incidence.T, directed=False)
     faces = faces[comp == np.argmax(np.bincount(comp))]
     used = np.unique(faces)

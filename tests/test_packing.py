@@ -31,13 +31,12 @@ from odmap.packing import (
     _angle_incidences,
     _angle_jacobian,
     _double_packing_residuals,
-    _edge_faces,
     _extensions_cross,
     _packing_residuals,
     packing_key_fact_residuals,
 )
 
-from conftest import segments_intersect_scalar
+from conftest import closed, coned, segments_intersect_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +171,13 @@ def _key_fact_loop(tri, p):
     packing_key_fact_residuals)."""
     c, r = p.centers, p.radii
     inc_centers, _ = incircle(*c[tri.faces].transpose(1, 0, 2))
+    s = tri._sides  # the faces on an edge: those of its first side and that side's twin
     out = []
-    for (a, b), fs in zip(*_edge_faces(tri)):
+    for (a, b), k in zip(tri.edges, s.first):
         d = c[b] - c[a]
         L = np.hypot(*d)
         q = c[a] + r[a] * d / L
-        for f in fs[fs >= 0]:
+        for f in [s.face[k]] + ([s.face[s.twin[k]]] if s.twin[k] >= 0 else []):
             t = np.clip(np.dot(inc_centers[f] - c[a], d) / L**2, 0.0, 1.0)
             out.append(np.hypot(*(q - (c[a] + t * d))))
     return np.array(out)
@@ -582,7 +582,7 @@ def _some_map(kind, seed, n):
     if kind in SHAPES:
         return SHAPES[kind]()
     tri = odmap.random_delaunay_triangulation(n, seed=seed)
-    return _coned(tri) if kind == "coned" else _closed(tri)
+    return coned(tri) if kind == "coned" else closed(tri)
 
 
 @given(kind=st.sampled_from(["coned", "closed", *SHAPES]), seed=st.integers(0, 10_000),
@@ -651,18 +651,22 @@ def _two_octahedra_glued_at_two_vertices():
     return PlanarMap3C(10, faces + [[second[v] for v in f] for f in faces])
 
 
-@pytest.mark.parametrize("h, message", [
-    (PlanarMap3C(4, [[0, 1, 2], [0, 2, 3]]), "directed edge (0, 1) has no reverse"),
-    (PlanarMap3C(4, [[0, 1, 2], [0, 1, 3], [2, 1, 0], [1, 0, 3]]), "directed edge (0, 1) in two faces"),
-    (PlanarMap3C(8, k4_map().faces + [[v + 4 for v in f] for f in k4_map().faces]),
+@pytest.mark.parametrize("h, outer, message", [
+    (PlanarMap3C(4, [[0, 1, 2], [0, 2, 3]]), 0, "directed edge (0, 1) has no reverse"),
+    (PlanarMap3C(4, [[0, 1, 2], [0, 1, 3], [2, 1, 0], [1, 0, 3]]), 0,
+     "directed edge (0, 1) in two faces"),
+    (PlanarMap3C(8, k4_map().faces + [[v + 4 for v in f] for f in k4_map().faces]), 0,
      "faces do not form a sphere: 2 component(s), 8 vertex rotations on 8 vertices, n - e + f = 4"),
-    (_two_octahedra_glued_at_two_vertices(),
+    (_two_octahedra_glued_at_two_vertices(), 0,
      "faces do not form a sphere: 1 component(s), 12 vertex rotations on 10 vertices, n - e + f = 2"),
-    (PlanarMap3C(4, [[0, 1], [1, 0]]), "face with fewer than 3 corners"),
-], ids=["no-reverse", "two-faces", "two-spheres", "pinched", "digon"])
-def test_malformed_face_lists_rejected(h, message):
+    (PlanarMap3C(4, [[0, 1], [1, 0]]), 0, "face with fewer than 3 corners"),
+    (cube_map(), 6, "outer face 6 out of range for 6 faces"),
+    (cube_map(), -1, "outer face -1 out of range for 6 faces"),
+], ids=["no-reverse", "two-faces", "two-spheres", "pinched", "digon", "outer-face-6",
+        "outer-face-negative"])
+def test_malformed_face_lists_rejected(h, outer, message):
     with pytest.raises(StructuralError, match=re.escape(message)):
-        odmap.double_pack(h)
+        odmap.double_pack(h, outer_face=outer)
 
 
 def test_not_3_connected_rejected():
@@ -693,19 +697,6 @@ def _first_separating_pair(h):
     return None
 
 
-def _coned(tri):
-    apex = tri.n_vertices
-    cyc = tri.boundary_cycle
-    cone = [[cyc[k], cyc[(k + 1) % len(cyc)], apex] for k in range(len(cyc))]
-    return PlanarMap3C(apex + 1, [list(map(int, f)) for f in tri.faces] + cone)
-
-
-def _closed(tri):
-    """The triangulation with its boundary cycle as the outer face."""
-    return PlanarMap3C(tri.n_vertices,
-                       [list(map(int, f)) for f in tri.faces] + [tri.boundary_cycle])
-
-
 def _assert_3_connected_matches_oracle(h):
     pair = _first_separating_pair(h)
     if pair is None:
@@ -721,7 +712,7 @@ def _assert_3_connected_matches_oracle(h):
 @settings(max_examples=40, deadline=None)
 def test_check_3_connected_matches_pairwise_oracle(seed, n, close):
     tri = odmap.random_delaunay_triangulation(n, seed=seed)
-    _assert_3_connected_matches_oracle(_closed(tri) if close else _coned(tri))
+    _assert_3_connected_matches_oracle(closed(tri) if close else coned(tri))
 
 
 def _merged(h, rng, k):
@@ -766,7 +757,7 @@ def _glued(t1, t2, rng):
 @settings(max_examples=40, deadline=None)
 def test_check_3_connected_on_merged_faces_matches_pairwise_oracle(seed, n, close, merges):
     tri = odmap.random_delaunay_triangulation(n, seed=seed)
-    h = _merged(_closed(tri) if close else _coned(tri), np.random.default_rng(seed), merges)
+    h = _merged(closed(tri) if close else coned(tri), np.random.default_rng(seed), merges)
     _assert_3_connected_matches_oracle(h)
 
 

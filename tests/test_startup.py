@@ -11,6 +11,10 @@ PROBE = f"""
 import sys
 import odmap, odmap.cli
 print(*[m in sys.modules for m in {DEFERRED!r}])
+from odmap.cli import _central_primal_vertex
+m = odmap.rotated_grid("disk", 64)
+odmap.argument_flow(m, _central_primal_vertex(m), 0.2)
+print("scipy.spatial" in sys.modules)
 from odmap.packing import Triangulation, pack_in_disk
 pack_in_disk(Triangulation(6, [[0, i, i + 1] for i in range(1, 5)]))
 print(*[m in sys.modules for m in {DEFERRED!r}])
@@ -23,6 +27,8 @@ def test_import_defers_optimize_and_spatial():
     done = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    after_import, after_pack = done.stdout.split("\n")[:2]
+    after_import, after_flow, after_pack = done.stdout.split("\n")[:3]
     assert after_import == " ".join(["False"] * len(DEFERRED))
+    # a map's diameter (which argument_flow needs) takes no convex hull
+    assert after_flow == "False"
     assert after_pack == " ".join(["True"] * len(DEFERRED))
