@@ -9,6 +9,7 @@ import numpy as np
 from .errors import GeometryError
 from .geometry import (
     hull_diameter,
+    nearest_segment_distance,
     seg_points_distance,
     seg_seg_distance,
     segments_intersect,
@@ -71,10 +72,7 @@ class DomainSpec:
         pts = np.atleast_2d(np.asarray(pts, float))
         if self.kind == "disk":
             return np.abs(1.0 - np.hypot(pts[:, 0], pts[:, 1]))
-        out = np.full(len(pts), np.inf)
-        for a, b in self.boundary_segments():
-            out = np.minimum(out, seg_points_distance(a, b, pts))
-        return out
+        return nearest_segment_distance(self.polygon, np.roll(self.polygon, -1, axis=0), pts)
 
     def face_distance(self, quad: np.ndarray) -> float:
         """dist(Q, boundary) for a quad whose closure lies inside the domain."""
@@ -152,23 +150,19 @@ def hausdorff_delta(omap, domain: DomainSpec, samples: int = 1000) -> float:
         raise GeometryError("need at least 100 samples")
     pos = omap.positions
     walk = omap.boundary_walk
-    segs = [(pos[a], pos[b]) for a, b in zip(walk, np.roll(walk, -1))]
+    a, b = pos[walk], pos[np.roll(walk, -1)]
 
     # domain boundary -> map boundary
-    dom_pts = domain.boundary_samples(samples)
-    d1 = np.full(len(dom_pts), np.inf)
-    for a, b in segs:
-        d1 = np.minimum(d1, seg_points_distance(a, b, dom_pts))
+    d1 = nearest_segment_distance(a, b, domain.boundary_samples(samples))
 
-    # map boundary (densified) -> domain boundary (exact)
+    # map boundary (densified) -> domain boundary (exact): on each segment,
+    # k equally spaced points from a to b as np.linspace spaces them
     step = domain.perimeter() / samples
-    pieces = []
-    for a, b in segs:
-        L = float(np.hypot(*(np.asarray(b) - np.asarray(a))))
-        k = max(2, int(np.ceil(L / step)) + 1)
-        t = np.linspace(0.0, 1.0, k)
-        pieces.append(np.asarray(a) + t[:, None] * (np.asarray(b) - np.asarray(a)))
-    map_pts = np.vstack(pieces)
-    d2 = domain.dist_to_boundary(map_pts)
+    k = np.maximum(2, np.ceil(np.hypot(*(b - a).T) / step).astype(int) + 1)
+    ends = np.cumsum(k)
+    seg = np.repeat(np.arange(len(k)), k)
+    t = (np.arange(ends[-1]) - (ends - k)[seg]) * (1.0 / (k - 1))[seg]
+    t[ends - 1] = 1.0
+    d2 = domain.dist_to_boundary(a[seg] + t[:, None] * (b - a)[seg])
 
     return float(max(d1.max(), d2.max()))

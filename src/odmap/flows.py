@@ -19,7 +19,7 @@ from scipy.sparse import csgraph
 
 from .core_map import AugmentedDuals, OrthodiagonalMap, augmented_duals
 from .errors import GeometryError, RhoPathError
-from .geometry import cross2, seg_point_distance
+from .geometry import cross2, seg_points_distance
 from .network import (EdgeField, VertexFunction, edge_graph, energy, energy_of_function,
                       strength)
 
@@ -109,15 +109,11 @@ def argument_flow(omap: OrthodiagonalMap, x: int, r: float,
         warnings.warn("radius below 3*mesh; energy bound hypothesis relaxed")
     # the closed disk must avoid the boundary walk
     walk = omap.boundary_walk
-    best = np.inf
-    best_seg = None
-    for a, b in zip(walk, np.roll(walk, -1)):
-        d = seg_point_distance(pos[a], pos[b], xp)
-        if d < best:
-            best = d
-            best_seg = (pos[a], pos[b])
-    if best <= r:
-        a, b = best_seg
+    a, b = pos[walk], pos[np.roll(walk, -1)]
+    d = seg_points_distance(a, b, xp)
+    k = int(np.argmin(d))
+    if d[k] <= r:
+        a, b = a[k], b[k]
         t = np.clip(np.dot(xp - a, b - a) / max(float((b - a) @ (b - a)), 1e-300), 0, 1)
         p = a + t * (b - a)
         raise GeometryError(
@@ -174,13 +170,8 @@ def _dual_endpoint_norms(source, center):
         omap = source.omap
         pairs = source.dual_pairs
         norms = np.hypot(*(omap.positions - center).T)
-        lo = np.empty(len(pairs))
-        hi = np.empty(len(pairs))
-        for i, (w1, w2) in enumerate(pairs):
-            a = norms[w1] if w1 != AugmentedDuals.APEX else np.inf
-            b = norms[w2] if w2 != AugmentedDuals.APEX else np.inf
-            lo[i], hi[i] = min(a, b), max(a, b)
-        return lo, hi
+        ends = np.where(pairs == AugmentedDuals.APEX, np.inf, norms[pairs])
+        return ends.min(axis=1), ends.max(axis=1)
     omap = source
     f = omap.faces
     norms = np.hypot(*(omap.positions - center).T)
@@ -374,11 +365,7 @@ def equicontinuity_probe(omap: OrthodiagonalMap, h: VertexFunction, x: int, y: i
     rhs_shape = float(np.sqrt(en)) / denom
 
     bdry_primal, _ = omap.boundary_vertices()
-    in_disk = [int(v) for v in bdry_primal
-               if np.hypot(*(pos[v] - center)) <= R]
-    if in_disk:
-        vals = np.array([h.at(v) for v in in_disk])
-        beta = float(vals.max() - vals.min())
-    else:
-        beta = 0.0
+    in_disk = bdry_primal[np.hypot(*(pos[bdry_primal] - center).T) <= R]
+    vals = h.values[net.indices_of(in_disk)]
+    beta = float(vals.max() - vals.min()) if vals.size else 0.0
     return lhs, rhs_shape, beta

@@ -12,10 +12,6 @@ import numpy as np
 from .errors import GeometryError
 
 
-def dist(p, q) -> float:
-    return float(np.hypot(*(np.asarray(q, float) - np.asarray(p, float))))
-
-
 def signed_area(points: np.ndarray):
     """Shoelace signed area of a polygon given as an (n, 2) array, broadcast
     over any leading axes (an (m, n, 2) stack gives m areas)."""
@@ -33,43 +29,46 @@ def cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def seg_point_distance(a, b, p) -> float:
-    """Distance from point p to segment ab."""
+def seg_points_distance(a, b, pts) -> np.ndarray:
+    """Distances from points to segments ab, broadcast over any leading axes
+    ((2,) ends and (n, 2) points give n distances; (s, 2) ends and (n, 1, 2)
+    points give an (n, s) table)."""
     a = np.asarray(a, float)
     d = np.asarray(b, float) - a
-    w = np.asarray(p, float) - a
-    denom = float(d @ d)
-    if denom == 0.0:
-        return float(np.hypot(*w))
-    t = min(1.0, max(0.0, float(w @ d) / denom))
-    return float(np.hypot(*(w - t * d)))
-
-
-def seg_points_distance(a, b, pts: np.ndarray) -> np.ndarray:
-    """Distances from each row of pts to segment ab (vectorized)."""
-    a = np.asarray(a, float)
-    d = np.asarray(b, float) - a
-    w = np.asarray(pts, float) - a
-    denom = float(d @ d)
-    if denom == 0.0:
-        return np.hypot(w[:, 0], w[:, 1])
+    pts = np.asarray(pts, float)
+    dx, dy = d[..., 0], d[..., 1]
+    wx, wy = pts[..., 0] - a[..., 0], pts[..., 1] - a[..., 1]
+    denom = (d[..., None, :] @ d[..., :, None])[..., 0, 0]  # rounds as d @ d does
     # elementwise, not w @ d: a matrix product may round differently with
-    # the number of rows, and a point must get one distance in any batch
-    t = np.clip((w[:, 0] * d[0] + w[:, 1] * d[1]) / denom, 0.0, 1.0)
-    r = w - t[:, None] * d
-    return np.hypot(r[:, 0], r[:, 1])
+    # the number of rows, and a point must get one distance in any batch.
+    # A segment of length 0 has d = 0, so any t leaves the distance |w|
+    t = np.clip((wx * dx + wy * dy) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
+    return np.hypot(wx - t * dx, wy - t * dy)
+
+
+_PAIRS = 1 << 14  # point-segment pairs per block of nearest_segment_distance
+
+
+def nearest_segment_distance(a, b, pts) -> np.ndarray:
+    """Distance from each row of pts to the nearest segment a[k] b[k], in
+    blocks of at most _PAIRS point-segment pairs."""
+    a, b, pts = (np.asarray(v, float).reshape(-1, 2) for v in (a, b, pts))
+    cols = max(1, min(len(a), _PAIRS))
+    rows = _PAIRS // cols
+    out = np.full(len(pts), np.inf)
+    for j in range(0, len(a), cols):
+        for i in range(0, len(pts), rows):
+            near = seg_points_distance(a[j:j + cols], b[j:j + cols], pts[i:i + rows, None]).min(axis=1)
+            np.minimum(out[i:i + rows], near, out=out[i:i + rows])
+    return out
 
 
 def seg_seg_distance(a, b, c, d) -> float:
     """Distance between segments ab and cd (0 if they intersect)."""
     if segments_intersect(a, b, c, d):
         return 0.0
-    return min(
-        seg_point_distance(a, b, c),
-        seg_point_distance(a, b, d),
-        seg_point_distance(c, d, a),
-        seg_point_distance(c, d, b),
-    )
+    return float(seg_points_distance(np.array([a, a, c, c], float), np.array([b, b, d, d], float),
+                                     np.array([c, d, a, b], float)).min())
 
 
 def segments_intersect(a, b, c, d, include_endpoints: bool = True):
@@ -106,20 +105,6 @@ def incircle(a, b, c):
     center = (la[..., None] * a + lb[..., None] * b + lc[..., None] * c) / s[..., None]
     radius = area2 / s
     return center, radius
-
-
-def circumcircle(a, b, c):
-    """Center and radius of the circle through three points."""
-    ax, ay = a
-    bx, by = b
-    cx, cy = c
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if d == 0.0:
-        raise GeometryError("collinear points have no circumcircle")
-    ux = ((ax**2 + ay**2) * (by - cy) + (bx**2 + by**2) * (cy - ay) + (cx**2 + cy**2) * (ay - by)) / d
-    uy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx) + (cx**2 + cy**2) * (bx - ax)) / d
-    center = np.array([ux, uy])
-    return center, dist(center, a)
 
 
 def hull_diameter(points: np.ndarray) -> float:

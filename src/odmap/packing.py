@@ -14,10 +14,11 @@ tangency residuals are far below requested tolerances.  The layout places
 Euclidean circles directly in the disk model (horocycles are ordinary
 circles internally tangent to the unit circle), tracking hyperbolic centers /
 ideal points, in one breadth-first pass over the faces from the centre
-circle: every placement is a closed form, except for the occasional 1-d
-root find where both placed corners of a face are boundary circles.  A
-packing is accepted on its tangency residuals relative to the smaller
-circle of each edge.
+circle.  Every placement is a closed form after one Moebius map: a disk
+automorphism that moves an interior pivot's centre to the origin, or, where
+both placed corners of a face are horocycles, the map to the upper half
+plane that sends one of them to a horizontal line.  A packing is accepted
+on its tangency residuals relative to the smaller circle of each edge.
 
 Double packings are solved in Euclidean terms on the vertex-face incidence
 structure: the tangency point of two vertex circles is also the tangency
@@ -270,31 +271,6 @@ def _mobius_inv(a: complex, w: complex) -> complex:
     return (w + a) / (1.0 + a.conjugate() * w)
 
 
-def _mobius_circle(a: complex, c: complex, rho: float):
-    """Image of a circle under the disk automorphism w -> (w-a)/(1-conj(a)w)."""
-    if a == 0:
-        return c, rho
-    pole = 1.0 / a.conjugate()
-    zsym = c + rho**2 / (pole - c).conjugate()
-    c2 = _mobius(a, zsym)
-    w = c + rho * (c - pole) / abs(c - pole)
-    return c2, abs(_mobius(a, w) - c2)
-
-
-def _hyp_radius(c: complex, rho: float) -> float:
-    hi = min(abs(c) + rho, 1.0 - 1e-16)
-    lo = abs(c) - rho
-    return float(np.arctanh(hi) - np.arctanh(lo))
-
-
-def _hyp_center(c: complex, rho: float) -> complex:
-    d = abs(c)
-    if d == 0:
-        return 0j
-    m = np.tanh(0.5 * (np.arctanh(min(d + rho, 1 - 1e-16)) + np.arctanh(d - rho)))
-    return (c / d) * m
-
-
 @dataclass
 class CirclePacking:
     centers: np.ndarray  # (n, 2)
@@ -321,96 +297,15 @@ class CirclePacking:
         }
 
 
-def _place_interior_from_two(c1, r1, c2, r2, h_target):
-    """Circle of prescribed hyperbolic radius tangent to two placed circles,
-    counterclockwise of circle 2 about circle 1."""
-    from scipy.optimize import brentq
-
-    def center_at(rho):
-        d = abs(c2 - c1)
-        ra, rb = r1 + rho, r2 + rho
-        aa = (d * d + ra * ra - rb * rb) / (2 * d)
-        h2 = ra * ra - aa * aa
-        if h2 < 0:
-            return None
-        u = (c2 - c1) / d
-        return c1 + aa * u + 1j * np.sqrt(h2) * u
-
-    def g(rho):
-        c = center_at(rho)
-        if c is None or abs(c) + rho >= 1.0:
-            return np.inf
-        return _hyp_radius(c, rho) - h_target
-
-    lo = 1e-14
-    if g(lo) > 0:
-        raise PackingError("cannot bracket interior placement")
-    hi = lo
-    for _ in range(200):
-        hi = min(hi * 2.0, 2.0)
-        val = g(hi)
-        if val == np.inf:
-            # shrink back under the disk boundary
-            for _ in range(200):
-                hi *= 0.95
-                val = g(hi)
-                if val != np.inf:
-                    break
-            if val < 0:
-                raise PackingError("interior placement does not fit in the disk")
-            break
-        if val > 0:
-            break
-    else:
-        raise PackingError("cannot bracket interior placement")
-    rho = brentq(g, lo, hi, xtol=1e-16, rtol=8.9e-16)
-    return center_at(rho), rho
-
-
-def _place_horo_from_two(c1, r1, c2, r2):
-    """Horocycle tangent to two placed circles, counterclockwise of circle 2
-    about circle 1."""
-    from scipy.optimize import brentq
-
-    def candidate(theta):
-        zeta = np.exp(1j * theta)
-        c, rho = _horo_from_tangency(zeta, c1, r1)
-        return c, rho
-
-    def g(theta):
-        c, rho = candidate(theta)
-        if rho <= 0:
-            return np.nan
-        return abs(c - c2) - (rho + r2)
-
-    thetas = np.linspace(0, 2 * np.pi, 1441)
-    vals = np.array([g(t) for t in thetas])
-    roots = []
-    for i in range(len(thetas) - 1):
-        a, b = vals[i], vals[i + 1]
-        if np.isnan(a) or np.isnan(b):
-            continue
-        if a == 0.0:
-            roots.append(thetas[i])
-        elif a * b < 0:
-            roots.append(brentq(g, thetas[i], thetas[i + 1], xtol=1e-15, rtol=8.9e-16))
-    for th in roots:
-        c, rho = candidate(th)
-        if ((c2 - c1).conjugate() * (c - c1)).imag > 0:
-            return c, rho
-    if roots:  # orientation degenerate (collinear): take the best root
-        c, rho = candidate(roots[0])
-        return c, rho
-    raise PackingError("no horocycle satisfies both tangencies")
-
-
 def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
     """Maximal circle packing of a triangulation in the unit disk.
 
     Boundary circles come out internally tangent to the unit circle; when an
-    interior vertex exists, the most central one is centered at the origin.
-    The circles are laid out face by face in one breadth-first pass over the
-    faces from one at that centre.  Raises PackingError when a tangency
+    interior vertex exists, the most central one is centered at the origin,
+    else the first face is three equal horocycles symmetric about it.  The
+    circles are laid out face by face in one breadth-first pass over the
+    faces from one at that centre, every placement in closed form.  Raises
+    PackingError when a circle comes out non-finite, or when a tangency
     residual relative to the smaller circle, or a boundary residual, exceeds
     tol.
     """
@@ -420,7 +315,6 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
     boundary = tri.boundary_mask
     angle_tol = max(min(1e-12, 0.01 * tol), 1e-14)
     x = _solve_hyperbolic_radii(tri, angle_tol)
-    h_rad = np.where(boundary, np.inf, -0.5 * np.log(np.clip(x, 1e-300, None)))
 
     centers = np.full(n, np.nan + 0j, complex)
     radii = np.full(n, np.nan)
@@ -453,12 +347,13 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
             c, rho = _euclid_from_hyp(z, x[q])
             place(q, c, rho, z)
     else:
+        # no interior vertex: the first face is three mutually tangent
+        # horocycles, symmetric about the origin
         root = 0
-        a, b, c = (int(v) for v in faces[0])
-        place(a, complex(-0.5), 0.5, -1 + 0j)
-        place(b, complex(0.5), 0.5, 1 + 0j)
-        cc, rr = _horo_from_tangency(1j, complex(-0.5), 0.5)
-        place(c, cc, rr, 1j)
+        rho = 2.0 * np.sqrt(3.0) - 3.0
+        for v, turn in zip(faces[0].tolist(), (-5 / 6, -1 / 6, 1 / 2)):
+            zeta = np.exp(1j * np.pi * turn)
+            place(v, (1.0 - rho) * zeta, rho, zeta)
 
     # every face after the root shares an edge with a face before it in
     # breadth-first order, so a circle is placed at its first corner in that
@@ -476,14 +371,25 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
         if placed[r]:
             continue
         if boundary[p] and boundary[q]:
-            # no interior pivot: root-find the circle tangent to both
-            if boundary[r]:
-                c, rho = _place_horo_from_two(centers[p], radii[p], centers[q], radii[q])
-                place(r, c, rho, c / abs(c))
-            else:
-                c, rho = _place_interior_from_two(centers[p], radii[p], centers[q], radii[q],
-                                                  h_rad[r])
-                place(r, c, rho, _hyp_center(c, rho))
+            # both placed corners are horocycles.  w = i(zeta + z)/(zeta - z)
+            # sends p's ideal point zeta to infinity: p becomes the line
+            # Im w = H and q a circle of diameter H on the real axis at X_q,
+            # and r's hyperbolic centre (ideal point when x_r = 0), tangent to
+            # both and counterclockwise of q, lies at
+            # X_q + H sqrt(1 - x_r) + i H sqrt(x_r)
+            zeta = anchors[p]
+            H = (1.0 - radii[p]) / radii[p]
+            # two ideal points on one float give NaN, which is caught below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                X_q = (1j * (zeta + anchors[q]) / (zeta - anchors[q])).real
+                w = X_q + H * np.sqrt(1.0 - x[r]) + 1j * H * np.sqrt(x[r])
+                z = zeta * (w - 1j) / (w + 1j)
+                if boundary[r]:
+                    z /= abs(z)
+                    c, rho = _horo_from_tangency(z, centers[p], radii[p])
+                else:
+                    c, rho = _euclid_from_hyp(z, x[r])
+            place(r, c, rho, z)
             steps[r] = max(steps[p], steps[q]) + 1
             continue
         # closed form about an interior pivot p: move p's hyperbolic centre
@@ -507,20 +413,9 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
             c, rho = _euclid_from_hyp(z, x[r])
             place(r, c, rho, z)
 
-    if not interior_idx.size:
-        # recenter on the incircle of the first face's tangency points
-        a, b, c = (int(v) for v in tri.faces[0])
-        pts = []
-        for u, v in ((a, b), (b, c), (c, a)):
-            d = centers[v] - centers[u]
-            pts.append(centers[u] + radii[u] * d / abs(d))
-        from .geometry import circumcircle
-
-        cc, rr = circumcircle((pts[0].real, pts[0].imag), (pts[1].real, pts[1].imag),
-                              (pts[2].real, pts[2].imag))
-        amob = _hyp_center(complex(cc[0], cc[1]), rr)
-        for v in range(n):
-            centers[v], radii[v] = _mobius_circle(amob, centers[v], radii[v])
+    bad = ~(np.isfinite(centers) & np.isfinite(radii))
+    if bad.any():
+        raise PackingError(f"layout of circle {int(np.argmax(bad))} is not finite")
 
     packing = CirclePacking(
         centers=np.column_stack([centers.real, centers.imag]),

@@ -191,6 +191,20 @@ def test_rho_edges_count_matches_crossing_oracle(grid32_centered):
     assert len(members) == count > 0
 
 
+def test_augmented_dual_endpoint_norms_match_pair_loop(grid32_centered):
+    from odmap.core_map import AugmentedDuals
+    from odmap.flows import _dual_endpoint_norms
+
+    aug = odmap.augmented_duals(grid32_centered)
+    for center in [(0.0, 0.0), (0.3, -0.2), (2.0, 1.0)]:
+        norms = np.hypot(*(grid32_centered.positions - center).T)
+        ends = [[np.inf if w == AugmentedDuals.APEX else norms[w] for w in pair]
+                for pair in aug.dual_pairs]
+        lo, hi = _dual_endpoint_norms(aug, center)
+        assert lo.tolist() == [min(e) for e in ends] and hi.tolist() == [max(e) for e in ends]
+        assert np.isinf(hi).sum() == len(aug.augmented_edge_indices) > 0
+
+
 def test_rho_edges_strict_convention(diamond):
     # |w| < rho <= |w'|: at rho exactly sqrt(2), duals at radius sqrt(2) are
     # allowed on the outer side but not the inner side
@@ -402,6 +416,25 @@ def test_equicontinuity_requires_large_R(grid32_centered):
     y = central_primal_vertex(grid32_centered, target=(0.3, 0.0))
     with pytest.raises(GeometryError):
         equicontinuity_probe(grid32_centered, h, x, y, 0.05)
+
+
+def _beta_vertex_loop(omap, h, x, y, R):
+    """equicontinuity_probe's beta one boundary vertex at a time (the oracle)."""
+    pos = omap.positions
+    center = 0.5 * (pos[x] + pos[y])
+    vals = [h.at(int(v)) for v in omap.boundary_vertices()[0] if np.hypot(*(pos[v] - center)) <= R]
+    return float(max(vals) - min(vals)) if vals else 0.0
+
+
+@pytest.mark.parametrize("R", [0.35, 0.45, 0.8, 3.0])
+def test_equicontinuity_beta_matches_vertex_loop(grid32_centered, R):
+    net = grid32_centered.primal_network()
+    h = odmap.VertexFunction(net, np.sin(3.0 * grid32_centered.positions[net.labels, 0]))
+    x = central_primal_vertex(grid32_centered)
+    y = central_primal_vertex(grid32_centered, target=(0.2, 0.0))
+    beta = equicontinuity_probe(grid32_centered, h, x, y, R)[2]
+    assert beta == _beta_vertex_loop(grid32_centered, h, x, y, R)
+    assert (beta == 0.0) == (R == 0.35)  # no boundary vertex within 0.35
 
 
 def test_equicontinuity_on_packed_maps():

@@ -555,3 +555,56 @@ def test_polygon_contains_matches_point_loop(seed, corners, tol):
     # polygon and edge points, and the four extreme-vertex points, are
     # inside; the corners of the sampling box are outside
     assert got[300:300 + len(poly) + 60].all() and got[-6:-2].all() and not got[-2:].any()
+
+
+def _hausdorff_delta_loop(omap, domain, samples):
+    """hausdorff_delta one map boundary segment at a time (the oracle)."""
+    from odmap.geometry import seg_points_distance
+
+    pos, walk = omap.positions, omap.boundary_walk
+    segs = [(pos[a], pos[b]) for a, b in zip(walk, np.roll(walk, -1))]
+    dom_pts = domain.boundary_samples(samples)
+    d1 = np.full(len(dom_pts), np.inf)
+    for a, b in segs:
+        d1 = np.minimum(d1, seg_points_distance(a, b, dom_pts))
+    step = domain.perimeter() / samples
+    pieces = []
+    for a, b in segs:
+        k = max(2, int(np.ceil(float(np.hypot(*(b - a))) / step)) + 1)
+        pieces.append(a + np.linspace(0.0, 1.0, k)[:, None] * (b - a))
+    pts = np.vstack(pieces)
+    if domain.kind == "disk":
+        d2 = domain.dist_to_boundary(pts)
+    else:
+        d2 = np.min([seg_points_distance(a, b, pts) for a, b in domain.boundary_segments()], axis=0)
+    return float(max(d1.max(), d2.max()))
+
+
+@given(domain=st.sampled_from([odmap.unit_square(), odmap.unit_disk(), NOTCHED]),
+       n=st.integers(8, 24), seed=st.integers(0, 10_000), samples=st.integers(100, 3000),
+       pairs=st.sampled_from([7, 1000, 1 << 15]))
+@settings(max_examples=15, deadline=None)
+def test_hausdorff_delta_matches_segment_loops(domain, n, seed, samples, pairs):
+    # blocks of `pairs` point-segment pairs: 7 splits the segments too
+    from odmap import geometry
+
+    m = perturbed(rotated_grid(domain, n), 0.3, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_PAIRS", pairs)
+        delta = odmap.hausdorff_delta(m, domain, samples)
+    assert delta == _hausdorff_delta_loop(m, domain, samples)
+
+
+@given(seed=st.integers(0, 10_000), segments=st.integers(1, 40), points=st.integers(1, 60),
+       pairs=st.sampled_from([1, 7, 64, 1 << 15]))
+@settings(max_examples=40, deadline=None)
+def test_nearest_segment_distance_matches_segment_loop(seed, segments, points, pairs):
+    from odmap import geometry
+
+    rng = np.random.default_rng(seed)
+    a, b, pts = rng.normal(size=(segments, 2)), rng.normal(size=(segments, 2)), rng.normal(size=(points, 2))
+    b[::3] = a[::3]  # segments of length 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_PAIRS", pairs)
+        got = geometry.nearest_segment_distance(a, b, pts)
+    assert np.array_equal(got, np.min([geometry.seg_points_distance(s, e, pts) for s, e in zip(a, b)], axis=0))

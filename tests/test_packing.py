@@ -21,7 +21,7 @@ from odmap.generators import (
     single_interior_triangulation,
     triangular_disk_triangulation,
 )
-from odmap.geometry import cross2, dist, incircle, signed_area
+from odmap.geometry import cross2, incircle, signed_area
 from odmap.packing import (
     CirclePacking,
     DoubleCirclePacking,
@@ -69,7 +69,7 @@ def test_incircle_collinear_raises():
 
 def _incircle_per_face(a, b, c):
     """The scalar incircle computation incircle broadcasts (the oracle)."""
-    la, lb, lc = dist(b, c), dist(c, a), dist(a, b)
+    la, lb, lc = (float(np.hypot(*(q - p))) for p, q in ((b, c), (c, a), (a, b)))
     s = la + lb + lc
     return (la * a + lb * b + lc * c) / s, abs(cross2(b - a, c - a)) / s
 
@@ -109,8 +109,13 @@ def test_inradius_mesh_consistency():
 
 def test_bare_triangle_closed_form():
     p = odmap.pack_in_disk(bare_triangle_triangulation())
-    assert np.allclose(p.radii, 2 * np.sqrt(3) - 3, atol=1e-8)
+    rho = 2 * np.sqrt(3) - 3
+    assert np.allclose(p.radii, rho, atol=1e-8)
     assert p.residuals["max_tangency"] <= 1e-10
+    # three equal horocycles symmetric about the origin, the last one on top
+    angles = np.pi * np.array([-5 / 6, -1 / 6, 1 / 2])
+    expected = (1 - rho) * np.column_stack([np.cos(angles), np.sin(angles)])
+    assert np.abs(p.centers - expected).max() <= 1e-15
 
 
 def test_single_interior_symmetric():
@@ -302,41 +307,79 @@ def test_hub_layout_sound(degree, rings):
     _assert_packing_sound(tri, p)
 
 
-def _count_calls(monkeypatch, name):
-    calls = []
-    inner = getattr(packing, name)
-    monkeypatch.setattr(packing, name, lambda *a: calls.append(1) or inner(*a))
-    return calls
-
-
 def _assert_tight(tri, p):
     _assert_packing_sound(tri, p)
     assert p.residuals["max_relative_tangency"] <= 1e-12
     assert p.residuals["max_boundary"] <= 1e-12
 
 
-@pytest.mark.parametrize("k", [4, 6, 10])
-def test_fan_places_horocycles_from_two(k, monkeypatch):
+@pytest.mark.parametrize("k", [4, 6, 10, 30])
+def test_fan_places_horocycles_from_two(k):
     # a fan of a convex k-gon has no interior vertex, so every circle after
-    # the first face is a horocycle placed by root-finding against two
-    calls = _count_calls(monkeypatch, "_place_horo_from_two")
+    # the first face is a horocycle placed from two horocycles
     tri = Triangulation(k, [[0, i, i + 1] for i in range(1, k - 1)])
-    p = odmap.pack_in_disk(tri)
-    assert calls
-    _assert_tight(tri, p)
+    assert tri.boundary_mask.all()
+    _assert_tight(tri, odmap.pack_in_disk(tri))
 
 
-def test_glued_wheels_place_interior_from_two(monkeypatch):
+def test_glued_wheels_place_interior_from_two():
     # two 6-wheels sharing the boundary chord (1, 2): the second hub is laid
-    # out from the two chord circles, not from a placed neighbour's fan
+    # out from the two chord circles, both horocycles, not from a placed
+    # neighbour's fan
     def wheel(hub, rim):
         return [[hub, rim[i], rim[(i + 1) % len(rim)]] for i in range(len(rim))]
 
-    calls = _count_calls(monkeypatch, "_place_interior_from_two")
     tri = Triangulation(12, wheel(0, [1, 2, 3, 4, 5, 6]) + wheel(7, [2, 1, 8, 9, 10, 11]))
-    p = odmap.pack_in_disk(tri)
-    assert len(calls) == 1
-    _assert_tight(tri, p)
+    assert tri.boundary_mask[[1, 2]].all() and not tri.boundary_mask[[0, 7]].any()
+    _assert_tight(tri, odmap.pack_in_disk(tri))
+
+
+def polygon_triangulation(k, seed):
+    """A random triangulation of the convex k-gon 0, ..., k - 1 (CCW), split
+    recursively along random diagonals."""
+    rng = np.random.default_rng(seed)
+    faces, pieces = [], [list(range(k))]
+    while pieces:
+        poly = pieces.pop()
+        if len(poly) == 3:
+            faces.append(poly)
+            continue
+        i = int(rng.integers(len(poly)))
+        poly = poly[i:] + poly[:i]
+        d = int(rng.integers(2, len(poly) - 1))  # the diagonal poly[0] -- poly[d]
+        pieces += [poly[:d + 1], poly[d:] + poly[:1]]
+    return Triangulation(k, faces)
+
+
+@given(k=st.integers(3, 12), seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_polygon_triangulations_pack(k, seed):
+    # no interior vertex: every circle is a horocycle, and every one after
+    # the first face is placed from two horocycles
+    tri = polygon_triangulation(k, seed)
+    _assert_packing_sound(tri, odmap.pack_in_disk(tri))
+
+
+def zigzag_strip(n):
+    """Triangulated convex n-gon whose faces zigzag across it from the edge
+    (0, n - 1): a strip, each face sharing an edge with the next."""
+    faces, lo, hi = [], 0, n - 1
+    while hi - lo >= 2:
+        if len(faces) % 2 == 0:
+            faces.append([lo, lo + 1, hi])
+            lo += 1
+        else:
+            faces.append([lo, hi - 1, hi])
+            hi -= 1
+    return Triangulation(n, faces)
+
+
+def test_zigzag_strip_too_fine_for_floats_raises():
+    # the horocycles shrink like phi^(-2 depth); at 40 vertices two ideal
+    # points fall on one float and the layout comes out NaN, which must be
+    # a PackingError rather than a failure inside the residual checks
+    with pytest.raises(PackingError, match="circle 19 is not finite"):
+        odmap.pack_in_disk(zigzag_strip(40))
 
 
 def test_packing_to_map_symmetric_fixture():

@@ -31,4 +31,8 @@ def test_import_defers_optimize_and_spatial():
     assert after_import == " ".join(["False"] * len(DEFERRED))
     # a map's diameter (which argument_flow needs) takes no convex hull
     assert after_flow == "False"
-    assert after_pack == " ".join(["True"] * len(DEFERRED))
+    # packing loads scipy.spatial for its overlap check; its layout is all
+    # closed forms, so no root-finder loads scipy.optimize (scipy.fft and
+    # scipy.special load or not with scipy's own imports)
+    optimize, spatial = after_pack.split()[:2]
+    assert (optimize, spatial) == ("False", "True")
