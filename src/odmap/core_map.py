@@ -242,8 +242,7 @@ class OrthodiagonalMap:
             raise DegenerateFaceError("face with zero-length diagonal")
         f = self.faces
         pv, dv = self.primal_vertices, self.dual_vertices
-        return (Network(pv, f[:, 0], f[:, 2], dd / dp, positions=self.positions[pv]),
-                Network(dv, f[:, 1], f[:, 3], dp / dd, positions=self.positions[dv]))
+        return Network(pv, f[:, 0], f[:, 2], dd / dp), Network(dv, f[:, 1], f[:, 3], dp / dd)
 
     def primal_network(self) -> Network:
         """Network on the primal vertices, one edge per face, c = |w1w2|/|v1v2|
@@ -498,7 +497,6 @@ class AugmentedDuals:
     primal: Network
     dual_pairs: np.ndarray          # (m + k, 2) map vertex indices, APEX allowed
     n_core_edges: int               # edges 0..n_core-1 are the original ones
-    apex_pos: np.ndarray
     new_edge_polylines: list        # per new edge: (v_j, bend, v_{j+1}) points
 
     @property
@@ -506,14 +504,13 @@ class AugmentedDuals:
         return np.arange(self.n_core_edges, len(self.dual_pairs))
 
 
-def augmented_duals(omap: OrthodiagonalMap, apex_norm: float | None = None) -> AugmentedDuals:
+def augmented_duals(omap: OrthodiagonalMap) -> AugmentedDuals:
     """Build the augmented primal graph and its exact plane dual.
 
     One new primal edge joins each consecutive pair of boundary primal
     vertices inside the outer face (bent within distance mesh of the boundary
     dual vertex it separates from infinity), and one new dual edge joins each
-    boundary dual vertex to an apex placed at distance ``apex_norm`` from the
-    origin (default: far outside the map).
+    boundary dual vertex to an apex in the outer face.
     """
     walk = omap.boundary_walk
     pm = omap.primal_mask
@@ -523,8 +520,6 @@ def augmented_duals(omap: OrthodiagonalMap, apex_norm: float | None = None) -> A
         raise StructuralError("boundary walk does not alternate primal/dual")
 
     eps = omap.mesh_size()
-    if apex_norm is None:
-        apex_norm = 10.0 * float(np.abs(omap.positions).max() + 1.0)
     # new primal edge j joins v[j] to v[j + 1] around boundary dual vertex w[j]
     p = omap.positions
     v, w = walk[0::2], walk[1::2]
@@ -539,14 +534,13 @@ def augmented_duals(omap: OrthodiagonalMap, apex_norm: float | None = None) -> A
     labels = omap.primal_vertices
     primal = Network(labels, np.concatenate([base.tails_labels, v]),
                      np.concatenate([base.heads_labels, v_next]),
-                     np.concatenate([base.conductances, np.ones(len(v))]), positions=p[labels])
+                     np.concatenate([base.conductances, np.ones(len(v))]))
     return AugmentedDuals(
         omap=omap,
         primal=primal,
         dual_pairs=np.vstack([omap.faces[:, [1, 3]],
                               np.column_stack([w, np.full(len(w), AugmentedDuals.APEX)])]),
         n_core_edges=omap.n_faces,
-        apex_pos=np.array([apex_norm, 0.0]),
         new_edge_polylines=list(zip(p[v], p[w] + t[:, None] * out, p[v_next])),
     )
 

@@ -380,6 +380,8 @@ def exit_measure_vs_arcs(omap: OrthodiagonalMap, start: int, k: int = 16,
     position (uniform when the start vertex sits at the origin).  Returns
     the total-variation distance and both histograms.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     net = omap.primal_network()
     bdry, _ = omap.boundary_vertices()
     problem = DirichletProblem(net, {int(v): 0.0 for v in bdry})

@@ -8,10 +8,9 @@ import numpy as np
 
 from .errors import GeometryError
 from .geometry import (
-    hull_diameter,
+    max_distance,
     nearest_segment_distance,
     seg_points_distance,
-    seg_seg_distance,
     segments_intersect,
     signed_area,
 )
@@ -32,10 +31,17 @@ class DomainSpec:
         if self.kind not in ("disk", "square", "polygon"):
             raise GeometryError(f"unknown domain kind {self.kind!r}")
         if self.kind == "polygon":
+            if self.polygon is None:
+                raise GeometryError("polygon domain needs a vertex list")
             self.polygon = np.asarray(self.polygon, float).reshape(-1, 2)
             if len(self.polygon) < 3:
                 raise GeometryError("polygon needs at least 3 vertices")
-            if signed_area(self.polygon) < 0:
+            if not np.isfinite(self.polygon).all():
+                raise GeometryError("polygon corners must be finite")
+            area = signed_area(self.polygon)
+            if abs(area) <= 1e-14 * np.ptp(self.polygon, axis=0).max() ** 2:  # collinear to rounding
+                raise GeometryError("polygon has zero area")
+            if area < 0:
                 self.polygon = self.polygon[::-1].copy()
         elif self.kind == "square":
             self.polygon = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -74,17 +80,24 @@ class DomainSpec:
             return np.abs(1.0 - np.hypot(pts[:, 0], pts[:, 1]))
         return nearest_segment_distance(self.polygon, np.roll(self.polygon, -1, axis=0), pts)
 
-    def face_distance(self, quad: np.ndarray) -> float:
-        """dist(Q, boundary) for a quad whose closure lies inside the domain."""
+    def face_distance(self, quad: np.ndarray):
+        """dist(Q, boundary) for quads whose closures lie inside the domain,
+        broadcast over any leading axes ((m, 4, 2) quads give m distances)."""
         quad = np.asarray(quad, float)
         if self.kind == "disk":
-            return float(1.0 - np.hypot(quad[:, 0], quad[:, 1]).max())
-        best = np.inf
-        sides = [(quad[i], quad[(i + 1) % 4]) for i in range(4)]
-        for a, b in self.boundary_segments():
-            for c, d in sides:
-                best = min(best, seg_seg_distance(a, b, c, d))
-        return float(best)
+            dist = 1.0 - np.hypot(quad[..., 0], quad[..., 1]).max(-1)
+        else:
+            # polygon edges ab x quads x quad sides cd: 0 where they meet, else
+            # the least distance from an end of one to the other
+            a = self.polygon[:, None, :]
+            b = np.roll(a, -1, axis=0)
+            c = quad.reshape(-1, 4, 2)[:, None]
+            d = np.roll(c, -1, axis=2)
+            apart = np.minimum(np.minimum(seg_points_distance(a, b, c), seg_points_distance(a, b, d)),
+                               np.minimum(seg_points_distance(c, d, a), seg_points_distance(c, d, b)))
+            apart[segments_intersect(a, b, c, d)] = 0.0
+            dist = apart.min(axis=(1, 2)).reshape(quad.shape[:-2])
+        return float(dist) if quad.ndim == 2 else dist
 
     def face_inside(self, quad: np.ndarray, tol: float = 1e-12):
         """Whether the closed quad is contained in the closed domain, broadcast
@@ -108,7 +121,7 @@ class DomainSpec:
     def diam(self) -> float:
         if self.kind == "disk":
             return 2.0
-        return hull_diameter(self.polygon)
+        return max_distance(self.polygon)
 
     def boundary_samples(self, m: int) -> np.ndarray:
         if self.kind == "disk":

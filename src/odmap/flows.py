@@ -302,7 +302,7 @@ def random_path_flow(omap: OrthodiagonalMap, S, T, r1: float, r2: float,
     if m < 1:
         raise GeometryError("need at least one quadrature point")
     if aug is None:
-        aug = augmented_duals(omap, apex_norm=10 * (r2 + float(np.abs(omap.positions).max()) + 1))
+        aug = augmented_duals(omap)
     net = omap.primal_network()
 
     if seed is None:

@@ -211,7 +211,7 @@ def clip_to_domain(omap: OrthodiagonalMap, domain: DomainSpec, buffer: float = 0
     quads = omap.positions[omap.faces]
     keep = domain.face_inside(quads)
     if buffer > 0:
-        keep[keep] = [not domain.face_distance(quad) < buffer for quad in quads[keep]]
+        keep[keep] = ~(domain.face_distance(quads[keep]) < buffer)
     if not keep.any():
         return []
     return blocks(omap.submap(np.flatnonzero(keep)))

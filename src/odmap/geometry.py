@@ -63,14 +63,6 @@ def nearest_segment_distance(a, b, pts) -> np.ndarray:
     return out
 
 
-def seg_seg_distance(a, b, c, d) -> float:
-    """Distance between segments ab and cd (0 if they intersect)."""
-    if segments_intersect(a, b, c, d):
-        return 0.0
-    return float(seg_points_distance(np.array([a, a, c, c], float), np.array([b, b, d, d], float),
-                                     np.array([c, d, a, b], float)).min())
-
-
 def segments_intersect(a, b, c, d, include_endpoints: bool = True):
     """Whether segments ab and cd meet, broadcast over any leading axes (a
     bool for one pair of segments, an array of flags for stacks)."""
@@ -105,19 +97,6 @@ def incircle(a, b, c):
     center = (la[..., None] * a + lb[..., None] * b + lc[..., None] * c) / s[..., None]
     radius = area2 / s
     return center, radius
-
-
-def hull_diameter(points: np.ndarray) -> float:
-    """Diameter of a finite point set (max pairwise distance)."""
-    pts = np.asarray(points, float)
-    if len(pts) > 40:
-        from scipy.spatial import ConvexHull, QhullError  # type: ignore
-
-        try:
-            pts = pts[ConvexHull(pts).vertices]
-        except QhullError:
-            pass
-    return max_distance(pts)
 
 
 def max_distance(points: np.ndarray) -> float:

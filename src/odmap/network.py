@@ -33,7 +33,7 @@ class Network:
     Immutable after construction.
     """
 
-    def __init__(self, labels, tails, heads, conductances, positions=None):
+    def __init__(self, labels, tails, heads, conductances):
         self.labels = np.asarray(labels).reshape(-1)
         self._by_label = np.argsort(self.labels, kind="stable")
         self._sorted_labels = self.labels[self._by_label].astype(int)
@@ -48,7 +48,6 @@ class Network:
             raise StructuralError("conductances must be positive and finite")
         if np.any(self.tails == self.heads):
             raise StructuralError("self-loops are not supported")
-        self.positions = None if positions is None else np.asarray(positions, float)
         self._grounded = None  # the one cached interior solver
 
     # -- basics -------------------------------------------------------------

@@ -164,9 +164,12 @@ def test_exitmeasure_cli(tmp_path):
 def test_exitmeasure_cli_rejects_zero_samples(tmp_path, capsys):
     map_path = tmp_path / "map.json"
     odmap.diamond_map(scale=0.5).to_json(map_path)
-    assert run(["exitmeasure", "--map", map_path, "--samples", 0, "-o", tmp_path / "x.json"]) == 1
-    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert diag["error"] == "ValueError" and "n_samples must be at least 1" in diag["detail"]
+    for option, value, message in (("--samples", 0, "n_samples must be at least 1"),
+                                   ("--arcs", 0, "k must be at least 1, got 0"),
+                                   ("--arcs", -3, "k must be at least 1, got -3")):
+        assert run(["exitmeasure", "--map", map_path, option, value, "-o", tmp_path / "x.json"]) == 1
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert diag["error"] == "ValueError" and message in diag["detail"]
 
 
 def test_flow_cli_random_path_runs_between_the_cones(tmp_path):

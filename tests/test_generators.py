@@ -17,7 +17,7 @@ from odmap.generators import (
     rotated_grid,
     triangular_disk_triangulation,
 )
-from odmap.geometry import cross2, segments_intersect
+from odmap.geometry import cross2, seg_points_distance, segments_intersect
 
 from conftest import segments_intersect_scalar
 
@@ -446,6 +446,13 @@ def test_segments_intersect_broadcasts_like_scalar_loop(seed, size, include_endp
                             for s, t in zip(c[0, 0], d[0, 0])]
 
 
+def _star_domain(rng, corners):
+    """A random star-shaped polygon about the origin."""
+    angle = np.sort(rng.uniform(0, 2 * np.pi, corners))
+    radius = rng.uniform(0.2, 1.0, corners)
+    return DomainSpec("polygon", polygon=np.column_stack([radius * np.cos(angle), radius * np.sin(angle)]))
+
+
 def _face_inside_loop(domain, quads, tol=1e-12):
     """Corner containment, then one quad side against one polygon edge at a
     time (the oracle for polygon DomainSpec.face_inside)."""
@@ -463,14 +470,7 @@ def _face_inside_loop(domain, quads, tol=1e-12):
 @example(seed=0, corners=0)  # corners=0: the notched hexagon
 @settings(max_examples=20, deadline=None)
 def test_polygon_face_inside_matches_edge_loop(seed, corners):
-    rng = np.random.default_rng(seed)
-    if corners:  # a random star-shaped polygon
-        angle = np.sort(rng.uniform(0, 2 * np.pi, corners))
-        radius = rng.uniform(0.2, 1.0, corners)
-        domain = DomainSpec("polygon", polygon=np.column_stack([radius * np.cos(angle),
-                                                                radius * np.sin(angle)]))
-    else:
-        domain = NOTCHED
+    domain = _star_domain(np.random.default_rng(seed), corners) if corners else NOTCHED
     base = perturbed(rotated_grid("square", 12), 0.3, seed=seed)
     quads = 2.4 * (base.positions[base.faces] - 0.5)
     assert domain.face_inside(quads).tolist() == _face_inside_loop(domain, quads)
@@ -487,11 +487,68 @@ def test_notched_grid_face_inside_matches_edge_loop():
     assert NOTCHED.face_inside(quads[0]) is bool(flags[0])
 
 
+def seg_seg_distance_scalar(a, b, c, d):
+    """Distance between segments ab and cd, 0 if they meet, one pair at a
+    time (the oracle for polygon DomainSpec.face_distance)."""
+    if segments_intersect_scalar(a, b, c, d):
+        return 0.0
+    return float(seg_points_distance(np.array([a, a, c, c], float), np.array([b, b, d, d], float),
+                                     np.array([c, d, a, b], float)).min())
+
+
+def _face_distance_loop(domain, quads):
+    """One quad at a time and, on polygons, one quad side against one
+    polygon edge at a time."""
+    if domain.kind == "disk":
+        return [float(1.0 - np.hypot(q[:, 0], q[:, 1]).max()) for q in quads]
+    return [min(seg_seg_distance_scalar(a, b, q[i], q[(i + 1) % 4])
+                for a, b in domain.boundary_segments() for i in range(4)) for q in quads]
+
+
+@given(seed=st.integers(0, 10_000), corners=st.integers(3, 12))
+@example(seed=0, corners=0)  # the notched hexagon
+@example(seed=0, corners=1)  # the unit square
+@example(seed=0, corners=2)  # the unit disk
+@settings(max_examples=20, deadline=None)
+def test_face_distance_broadcasts_like_edge_loop(seed, corners):
+    fixed = {0: NOTCHED, 1: odmap.unit_square(), 2: odmap.unit_disk()}
+    domain = fixed[corners] if corners in fixed else _star_domain(np.random.default_rng(seed), corners)
+    base = perturbed(rotated_grid("square", 12), 0.3, seed=seed)
+    # quads inside, across and outside the boundary: touching and crossing
+    # pairs score 0, the rest an end-to-segment distance
+    quads = 2.4 * (base.positions[base.faces] - 0.5)
+    quads = quads[:2 * (len(quads) // 2)]
+    want = _face_distance_loop(domain, quads)
+    got = domain.face_distance(quads)
+    assert got.shape == (len(quads),) and got.tolist() == want
+    assert domain.face_distance(quads.reshape(2, -1, 4, 2)).ravel().tolist() == want
+    single = [domain.face_distance(q) for q in quads]
+    assert all(type(v) is float for v in single) and single == want
+    assert (got[domain.face_inside(quads)] >= 0).all()
+
+
+def test_diam_of_a_many_sided_polygon_is_the_largest_pairwise_distance():
+    domain = _star_domain(np.random.default_rng(5), 60)
+    p = domain.polygon
+    assert domain.diam() == max(np.sqrt(((p[i] - p[j]) ** 2).sum()) for i in range(60) for j in range(60))
+
+
+@pytest.mark.parametrize("polygon, message", [
+    (None, "needs a vertex list"),
+    ([[0, 0], [1, 0], [np.nan, 1]], "finite"),
+    ([[0, 0], [np.inf, 0], [0, 1]], "finite"),
+    ([[0, 0], [1, 0], [2, 0]], "zero area"),
+    ([[0, 0], [0.1, 0.3], [0.7, 2.1]], "zero area"),  # collinear up to rounding
+    ([[1, 1]] * 4, "zero area"),
+], ids=["missing", "nan", "inf", "collinear", "rounded-collinear", "one-point"])
+def test_domain_rejects_broken_polygons(polygon, message):
+    with pytest.raises(odmap.GeometryError, match=message):
+        DomainSpec("polygon", polygon)
+
+
 def _contains_point_loop(domain, pts, tol):
     """Winding-number containment one point and one polygon edge at a time
     (the oracle for DomainSpec.contains on polygons)."""
-    from odmap.geometry import seg_points_distance
-
     poly = domain.polygon
     inside = np.zeros(len(pts), bool)
     for k, q in enumerate(pts):
@@ -536,13 +593,7 @@ def _inside_at_extreme_vertices(poly):
 @settings(max_examples=40, deadline=None)
 def test_polygon_contains_matches_point_loop(seed, corners, tol):
     rng = np.random.default_rng(seed)
-    if corners:  # a random star-shaped polygon
-        angle = np.sort(rng.uniform(0, 2 * np.pi, corners))
-        radius = rng.uniform(0.2, 1.0, corners)
-        domain = DomainSpec("polygon", polygon=np.column_stack([radius * np.cos(angle),
-                                                                radius * np.sin(angle)]))
-    else:
-        domain = NOTCHED
+    domain = _star_domain(rng, corners) if corners else NOTCHED
     poly = domain.polygon
     k = rng.integers(len(poly), size=60)
     on_edges = poly[k] + rng.random(60)[:, None] * (np.roll(poly, -1, axis=0)[k] - poly[k])
@@ -559,8 +610,6 @@ def test_polygon_contains_matches_point_loop(seed, corners, tol):
 
 def _hausdorff_delta_loop(omap, domain, samples):
     """hausdorff_delta one map boundary segment at a time (the oracle)."""
-    from odmap.geometry import seg_points_distance
-
     pos, walk = omap.positions, omap.boundary_walk
     segs = [(pos[a], pos[b]) for a, b in zip(walk, np.roll(walk, -1))]
     dom_pts = domain.boundary_samples(samples)

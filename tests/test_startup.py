@@ -8,12 +8,14 @@ ROOT = Path(__file__).resolve().parents[1]
 DEFERRED = ("scipy.optimize", "scipy.spatial", "scipy.fft", "scipy.special")
 
 PROBE = f"""
-import sys
+import cmath, sys
 import odmap, odmap.cli
 print(*[m in sys.modules for m in {DEFERRED!r}])
 from odmap.cli import _central_primal_vertex
 m = odmap.rotated_grid("disk", 64)
 odmap.argument_flow(m, _central_primal_vertex(m), 0.2)
+corners = [cmath.rect(1 + k % 2, 2 * cmath.pi * k / 60) for k in range(60)]
+odmap.DomainSpec("polygon", [[z.real, z.imag] for z in corners]).diam()
 print("scipy.spatial" in sys.modules)
 from odmap.packing import Triangulation, pack_in_disk
 pack_in_disk(Triangulation(6, [[0, i, i + 1] for i in range(1, 5)]))
@@ -29,7 +31,8 @@ def test_import_defers_optimize_and_spatial():
     assert done.returncode == 0, done.stderr
     after_import, after_flow, after_pack = done.stdout.split("\n")[:3]
     assert after_import == " ".join(["False"] * len(DEFERRED))
-    # a map's diameter (which argument_flow needs) takes no convex hull
+    # a map's diameter (which argument_flow needs) and a 60-corner domain's
+    # take no convex hull
     assert after_flow == "False"
     # packing loads scipy.spatial for its overlap check; its layout is all
     # closed forms, so no root-finder loads scipy.optimize (scipy.fft and
