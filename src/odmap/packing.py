@@ -1,24 +1,22 @@
 """Circle packings of triangulations in the unit disk, double circle packings
 of 3-connected planar maps, and the orthodiagonal meshes they induce.
 
-The in-disk packer runs an angle-sum radius iteration in the hyperbolic
-metric of the disk: interior radii are parametrized by x = exp(-2h) in (0,1),
-boundary circles are horocycles (x = 0), and the angle at circle p inside a
-tangent triple (p, a, b) is
+The in-disk packer solves for hyperbolic radii h in Colin de Verdiere's
+variable t = tanh(h/2): boundary circles are horocycles (t = 1), and the
+angle at circle p inside a tangent triple (p, a, b) is
 
-    alpha = 2 asin sqrt( x_p (1-x_a)(1-x_b) / ((1-x_p x_a)(1-x_p x_b)) ).
+    alpha = 2 asin sqrt( (1-t_p^2)^2 t_a t_b / ((t_p+t_a)(t_p+t_b)(1+t_p t_a)(1+t_p t_b)) ).
 
-One sparse Newton solve in log x, from x = 1/2 with step halving, drives
-the angle-sum residuals below ~1e-12 in about ten steps, so the laid-out
-tangency residuals are far below requested tolerances.  The layout places
-Euclidean circles directly in the disk model (horocycles are ordinary
-circles internally tangent to the unit circle), tracking hyperbolic centers /
-ideal points, in one breadth-first pass over the faces from the centre
-circle.  Every placement is a closed form after one Moebius map: a disk
-automorphism that moves an interior pivot's centre to the origin, or, where
-both placed corners of a face are horocycles, the map to the upper half
-plane that sends one of them to a horizontal line.  A packing is accepted
-on its tangency residuals relative to the smaller circle of each edge.
+One sparse Newton solve in log t, where the Jacobian is symmetric, drives the
+angle sums to float precision.  The layout places Euclidean circles in the
+disk model (horocycles are circles internally tangent to the unit circle),
+tracking hyperbolic centres / ideal points, in breadth-first face order from
+the centre circle, one array pass per generation of circles.  Every placement
+is a closed form after one Moebius map: a disk automorphism that moves an
+interior pivot's centre to the origin, or, where both placed corners of a
+face are horocycles, the map to the upper half plane that sends one of them
+to a horizontal line.  A packing is accepted on its tangency residuals
+relative to the smaller circle of each edge.
 
 Double packings are solved in Euclidean terms on the vertex-face incidence
 structure: the tangency point of two vertex circles is also the tangency
@@ -156,12 +154,25 @@ def triangulation_from_points(points: np.ndarray) -> Triangulation:
 # hyperbolic radius iteration
 
 
-def _angles(xp, xa, xb):
-    """Angle at circle p inside tangent triples (p, a, b); vectorized."""
-    num = xp * (1.0 - xa) * (1.0 - xb)
-    den = (1.0 - xp * xa) * (1.0 - xp * xb)
-    g = np.clip(num / den, 0.0, 1.0)
-    return 2.0 * np.arcsin(np.sqrt(g))
+def _half_tangent(tp, ta, tb):
+    """tan(alpha / 2) for the angle alpha (module docstring) at circle p in
+    tangent triples (p, a, b); cos^2(alpha / 2) factors, so nothing cancels."""
+    s, q = ta + tb, ta * tb
+    return (1.0 - tp * tp) * np.sqrt(q / (tp * (1.0 + q + tp * s) * (s + tp * (1.0 + q))))
+
+
+class _FixedPattern:
+    """CSC structure of a square COO pattern (rows, cols) and the slot of each
+    entry: one bincount fills what `sp.csc_matrix((data, (rows, cols)))` builds."""
+
+    def __init__(self, rows, cols, size):
+        self.rows, self.cols, self.size = rows, cols, size
+        keys, self.slot = np.unique(cols * size + rows, return_inverse=True)
+        self.indices, self.indptr = keys % size, np.searchsorted(keys, np.arange(size + 1) * size)
+
+    def matrix(self, data) -> sp.csc_matrix:
+        return sp.csc_matrix((np.bincount(self.slot, data, self.indices.size), self.indices,
+                              self.indptr), shape=(self.size, self.size))
 
 
 _NEWTON_STEPS = 100  # Newton steps before the radius solve gives up
@@ -169,106 +180,116 @@ _HALVINGS = 40       # halvings of one Newton step before it gives up
 
 
 def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> np.ndarray:
-    """x-parameters with angle sum 2 pi at every interior vertex.
+    """t = tanh(h / 2) of every circle with angle sum 2 pi at every interior
+    vertex, and t = 1 (a horocycle) on the boundary.
 
-    Newton's method in u = log x on the angle-sum defects F at the interior
-    vertices, from x = 1/2.  A step longer than 2 in any component is scaled
-    down as a whole, then halved until ||F||_2 falls: the Newton direction
-    descends on ||F||^2 wherever the Jacobian is nonsingular, and scaling
-    keeps that direction.  F is, up to a change of variable, the gradient of
-    Colin de Verdiere's strictly convex functional.  Raises PackingError when
-    halving bottoms out or after _NEWTON_STEPS steps.
+    Newton's method in u = log t on the angle-sum defects F, from t =
+    1/sqrt(n), about the radius of n equal circles filling the disk.  In u
+    the Jacobian is symmetric negative definite (F is the gradient of Colin
+    de Verdiere's convex functional): each step factors it with diagonal
+    pivots, in the fill-reducing order the first factor picks.  A step
+    longer than 2 in any component is scaled down as a whole, then halved
+    until ||F||_2 falls.  Below angle_tol, one more step on the last factor
+    takes t to float precision.  Raises PackingError when halving bottoms
+    out or after _NEWTON_STEPS steps.
     """
     boundary = tri.boundary_mask
-    x = np.where(boundary, 0.0, 0.5)
+    t = np.where(boundary, 1.0, 1.0 / np.sqrt(tri.n_vertices))
     if boundary.all():
-        return x
+        return t
     # the angle fans: corner v of face (v, a, b) for every interior v
     corners = np.concatenate([tri.faces, tri.faces[:, [1, 2, 0]], tri.faces[:, [2, 0, 1]]])
     v, a, b = corners[~boundary[corners[:, 0]]].T
     inner = np.flatnonzero(~boundary)
+    m = inner.size
     slot = np.cumsum(~boundary) - 1  # row of each interior vertex in F
+    # dF/du: the diagonal, then an entry per corner and interior neighbour
+    keep_a, keep_b = ~boundary[a], ~boundary[b]
+    pattern = _FixedPattern(np.concatenate([np.arange(m), slot[v[keep_a]], slot[v[keep_b]]]),
+                            np.concatenate([np.arange(m), slot[a[keep_a]], slot[b[keep_b]]]), m)
+    order, permc = np.arange(m), "MMD_AT_PLUS_A"
 
-    def defects(x):
-        return np.bincount(slot[v], _angles(x[v], x[a], x[b]), inner.size) - 2.0 * np.pi
+    def defects(t):
+        """F, and tan(alpha / 2) at every corner."""
+        k = _half_tangent(t[v], t[a], t[b])
+        return np.bincount(slot[v], 2.0 * np.arctan(k), m) - 2.0 * np.pi, k
 
-    def jacobian(x):
-        """dF/du; boundary columns (x = 0) drop out."""
-        xp, xa, xb = x[v], x[a], x[b]
-        g = np.minimum(xp * (1.0 - xa) * (1.0 - xb) / ((1.0 - xp * xa) * (1.0 - xp * xb)),
-                       1.0 - 1e-15)
-        pref = np.sqrt(g / (1.0 - g))  # g d(2 asin sqrt g)/dg
-        rows, cols, data = [slot[v]], [slot[v]], [pref * (1.0 + xp * xa / (1.0 - xp * xa)
-                                                           + xp * xb / (1.0 - xp * xb))]
-        for w in (a, b):
-            xw, keep = x[w], ~boundary[w]
-            rows.append(slot[v[keep]])
-            cols.append(slot[w[keep]])
-            data.append((pref * (xp * xw / (1.0 - xp * xw) - xw / (1.0 - xw)))[keep])
-        return sp.csc_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(inner.size, inner.size))
+    def jacobian_data(t, k):
+        """d alpha / d u at every corner: -k (4 tp^2 / (1 - tp^2) + sum over
+        w = a, b of tp / (tp + tw) + tp tw / (1 + tp tw)) on the diagonal and
+        k tp (1 - tw^2) / ((tp + tw)(1 + tp tw)) for w, k = tan(alpha / 2)."""
+        tp, ta, tb = t[v], t[a], t[b]
+        pa, pb = (tp + ta) * (1.0 + tp * ta), (tp + tb) * (1.0 + tp * tb)
+        diag = 4.0 * tp * tp / (1.0 - tp * tp) + tp * ((1.0 + 2.0 * tp * ta + ta * ta) / pa
+                                                       + (1.0 + 2.0 * tp * tb + tb * tb) / pb)
+        ka, kb = k * tp * (1.0 - ta * ta) / pa, k * tp * (1.0 - tb * tb) / pb
+        return np.concatenate([np.bincount(slot[v], -k * diag, m), ka[keep_a], kb[keep_b]])
 
-    F = defects(x)
+    def newton_step(lu, order, F):
+        """The step in u for F on lu, a factor of J[order][:, order]."""
+        du = np.empty(m)
+        du[order] = lu.solve(-F[order])
+        return du
+
+    def moved(t, du):
+        trial = t.copy()
+        trial[inner] = np.clip(t[inner] * np.exp(du), 1e-300, 1.0 - 1e-16)
+        return trial
+
+    F, k = defects(t)
     steps = 0
     while (err := float(np.abs(F).max())) >= angle_tol:
         if steps == _NEWTON_STEPS:
             raise PackingError(f"radius solve stopped after {steps} Newton steps "
                                f"(angle residual {err:.3e})")
         steps += 1
-        # J diag(-(1 - x)/sqrt x) is symmetric negative definite, so the
-        # diagonal pivots of a symmetric ordering never vanish
+        factor = None  # one factor alive at a time
         try:
-            du = splu(jacobian(x), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True}).solve(-F)
+            factor = splu(pattern.matrix(jacobian_data(t, k)), permc_spec=permc,
+                          diag_pivot_thresh=0.0, options={"SymmetricMode": True}), order
+            du = newton_step(*factor, F)
         except RuntimeError:  # exactly singular factor
-            du = np.full_like(F, np.nan)
+            du = np.full(m, np.nan)
         if not np.isfinite(du).all():
             raise PackingError(f"singular Jacobian in the radius solve (angle residual {err:.3e})")
+        if permc != "NATURAL":  # later steps factor J[order][:, order]
+            rank, order, permc = factor[0].perm_c, np.argsort(factor[0].perm_c), "NATURAL"
+            pattern = _FixedPattern(rank[pattern.rows], rank[pattern.cols], m)
         du *= min(1.0, 2.0 / np.abs(du).max())  # scaled, not clipped: same direction
-        norm, step = np.linalg.norm(F), 1.0
+        norm, scale = np.linalg.norm(F), 1.0
         for _ in range(_HALVINGS):
-            trial = x.copy()
-            trial[inner] = np.clip(x[inner] * np.exp(step * du), 1e-15, 1.0 - 1e-15)
-            F_trial = defects(trial)
+            trial = moved(t, scale * du)
+            F_trial, k_trial = defects(trial)
             if np.linalg.norm(F_trial) < norm:
                 break
-            step *= 0.5
+            scale *= 0.5
         else:
             raise PackingError(f"radius solve stalled: no Newton step lowers the angle "
                                f"residual {err:.3e}")
-        x, F = trial, F_trial
-    return x
+        t, F, k = trial, F_trial, k_trial
+    if steps:  # the last factor is one short step back: a step on it cuts F by that much
+        trial = moved(t, newton_step(*factor, F))
+        if np.linalg.norm(defects(trial)[0]) < np.linalg.norm(F):
+            t = trial
+    return t
 
 
 # ---------------------------------------------------------------------------
 # layout in the disk model
 
 
-def _t_of_x(x):
-    s = np.sqrt(x)
-    return (1.0 - s) / (1.0 + s)
-
-
-def _euclid_from_hyp(z: complex, x: float):
-    t = _t_of_x(x)
+def _euclid_from_hyp(z, t):
+    """Euclidean centre and radius of the circle at hyperbolic centre z with t."""
     s2 = abs(z) ** 2
     den = 1.0 - s2 * t * t
     return z * (1.0 - t * t) / den, t * (1.0 - s2) / den
 
 
-def _horo_from_tangency(zeta: complex, c_p: complex, rho_p: float):
+def _horo_from_tangency(zeta, c_p, rho_p):
     """Horocycle at ideal point zeta externally tangent to circle (c_p, rho_p)."""
     beta = (zeta.conjugate() * c_p).real
     rho = (1.0 - 2.0 * beta + abs(c_p) ** 2 - rho_p**2) / (2.0 * (1.0 + rho_p - beta))
     return (1.0 - rho) * zeta, rho
-
-
-def _mobius(a: complex, w: complex) -> complex:
-    return (w - a) / (1.0 - a.conjugate() * w)
-
-
-def _mobius_inv(a: complex, w: complex) -> complex:
-    return (w + a) / (1.0 + a.conjugate() * w)
 
 
 @dataclass
@@ -302,62 +323,49 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
 
     Boundary circles come out internally tangent to the unit circle; when an
     interior vertex exists, the most central one is centered at the origin,
-    else the first face is three equal horocycles symmetric about it.  The
-    circles are laid out face by face in one breadth-first pass over the
-    faces from one at that centre, every placement in closed form.  Raises
-    PackingError when a circle comes out non-finite, or when a tangency
-    residual relative to the smaller circle, or a boundary residual, exceeds
-    tol.
+    else the first face is three equal horocycles symmetric about it.  Each
+    circle is placed in closed form from the other two corners of its first
+    face in breadth-first order from one at that centre, one array pass per
+    generation.  Raises PackingError when a circle comes out non-finite, or
+    when a tangency residual relative to the smaller circle, or a boundary
+    residual, exceeds tol (naming a circle too small for the disk's floats).
     """
     tri.validate()
     n = tri.n_vertices
     faces = tri.faces
     boundary = tri.boundary_mask
     angle_tol = max(min(1e-12, 0.01 * tol), 1e-14)
-    x = _solve_hyperbolic_radii(tri, angle_tol)
+    t = _solve_hyperbolic_radii(tri, angle_tol)
 
     centers = np.full(n, np.nan + 0j, complex)
     radii = np.full(n, np.nan)
     anchors = np.full(n, np.nan + 0j, complex)  # hyp center or ideal point
-    placed = np.zeros(n, bool)
     steps = np.zeros(n, int)  # placements between the seed and each circle
-
-    def place(v, c, rho, anchor):
-        centers[v] = c
-        radii[v] = rho
-        anchors[v] = anchor
-        placed[v] = True
-
     interior_idx = np.flatnonzero(~boundary)
     if interior_idx.size:
         # seed: interior vertex furthest from the boundary (graph distance)
         dist = csgraph.dijkstra(tri.graph, directed=False, indices=np.flatnonzero(boundary),
                                 unweighted=True, min_only=True)
         seed = int(interior_idx[np.argmax(dist[interior_idx])])
-        place(seed, 0j, _t_of_x(x[seed]), 0j)
+        centers[seed], radii[seed], anchors[seed] = 0j, t[seed], 0j
         # the first face at the seed, and the seed's successor q in it (the
         # first petal of its flower) along the positive real axis
         root, k = divmod(int(np.argmax(faces.ravel() == seed)), 3)
         q = int(faces[root, (k + 1) % 3])
-        if boundary[q]:
-            rho = (1.0 - radii[seed]) / 2.0
-            place(q, complex(1.0 - rho), rho, 1 + 0j)
-        else:
-            z = complex(_t_of_x(x[seed] * x[q]))
-            c, rho = _euclid_from_hyp(z, x[q])
-            place(q, c, rho, z)
+        anchors[q] = (t[seed] + t[q]) / (1.0 + t[seed] * t[q])  # 1 when q is a horocycle
+        centers[q], radii[q] = (_horo_from_tangency(anchors[q], 0j, t[seed]) if boundary[q]
+                                else _euclid_from_hyp(anchors[q], t[q]))
     else:
         # no interior vertex: the first face is three mutually tangent
         # horocycles, symmetric about the origin
         root = 0
-        rho = 2.0 * np.sqrt(3.0) - 3.0
-        for v, turn in zip(faces[0].tolist(), (-5 / 6, -1 / 6, 1 / 2)):
-            zeta = np.exp(1j * np.pi * turn)
-            place(v, (1.0 - rho) * zeta, rho, zeta)
+        radii[faces[0]] = 2.0 * np.sqrt(3.0) - 3.0
+        anchors[faces[0]] = np.exp(1j * np.pi * np.array([-5 / 6, -1 / 6, 1 / 2]))
+        centers[faces[0]] = (1.0 - radii[faces[0]]) * anchors[faces[0]]
 
-    # every face after the root shares an edge with a face before it in
-    # breadth-first order, so a circle is placed at its first corner in that
-    # order from the two corners before it
+    # every face after the root shares an edge with one before it in
+    # breadth-first order, so circle r is placed at its first corner from the
+    # two after it, (p, q, r) CCW: each generation is every r with p, q placed
     s = tri._sides
     inner = s.first[s.twin[s.first] >= 0]  # one side of each edge with two faces
     order = csgraph.breadth_first_order(edge_graph(len(faces), s.face[inner], s.face[s.twin[inner]]),
@@ -365,63 +373,49 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
     if order.size < len(faces):
         raise PackingError(f"layout reaches {order.size} of {len(faces)} faces")
     _, first = np.unique(faces[order].ravel(), return_index=True)
-    for i in np.sort(first).tolist():
-        f = faces[order[i // 3]]
-        r, p, q = (int(f[(i + j) % 3]) for j in range(3))  # (p, q, r) is CCW
-        if placed[r]:
-            continue
-        if boundary[p] and boundary[q]:
-            # both placed corners are horocycles.  w = i(zeta + z)/(zeta - z)
-            # sends p's ideal point zeta to infinity: p becomes the line
-            # Im w = H and q a circle of diameter H on the real axis at X_q,
-            # and r's hyperbolic centre (ideal point when x_r = 0), tangent to
-            # both and counterclockwise of q, lies at
-            # X_q + H sqrt(1 - x_r) + i H sqrt(x_r)
-            zeta = anchors[p]
-            H = (1.0 - radii[p]) / radii[p]
-            # two ideal points on one float give NaN, which is caught below
-            with np.errstate(divide="ignore", invalid="ignore"):
-                X_q = (1j * (zeta + anchors[q]) / (zeta - anchors[q])).real
-                w = X_q + H * np.sqrt(1.0 - x[r]) + 1j * H * np.sqrt(x[r])
-                z = zeta * (w - 1j) / (w + 1j)
-                if boundary[r]:
-                    z /= abs(z)
-                    c, rho = _horo_from_tangency(z, centers[p], radii[p])
-                else:
-                    c, rho = _euclid_from_hyp(z, x[r])
-            place(r, c, rho, z)
-            steps[r] = max(steps[p], steps[q]) + 1
-            continue
-        # closed form about an interior pivot p: move p's hyperbolic centre
-        # to the origin, where r sits at angle alpha from q, counterclockwise
-        # when q follows p around the face.  The pivot's own error passes to
-        # r magnified, so pivot on the corner fewer placements from the seed
+    rpq = faces[order[first // 3][:, None], (first[:, None] + np.arange(3)) % 3]
+    placed = ~np.isnan(radii)
+    rpq = rpq[~placed[rpq[:, 0]]]
+    while rpq.size:
+        now = placed[rpq[:, 1]] & placed[rpq[:, 2]]
+        (r, p, q), rpq = rpq[now].T, rpq[~now]
+        placed[r] = True
+        horo = boundary[p] & boundary[q]
+        # about an interior pivot p moved to the origin, r sits at angle alpha
+        # from q, counterclockwise when q follows p.  p's error passes to r
+        # magnified, so pivot on the corner fewer placements from the seed
         # (else, around a high-degree vertex, error grows along the ring)
-        sign = 1
-        if boundary[p] or (not boundary[q] and steps[q] < steps[p]):
-            p, q, sign = q, p, -1
-        steps[r] = steps[p] + 1
-        dr = _mobius(anchors[p], anchors[q])
-        dr *= np.exp(1j * sign * float(_angles(x[p], x[q], x[r]))) / abs(dr)
-        if boundary[r]:
-            zeta = _mobius_inv(anchors[p], dr)
-            zeta /= abs(zeta)
-            c, rho = _horo_from_tangency(zeta, centers[p], radii[p])
-            place(r, c, rho, zeta)
-        else:
-            z = _mobius_inv(anchors[p], _t_of_x(x[p] * x[r]) * dr)
-            c, rho = _euclid_from_hyp(z, x[r])
-            place(r, c, rho, z)
+        swap = ~horo & (boundary[p] | (~boundary[q] & (steps[q] < steps[p])))
+        p, q = np.where(swap, q, p), np.where(swap, p, q)
+        steps[r] = np.where(horo, np.maximum(steps[p], steps[q]), steps[p]) + 1
+        tp, tr, ap, aq = t[p], t[r], anchors[p], anchors[q]
+        with np.errstate(divide="ignore", invalid="ignore"):  # NaN is caught below
+            alpha = 2.0 * np.arctan(_half_tangent(tp, t[q], tr))
+            dr = (aq - ap) / (1.0 - ap.conjugate() * aq)
+            dr *= np.exp(1j * np.where(swap, -alpha, alpha)) / abs(dr)
+            dr *= (tp + tr) / (1.0 + tp * tr)  # tanh of half the distance p to r
+            z = (dr + ap) / (1.0 + ap.conjugate() * dr)
+            # p, q horocycles: w = i(zeta + z)/(zeta - z) sends p's ideal point
+            # zeta to infinity, p to the line Im w = H and q to a circle of
+            # diameter H on the real axis at X_q; r's hyperbolic centre (ideal
+            # point if t_r = 1) is X_q + H (2 sqrt(t_r) + i (1 - t_r)) / (1 + t_r)
+            zeta, th = ap[horo], tr[horo]
+            H = (1.0 - radii[p[horo]]) / radii[p[horo]]
+            w = ((1j * (zeta + aq[horo]) / (zeta - aq[horo])).real
+                 + H * (2.0 * np.sqrt(th) + 1j * (1.0 - th)) / (1.0 + th))
+            z[horo] = zeta * (w - 1j) / (w + 1j)
+            rim = boundary[r]
+            z[rim] /= abs(z[rim])
+            anchors[r] = z
+            centers[r[rim]], radii[r[rim]] = _horo_from_tangency(z[rim], centers[p[rim]],
+                                                                 radii[p[rim]])
+            centers[r[~rim]], radii[r[~rim]] = _euclid_from_hyp(z[~rim], tr[~rim])
 
     bad = ~(np.isfinite(centers) & np.isfinite(radii))
     if bad.any():
         raise PackingError(f"layout of circle {int(np.argmax(bad))} is not finite")
 
-    packing = CirclePacking(
-        centers=np.column_stack([centers.real, centers.imag]),
-        radii=radii.copy(),
-        boundary_mask=boundary.copy(),
-    )
+    packing = CirclePacking(np.column_stack([centers.real, centers.imag]), radii, boundary.copy())
     packing.residuals = _packing_residuals(tri, packing)
     # report which disk-approximation normalization hypothesis holds: a
     # circle centered at the origin, or at least one center well inside
@@ -431,8 +425,13 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
     packing.residuals["center_in_small_disk"] = bool((dist0 < 1.0 - delta2).any())
     rel, rim = packing.residuals["max_relative_tangency"], packing.residuals["max_boundary"]
     if not (rel <= tol and rim <= tol):  # NaN fails too
+        # positions hold about 1e-16 absolute, and the closed forms square that
+        # near the rim: a circle of radius r is laid out to about 1e-16 / r^2
+        i = int(np.argmin(np.abs(radii)))
+        past = (f"; circle {i} of radius {radii[i]:.2e} is past the disk model's float precision"
+                if 1e-16 > tol * radii[i] ** 2 else "")
         raise PackingError(f"packing residual exceeds tolerance {tol:.1e}: relative tangency "
-                           f"{rel:.3e}, boundary {rim:.3e}")
+                           f"{rel:.3e}, boundary {rim:.3e}{past}")
     return packing
 
 
