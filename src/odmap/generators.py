@@ -268,16 +268,6 @@ def triangular_disk_triangulation(rows: int) -> Triangulation:
     return Triangulation(len(used), remap[faces], positions=pts[used]).validate()
 
 
-def single_interior_triangulation() -> Triangulation:
-    """Three boundary vertices around one interior vertex of degree 3."""
-    faces = np.array([[0, 1, 3], [1, 2, 3], [2, 0, 3]])
-    return Triangulation(4, faces).validate()
-
-
-def bare_triangle_triangulation() -> Triangulation:
-    return Triangulation(3, np.array([[0, 1, 2]])).validate()
-
-
 # ---------------------------------------------------------------------------
 # 3-connected planar map fixtures
 

@@ -485,44 +485,96 @@ def star_cycle_decomposition(network: Network, theta: EdgeField):
 # exit measure of the weighted random walk
 
 
-class _WalkTable:
-    """Next-vertex table of the conductance-weighted walk.  Each edge is
-    listed at both ends, sorted by (vertex, neighbour, edge id), with the
-    running sum ``cum`` of its conductances.  A walker at v with uniform u
-    takes the first slot k with cum[k] > base[v] + u seg_total[v].  A guide
-    table (Chen and Asau) gives, for bucket floor(u deg(v)), a slot at or
-    before k, from which a short forward scan finds k."""
+_LEAP_CAP = 8  # nnz(P^k) may grow to this many times nnz(P)
+_ALIAS_BLOCK = 2 ** 14  # slots per block of rows in an alias-table build
 
-    def __init__(self, net: Network):
-        src = np.concatenate([net.tails, net.heads])
-        nb = np.concatenate([net.heads, net.tails])
-        by_vertex = np.lexsort((np.tile(np.arange(net.n_edges), 2), nb, src))
-        cum = np.cumsum(np.tile(net.conductances, 2)[by_vertex])
-        deg = np.bincount(src, minlength=net.n_vertices)
-        ends = np.concatenate([[0.0], cum])[np.concatenate([[0], np.cumsum(deg)])]
-        self.base, self.seg_total, self.buckets = ends[:-1], np.diff(ends), deg.astype(float)
-        # buckets 0..deg(v) of v from slot first[v]; bucket j starts at the
-        # slot of the least u in it, lowered by a few ulps against rounding
-        self.first = np.cumsum(deg + 1) - deg - 1
-        owner = np.repeat(np.arange(net.n_vertices), deg + 1)
-        u_low = (np.arange(owner.size) - self.first[owner]) / deg[owner] * (1.0 - 2.0 ** -50)
-        self.guide = np.searchsorted(cum, self.base[owner] + u_low * self.seg_total[owner],
-                                     side="right")
-        # sentinels: a scan stops at slot len(cum), which steps as the last slot
-        self.cum = np.append(cum, np.inf)
-        self.neighbour = nb[np.append(by_vertex, by_vertex[-1])]
 
-    def slots(self, at: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """searchsorted(cum, base[at] + u seg_total[at], side="right")."""
-        target = self.base[at] + u * self.seg_total[at]
-        k = self.guide[self.first[at] + (u * self.buckets[at]).astype(int)]
-        behind = self.cum[k] <= target
-        if behind.any():
-            behind = behind.nonzero()[0]
-            while behind.size:
-                k[behind] += 1
-                behind = behind[self.cum[k[behind]] <= target[behind]]
-        return k
+def _stopped_chain(net: Network, is_boundary: np.ndarray) -> sp.csr_matrix:
+    """The walk's transition matrix P, boundary rows the identity (absorbing)."""
+    d = net.laplacian.diagonal()
+    moves = sp.diags(~is_boundary / d) @ (sp.diags(d) - net.laplacian)
+    return (moves + sp.diags(is_boundary * 1.0)).tocsr()
+
+
+def _row_cumsum(x: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Prefix sums of x within each run of equal ``row``.  Each run's total
+    is taken off at the next run's start, so the sums round at row scale."""
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    y = x.copy()
+    y[starts[1:]] -= np.add.reduceat(x, starts)[:-1]
+    c = np.cumsum(y)
+    return c - np.repeat(c[starts] - x[starts], np.diff(starts, append=x.size))
+
+
+class _AliasTable:
+    """Walker alias tables of the rows of a row-stochastic Q (consumes
+    ``Q.data``).  A walker at v with uniform u sets x = u len(v) and takes
+    slot j = start[v] + floor(x); it moves to col[j] if x < cut[j], else to
+    col[alias[j]].  cut[j] is j's place in its row plus keep[j] in [0, 1].
+
+    Built in blocks of rows of about ``_ALIAS_BLOCK`` slots by the sweep of
+    Huebschle-Schneider and Sanders (2019), in array form: with each row
+    scaled to mean 1, D the running deficit sum 1 - q of its light slots
+    (q < 1) and E the running excess sum q - 1 of its heavy ones, a light
+    slot whose deficits before it sum to D' aliases the first heavy with
+    E > D'; a heavy runs out at the first light with D >= E, keeps
+    1 + E - D of itself and aliases the next heavy."""
+
+    def __init__(self, Q: sp.csr_matrix):
+        # intp indices: numpy gathers with any other index type are slower
+        self.start = Q.indptr[:-1].astype(np.intp)
+        self.length = np.diff(Q.indptr).astype(float)
+        self.col = Q.indices.astype(np.intp)
+        self.cut = Q.data
+        self.alias = np.empty(Q.nnz, np.int32)
+        first = np.unique(np.searchsorted(Q.indptr, np.arange(0, Q.nnz, _ALIAS_BLOCK),
+                                          side="right") - 1)
+        for r0, r1 in zip(first, np.append(first[1:], Q.shape[0])):
+            self._sweep(Q.indptr[r0:r1 + 1])
+
+    def _sweep(self, indptr: np.ndarray):
+        a, b = indptr[0], indptr[-1]
+        starts, lengths = indptr[:-1] - a, np.diff(indptr)
+        row = np.repeat(np.arange(lengths.size), lengths)
+        q = self.cut[a:b]  # a view: the light slots keep q
+        q *= (lengths / np.add.reduceat(q, starts))[row]
+        # the largest slot of a row is heavy even when rounding puts it below 1
+        light = q < np.minimum(np.maximum.reduceat(q, starts), 1.0)[row]
+        li, hi = np.flatnonzero(light), np.flatnonzero(~light)
+        rl, rh = row[li], row[hi]
+        E = _row_cumsum(np.maximum(q[hi] - 1.0, 0.0), rh)
+        last = np.searchsorted(rh, np.arange(lengths.size), side="right") - 1
+        keep_h = np.ones(hi.size)
+        if li.size:
+            D = _row_cumsum(1.0 - q[li], rl)
+            before = np.concatenate([[0.0], D[:-1]])
+            before[np.diff(rl, prepend=-1) != 0] = 0.0
+            # complex keys sort by (row, running sum): one search serves every row
+            to = np.searchsorted(rh + 1j * E, rl + 1j * before, side="right")
+            self.alias[a + li] = a + hi[np.minimum(to, last[rl])]
+            m = np.minimum(np.searchsorted(rl + 1j * D, rh + 1j * E), li.size - 1)
+            runs_out = (rl[m] == rh) & (E > 0.0)
+            keep_h[runs_out] = 1.0 + E[runs_out] - D[m[runs_out]]
+        is_last = np.arange(hi.size) == last[rh]
+        keep_h[is_last] = 1.0
+        q[hi] = np.clip(keep_h, 0.0, 1.0)
+        self.alias[a + hi] = a + np.where(is_last, hi, np.append(hi[1:], 0))
+        q += np.arange(b - a) - starts[row]
+
+    def step(self, at: np.ndarray, u: np.ndarray) -> np.ndarray:
+        x = u * self.length[at]
+        slot = self.start[at] + x.astype(np.intp)
+        return self.col[np.where(x < self.cut[slot], slot, self.alias[slot])]
+
+
+def _leap_table(P: sp.csr_matrix, max_steps: int):
+    """(alias table of P^k, k), k doubled by squaring while 2k <= max_steps
+    and the square's structural nnz bound (the summed lengths of the rows
+    that the slots point to) is at most ``_LEAP_CAP`` nnz(P)."""
+    Q, k = P, 1
+    while 2 * k <= max_steps and np.diff(Q.indptr)[Q.indices].sum() <= _LEAP_CAP * P.nnz:
+        Q, k = Q @ Q, 2 * k
+    return _AliasTable(Q), k
 
 
 def random_walk_exit_measure(problem: DirichletProblem, start,
@@ -531,11 +583,20 @@ def random_walk_exit_measure(problem: DirichletProblem, start,
     """Distribution of the walk's exit position over the boundary set.
 
     Exact mode (default) is -L[B][:, I] y for L_II y = e_start, by the cached
-    interior factorisation; sampled mode simulates ``n_samples`` weighted walks
-    with the given seed, one uniform per walker and step through
-    :class:`_WalkTable`, and raises RuntimeError unless every walk reaches the
-    boundary within ``max_steps`` steps.  Returns {boundary label: probability}.
+    interior factorisation.  Sampled mode simulates ``n_samples`` weighted
+    walks with the given seed and raises RuntimeError unless every walk
+    reaches the boundary within ``max_steps`` steps.  The walks leap k steps
+    at a time through the alias tables of P^k, P the transition matrix with
+    an absorbing boundary, so the exit law is that of single steps; k
+    doubles by squaring while 2k <= max_steps and the square's size bound
+    stays within a fixed multiple of nnz(P) (a hub of high degree keeps
+    k = 1).  Steps after the last whole leap are taken on P.  Returns
+    {boundary label: probability}.
     """
+    if n_samples is not None and n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be at least 0, got {max_steps}")
     net = problem.network
     s = net.index_of(start)
     B = problem.boundary_idx
@@ -550,22 +611,23 @@ def random_walk_exit_measure(problem: DirichletProblem, start,
         mu = -(solver.rows.T @ solver.solve(e_s))[B]
         return {int(net.labels[b]): float(p) for b, p in zip(B, mu)}
 
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if not net.is_connected:
         raise DisconnectedNetworkError("exit measure requires a connected network")
+    P = _stopped_chain(net, is_boundary)
+    table, k = _leap_table(P, max_steps)
     rng = np.random.default_rng(seed)
-    table = _WalkTable(net)
     exits = [np.empty(0, int)]
     at = np.full(n_samples, s)
     steps = 0
     while at.size and steps < max_steps:
-        at = table.neighbour[table.slots(at, rng.random(at.size))]
+        if steps + k > max_steps:  # only when k > 1, so P is still whole
+            table, k = _AliasTable(P), 1
+        at = table.step(at, rng.random(at.size))
         done = is_boundary[at]
-        if done.any():
+        if np.count_nonzero(done):
             exits.append(at[done])
             at = at[~done]
-        steps += 1
+        steps += k
     counts = np.bincount(np.concatenate(exits), minlength=net.n_vertices)
     total = int(counts.sum())
     if not total:

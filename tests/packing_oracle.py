@@ -1,13 +1,25 @@
 """Oracles for the in-disk packer: the radius solve as it was in x =
 exp(-2h), a Newton solve in u = log x, and a layout that places one circle
 at a time with scalar arithmetic.  Tests compare `pack_in_disk`'s solve in
-t = tanh(h / 2) and its layout in array passes against them."""
+t = tanh(h / 2) and its layout in array passes against them.  Also the two
+smallest triangulations the packing tests use."""
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
 from odmap.network import edge_graph
+from odmap.packing import Triangulation
+
+
+def single_interior_triangulation() -> Triangulation:
+    """Three boundary vertices around one interior vertex of degree 3."""
+    faces = np.array([[0, 1, 3], [1, 2, 3], [2, 0, 3]])
+    return Triangulation(4, faces).validate()
+
+
+def bare_triangle_triangulation() -> Triangulation:
+    return Triangulation(3, np.array([[0, 1, 2]])).validate()
 
 
 def angles_x(xp, xa, xb):

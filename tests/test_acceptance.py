@@ -40,6 +40,7 @@ from odmap.network import (
 )
 
 from conftest import central_primal_vertex, random_network
+from packing_oracle import bare_triangle_triangulation
 from test_network import _random_cycle_field, _fundamental_cycle_field
 
 
@@ -280,8 +281,6 @@ def test_criterion_6_flows(diamond, grid32_centered):
 def test_criterion_7_packing(packed500):
     t0 = time.perf_counter()
     # triangle fixture
-    from odmap.generators import bare_triangle_triangulation
-
     p3 = odmap.pack_in_disk(bare_triangle_triangulation())
     assert np.allclose(p3.radii, 2 * np.sqrt(3) - 3, atol=1e-8)
 

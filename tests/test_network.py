@@ -1,12 +1,14 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import odmap
+from odmap.dirichlet import exit_measure_vs_arcs
 from odmap.network import (
     DirichletProblem,
     EdgeField,
@@ -25,7 +27,9 @@ from odmap.network import (
     sandwich_check,
     star_cycle_decomposition,
     strength,
-    _WalkTable,
+    _LEAP_CAP,
+    _leap_table,
+    _stopped_chain,
 )
 
 from conftest import random_network
@@ -657,14 +661,68 @@ def test_sampled_exit_measure_raises_on_walks_left_at_max_steps(diamond):
 
 def test_sampled_exit_measure_needs_a_walk(diamond):
     prob = DirichletProblem(diamond.primal_network(), {v: 0.0 for v in [1, 2, 3, 4]})
-    for n in (0, -3):
-        with pytest.raises(ValueError, match="n_samples must be at least 1"):
-            random_walk_exit_measure(prob, 0, n_samples=n, seed=0)
+    for start in (0, 1):  # an interior start and a boundary one
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="n_samples must be at least 1"):
+                random_walk_exit_measure(prob, start, n_samples=n, seed=0)
+
+
+def test_exit_measure_rejects_negative_max_steps(diamond):
+    prob = DirichletProblem(diamond.primal_network(), {v: 0.0 for v in [1, 2, 3, 4]})
+    for start, n in ((0, 10), (1, 10), (0, None)):
+        with pytest.raises(ValueError, match="max_steps must be at least 0"):
+            random_walk_exit_measure(prob, start, n_samples=n, seed=0, max_steps=-1)
+
+
+def _dense_stopped_chain(net, boundary):
+    """The walk's transition matrix with absorbing boundary rows, one edge at
+    a time."""
+    P = np.zeros((net.n_vertices, net.n_vertices))
+    for t, h, c in zip(net.tails, net.heads, net.conductances):
+        P[t, h] += c
+        P[h, t] += c
+    P /= P.sum(axis=1, keepdims=True)
+    P[boundary] = np.eye(net.n_vertices)[boundary]
+    return P
+
+
+@pytest.mark.parametrize("max_steps", range(6))
+def test_sampled_exit_measure_max_steps_is_exact(diamond, max_steps):
+    """max_steps counts single steps whatever the leap length k: the walks
+    still out after it match the chance of surviving exactly max_steps steps
+    (5 sigma), a walk that exits at step max_steps counts, and the two
+    errors keep their messages.  Starts at distance 1 to 4 from the
+    boundary of an 8-grid, and the diamond with one absorbing leaf."""
+    n = 4000
+    grid = grid_network(8)
+    cases = [(DirichletProblem(diamond.primal_network(), {1: 0.0}), 0)]
+    cases += [(DirichletProblem(grid, {v: 0.0 for v in grid_boundary_labels(8)}), 4 * 9 + d)
+              for d in (1, 2, 3, 4)]
+    for prob, start in cases:
+        net = prob.network
+        P = np.linalg.matrix_power(_dense_stopped_chain(net, prob.boundary_idx), max_steps)
+        row = P[net.index_of(start)]
+        survive = float(np.delete(row, prob.boundary_idx).sum())
+        try:
+            random_walk_exit_measure(prob, start, n_samples=n, seed=5, max_steps=max_steps)
+            out = 0
+        except RuntimeError as err:
+            if row[prob.boundary_idx].sum() == 0.0:  # no path to the boundary is this short
+                assert str(err) == f"no walk reached the boundary within max_steps={max_steps}"
+                continue
+            msg = re.fullmatch(rf"(\d+) of {n} walks had not reached the boundary "
+                               rf"after max_steps={max_steps}", str(err))
+            assert msg, str(err)
+            out = int(msg.group(1))
+        assert row[prob.boundary_idx].sum() > 0.0
+        assert abs(out - n * survive) <= 5.0 * np.sqrt(n * survive * (1.0 - survive)) + 1.0
 
 
 def test_sampled_exit_measure_pinned():
-    """The seeded walk from the centre of the 32-grid disk gives the measures
-    recorded from the binary-search step that the guide table replaced."""
+    """The seeded walk from the centre of the 32-grid disk gives the
+    recorded measures.  The file pins the random stream of the leaps through
+    the alias tables of P^k: a change to the table, its row order or the
+    choice of k records it again."""
     with open(DATA / "sampled_exit_disk32.json") as fh:
         pinned = json.load(fh)
     m = odmap.rotated_grid("disk", pinned["grid"])
@@ -676,16 +734,25 @@ def test_sampled_exit_measure_pinned():
         assert list(mu.items()) == [tuple(kv) for kv in want]
 
 
-@given(seed=st.integers(0, 10_000), hub=st.integers(500, 700), extra=st.integers(0, 300),
-       log_range=st.sampled_from([0.0, 2.0, 6.0]), integral=st.booleans(),
-       hub_c=st.sampled_from([None, 1.0, 3.0, 0.1, 1e6]))
-@settings(max_examples=60, deadline=None)
-def test_walk_table_slot_matches_searchsorted(seed, hub, extra, log_range, integral, hub_c):
-    """The guide-table step picks the slot of the binary search over the
-    whole cumulative array, at bucket edges j/deg, an ulp either side of
-    them and at random u, for conductances across 1e-6..1e6, a hub and
-    degree-1 leaves.  Equal conductances at the hub put partial sums on the
-    bucket edges, where an unlowered guide would start past the slot."""
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_sampled_exit_arcs_match_exact_disk32(seed):
+    """Whatever the stream, 2000 walks from the centre of the 32-grid disk put
+    mass on each of 16 arcs within 5 binomial sigma (plus one walk) of the
+    exact measure."""
+    m = odmap.rotated_grid("disk", 32)
+    interior, _ = m.interior_vertices()
+    center = int(interior[np.argmin(np.hypot(*m.positions[interior].T))])
+    n = 2000
+    exact = exit_measure_vs_arcs(m, center, k=16)["arcs"]
+    arcs = exit_measure_vs_arcs(m, center, k=16, n_samples=n, seed=seed)["arcs"]
+    assert np.all(np.abs(arcs - exact) <= 5.0 * np.sqrt(exact * (1.0 - exact) / n) + 1.0 / n)
+
+
+def _hub_network(seed, hub, extra, log_range, integral, hub_c, absorb):
+    """A hub joined to vertices 1..hub, random extra edges among the rest and
+    a path of degree-2 and degree-1 vertices off it, with conductances
+    across 1e-6..1e6.  The boundary is the hub, its leaves, or three
+    random vertices other than the hub."""
     rng = np.random.default_rng(seed)
     n = hub + 1 + int(rng.integers(0, 40))
     tails = np.concatenate([np.zeros(hub, int), rng.integers(1, n, extra), np.arange(hub + 1, n)])
@@ -697,17 +764,54 @@ def test_walk_table_slot_matches_searchsorted(seed, hub, extra, log_range, integ
         c = np.ceil(c)
     if hub_c is not None:
         c[:hub] = hub_c
-    table = _WalkTable(odmap.Network(np.arange(n), tails, heads, c))
-    deg = table.buckets.astype(int)
-    at = np.repeat(np.arange(n), deg + 1)
-    edge = (np.arange(len(at)) - table.first[at]) / deg[at]
-    u = np.concatenate([edge, np.nextafter(edge, -1.0), np.nextafter(edge, 2.0),
-                        rng.random(len(at)), np.full(len(at), 1.0 - 2.0 ** -53)])
-    at = np.tile(at, 5)
-    inside = (u >= 0.0) & (u < 1.0)
-    at, u = at[inside], u[inside]
-    want = np.searchsorted(table.cum[:-1], table.base[at] + u * table.seg_total[at], side="right")
-    assert np.array_equal(table.slots(at, u), want)
+    boundary = {"hub": np.array([0]), "leaves": np.arange(1, hub + 1),
+                "few": np.unique(rng.integers(1, n, 3))}[absorb]
+    return odmap.Network(np.arange(n), tails, heads, c), boundary
+
+
+@given(seed=st.integers(0, 10_000), hub=st.integers(500, 700), extra=st.integers(0, 300),
+       log_range=st.sampled_from([0.0, 2.0, 6.0]), integral=st.booleans(),
+       hub_c=st.sampled_from([None, 1.0, 3.0, 0.1, 1e6]),
+       absorb=st.sampled_from(["hub", "leaves", "few"]),
+       max_steps=st.sampled_from([1, 5, 64, 4096]))
+@example(seed=0, hub=500, extra=0, log_range=0.0, integral=False, hub_c=None, absorb="leaves",
+         max_steps=4096)
+@example(seed=0, hub=500, extra=300, log_range=6.0, integral=True, hub_c=1e6, absorb="few",
+         max_steps=4096)
+@settings(max_examples=40, deadline=None)
+def test_alias_table_reconstructs_leap_matrix(seed, hub, extra, log_range, integral, hub_c,
+                                              absorb, max_steps):
+    """Every alias row gives its row of P^k to 1e-12, against a dense power
+    of the stopped chain; keep lies in [0, 1] and each alias stays in its
+    row; k <= max_steps, the table never passes the cap, and a hub with
+    hundreds of interior neighbours keeps k = 1.  Equal conductances put
+    the running deficit and excess sums on one another, where the sweep
+    breaks ties.  max_steps stays at or below 4096 because the rounding of
+    either power grows with k: a pocket of 14 vertices held by conductances
+    near 1e-6 squares on to k = 2^23, where the two powers differ by 1.7e-10
+    (2.4e-13 at k = 4096)."""
+    net, boundary = _hub_network(seed, hub, extra, log_range, integral, hub_c, absorb)
+    is_boundary = np.zeros(net.n_vertices, bool)
+    is_boundary[boundary] = True
+    P = _stopped_chain(net, is_boundary)
+    nnz_p = P.nnz
+    table, k = _leap_table(P, max_steps)
+    assert k <= max_steps
+    if absorb == "few":
+        assert k == 1
+    assert table.cut.size <= _LEAP_CAP * nnz_p
+    n = net.n_vertices
+    length = table.length.astype(int)
+    row = np.repeat(np.arange(n), length)
+    place = np.arange(table.cut.size) - table.start[row]
+    keep = table.cut - place
+    assert keep.min() >= 0.0 and keep.max() <= 1.0
+    assert np.all((table.alias >= table.start[row]) & (table.alias < table.start[row] + length[row]))
+    got = np.zeros((n, n))
+    np.add.at(got, (row, table.col), keep / length[row])
+    np.add.at(got, (row, table.col[table.alias]), (1.0 - keep) / length[row])
+    want = np.linalg.matrix_power(_dense_stopped_chain(net, boundary), k)
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_label_lookup():

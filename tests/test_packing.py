@@ -13,13 +13,11 @@ from odmap import packing
 from odmap.errors import PackingError, StructuralError
 from odmap.generators import (
     SHAPES,
-    bare_triangle_triangulation,
     cube_map,
     k4_map,
     octahedron_map,
     prism_map,
     random_delaunay_triangulation,
-    single_interior_triangulation,
     triangular_disk_triangulation,
 )
 from odmap.geometry import cross2, incircle, signed_area
@@ -38,7 +36,13 @@ from odmap.packing import (
 )
 
 from conftest import closed, coned, segments_intersect_scalar
-from packing_oracle import layout_loop, solve_x, t_of_x
+from packing_oracle import (
+    bare_triangle_triangulation,
+    layout_loop,
+    single_interior_triangulation,
+    solve_x,
+    t_of_x,
+)
 
 
 # ---------------------------------------------------------------------------
