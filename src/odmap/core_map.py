@@ -143,10 +143,6 @@ class OrthodiagonalMap:
         return self._sides.count
 
     @cached_property
-    def boundary_edges(self) -> list:
-        return [tuple(e) for e in self.edges[self.edge_face_count == 1].tolist()]
-
-    @cached_property
     def boundary_walk(self) -> np.ndarray:
         """Cyclic vertex sequence of the outer face, oriented counterclockwise.
 
@@ -229,9 +225,6 @@ class OrthodiagonalMap:
         """Largest distance between two vertices; on an embedded map the
         extreme points of the convex hull lie on the boundary walk."""
         return max_distance(self.positions[self.boundary_walk])
-
-    def face_polygon(self, i: int) -> np.ndarray:
-        return self.positions[self.faces[i]]
 
     # -- networks ------------------------------------------------------------
 
@@ -498,10 +491,6 @@ class AugmentedDuals:
     dual_pairs: np.ndarray          # (m + k, 2) map vertex indices, APEX allowed
     n_core_edges: int               # edges 0..n_core-1 are the original ones
     new_edge_polylines: list        # per new edge: (v_j, bend, v_{j+1}) points
-
-    @property
-    def augmented_edge_indices(self) -> np.ndarray:
-        return np.arange(self.n_core_edges, len(self.dual_pairs))
 
 
 def augmented_duals(omap: OrthodiagonalMap) -> AugmentedDuals:

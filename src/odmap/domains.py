@@ -7,13 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import (
-    max_distance,
-    nearest_segment_distance,
-    seg_points_distance,
-    segments_intersect,
-    signed_area,
-)
+from .geometry import (_reduce_pairs, cross2, max_distance, nearest_segment_distance, seg_points_distance,
+                       segments_intersect, signed_area)
 
 
 @dataclass
@@ -48,12 +43,6 @@ class DomainSpec:
 
     # -- queries -------------------------------------------------------------
 
-    def boundary_segments(self):
-        if self.kind == "disk":
-            return None
-        p = self.polygon
-        return [(p[i], p[(i + 1) % len(p)]) for i in range(len(p))]
-
     def contains(self, pts, tol: float = 1e-12) -> np.ndarray:
         """Closed containment test, vectorized over rows of pts."""
         pts = np.atleast_2d(np.asarray(pts, float))
@@ -61,24 +50,30 @@ class DomainSpec:
             return np.hypot(pts[:, 0], pts[:, 1]) <= 1.0 + tol
         if self.kind == "square":
             return np.all((pts >= -tol) & (pts <= 1.0 + tol), axis=1)
-        # winding-number point-in-polygon, boundary counted as inside; one
-        # pass per polygon edge over all the points
-        x, y = pts.T
-        on_boundary = np.zeros(len(pts), bool)
-        wn = np.zeros(len(pts), int)
-        for a, b in self.boundary_segments():
-            on_boundary |= seg_points_distance(a, b, pts) <= tol
-            cr = (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
-            up = a[1] <= y
-            wn += (up & (b[1] > y) & (cr > 0)).astype(int) - (~up & (b[1] <= y) & (cr < 0))
-        return on_boundary | (wn != 0)
+        return self._locate(pts, tol)[0]
+
+    def _locate(self, pts, tol):
+        """Closed containment flags of points in the polygon (winding number,
+        boundary counted as inside) and their distances to its boundary, each
+        found once per distinct point (a map's quad corners repeat 4 times)."""
+        z, at = np.unique(np.ascontiguousarray(pts).view(complex).ravel(), return_inverse=True)
+        p, a, b = z.view(float).reshape(-1, 2), self.polygon, np.roll(self.polygon, -1, axis=0)
+
+        def crossings(i, j):  # +1 up across the ray right of the point, -1 down
+            y, cr = p[i, None, 1], cross2(b[j] - a[j], p[i, None] - a[j])
+            return ((a[j, 1] <= y) & (b[j, 1] > y) & (cr > 0)).astype(int) - ((a[j, 1] > y) & (b[j, 1] <= y) & (cr < 0))
+
+        dist = nearest_segment_distance(a, b, p)
+        return ((dist <= tol) | (_reduce_pairs(crossings, len(p), len(a), np.add, 0) != 0))[at], dist[at]
 
     def dist_to_boundary(self, pts) -> np.ndarray:
         """Unsigned distance to the domain boundary, vectorized."""
         pts = np.atleast_2d(np.asarray(pts, float))
         if self.kind == "disk":
             return np.abs(1.0 - np.hypot(pts[:, 0], pts[:, 1]))
-        return nearest_segment_distance(self.polygon, np.roll(self.polygon, -1, axis=0), pts)
+        z, at = np.unique(np.ascontiguousarray(pts).view(complex).ravel(), return_inverse=True)  # each point once
+        a, b = self.polygon, np.roll(self.polygon, -1, axis=0)
+        return nearest_segment_distance(a, b, z.view(float).reshape(-1, 2))[at]
 
     def face_distance(self, quad: np.ndarray):
         """dist(Q, boundary) for quads whose closures lie inside the domain,
@@ -87,30 +82,42 @@ class DomainSpec:
         if self.kind == "disk":
             dist = 1.0 - np.hypot(quad[..., 0], quad[..., 1]).max(-1)
         else:
-            # polygon edges ab x quads x quad sides cd: 0 where they meet, else
-            # the least distance from an end of one to the other
-            a = self.polygon[:, None, :]
-            b = np.roll(a, -1, axis=0)
-            c = quad.reshape(-1, 4, 2)[:, None]
-            d = np.roll(c, -1, axis=2)
-            apart = np.minimum(np.minimum(seg_points_distance(a, b, c), seg_points_distance(a, b, d)),
-                               np.minimum(seg_points_distance(c, d, a), seg_points_distance(c, d, b)))
-            apart[segments_intersect(a, b, c, d)] = 0.0
-            dist = apart.min(axis=(1, 2)).reshape(quad.shape[:-2])
+            # 0 where a quad side meets a polygon edge, else the least distance
+            # from a quad corner to an edge or from a polygon vertex to a side
+            q = quad.reshape(-1, 4, 2)
+            corner = self.dist_to_boundary(q.reshape(-1, 2)).reshape(-1, 4).min(1)
+            a, c, d = self.polygon, q.reshape(-1, 2), np.roll(q, -1, axis=1).reshape(-1, 2)
+            dist = np.minimum(corner, _reduce_pairs(lambda i, j: seg_points_distance(c[i, None], d[i, None], a[j]),
+                                                    len(c), len(a), np.minimum, np.inf).reshape(-1, 4).min(1))
+            dist[self._meets(q, corner, include_endpoints=True)] = 0.0
+            dist = dist.reshape(quad.shape[:-2])
         return float(dist) if quad.ndim == 2 else dist
 
     def face_inside(self, quad: np.ndarray, tol: float = 1e-12):
         """Whether the closed quad is contained in the closed domain, broadcast
         over any leading axes ((m, 4, 2) quads give m flags)."""
         quad = np.asarray(quad, float)
-        inside = self.contains(quad.reshape(-1, 2), tol).reshape(-1, 4).all(1)
+        q = quad.reshape(-1, 4, 2)
         if self.kind == "polygon":  # not convex: corner containment does not suffice
-            # one test over the quads x polygon edges x quad sides
-            p = self.polygon[:, None, :]
-            q = quad.reshape(-1, 4, 2)[inside][:, None]
-            inside[inside] = ~segments_intersect(p, np.roll(p, -1, axis=0), q, np.roll(q, -1, axis=2),
-                                                 include_endpoints=False).any(axis=(1, 2))
+            inside, dist = (v.reshape(-1, 4) for v in self._locate(q.reshape(-1, 2), tol))
+            inside = inside.all(1)
+            inside[self._meets(q, np.where(inside, dist.min(1), np.inf), include_endpoints=False)] = False
+        else:
+            inside = self.contains(q.reshape(-1, 2), tol).reshape(-1, 4).all(1)
         return bool(inside[0]) if quad.ndim == 2 else inside.reshape(quad.shape[:-2])
+
+    def _meets(self, q: np.ndarray, corner: np.ndarray, include_endpoints: bool) -> np.ndarray:
+        """Indices of the (m, 4, 2) quads with a side that meets a polygon edge.
+        Such a side has both ends within its length of the boundary, so only
+        quads with a ``corner`` distance that small (plus 1e-9 of the
+        coordinates' size, for rounding) are tested."""
+        a, b = self.polygon, np.roll(self.polygon, -1, axis=0)
+        reach = np.hypot(*np.moveaxis(np.roll(q, -1, axis=1) - q, -1, 0)).max(1)
+        near = np.flatnonzero(corner <= reach + 1e-9 * np.maximum(np.abs(q).max((1, 2)), np.abs(a).max()))
+        c, d = q[near].reshape(-1, 2), np.roll(q[near], -1, axis=1).reshape(-1, 2)
+        hit = _reduce_pairs(lambda i, j: segments_intersect(a[j], b[j], c[i, None], d[i, None], include_endpoints),
+                            len(c), len(a), np.logical_or, False)
+        return near[hit.reshape(-1, 4).any(1)]
 
     def perimeter(self) -> float:
         if self.kind == "disk":
@@ -128,14 +135,11 @@ class DomainSpec:
             t = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
             return np.column_stack([np.cos(t), np.sin(t)])
         p = self.polygon
-        lengths = np.hypot(*(np.roll(p, -1, axis=0) - p).T)
-        total = lengths.sum()
-        out = []
-        for i, (a, b) in enumerate(self.boundary_segments()):
-            k = max(1, int(round(m * lengths[i] / total)))
-            t = np.arange(k) / k
-            out.append(a + t[:, None] * (np.asarray(b) - np.asarray(a)))
-        return np.vstack(out)
+        d = np.roll(p, -1, axis=0) - p
+        lengths = np.hypot(d[:, 0], d[:, 1])
+        k = np.maximum(1, np.round(m * lengths / lengths.sum()).astype(int))
+        t = (np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)) / np.repeat(k, k)  # j / k on each edge
+        return np.repeat(p, k, axis=0) + t[:, None] * np.repeat(d, k, axis=0)
 
     def bounding_box(self):
         if self.kind == "disk":

@@ -46,21 +46,28 @@ def seg_points_distance(a, b, pts) -> np.ndarray:
     return np.hypot(wx - t * dx, wy - t * dy)
 
 
-_PAIRS = 1 << 14  # point-segment pairs per block of nearest_segment_distance
+_PAIRS = 1 << 14  # pairs per block of every table that _reduce_pairs builds
+
+
+def _reduce_pairs(table, rows: int, cols: int, op, start) -> np.ndarray:
+    """op.reduce along the columns of a rows x cols table built in blocks of at
+    most _PAIRS pairs (all columns at once when they fit): table(i, j) is the
+    block at row slice i and column slice j, and start is op's identity."""
+    out = np.full(rows, start)
+    width = max(1, min(cols, _PAIRS))
+    height = max(1, _PAIRS // width)
+    for j in range(0, cols, width):
+        for i in range(0, rows, height):
+            r, c = slice(i, i + height), slice(j, j + width)
+            op(out[r], op.reduce(table(r, c), axis=1), out=out[r])
+    return out
 
 
 def nearest_segment_distance(a, b, pts) -> np.ndarray:
-    """Distance from each row of pts to the nearest segment a[k] b[k], in
-    blocks of at most _PAIRS point-segment pairs."""
+    """Distance from each row of pts to the nearest segment a[k] b[k]."""
     a, b, pts = (np.asarray(v, float).reshape(-1, 2) for v in (a, b, pts))
-    cols = max(1, min(len(a), _PAIRS))
-    rows = _PAIRS // cols
-    out = np.full(len(pts), np.inf)
-    for j in range(0, len(a), cols):
-        for i in range(0, len(pts), rows):
-            near = seg_points_distance(a[j:j + cols], b[j:j + cols], pts[i:i + rows, None]).min(axis=1)
-            np.minimum(out[i:i + rows], near, out=out[i:i + rows])
-    return out
+    return _reduce_pairs(lambda i, j: seg_points_distance(a[j], b[j], pts[i, None]),
+                         len(pts), len(a), np.minimum, np.inf)
 
 
 def segments_intersect(a, b, c, d, include_endpoints: bool = True):
@@ -100,14 +107,11 @@ def incircle(a, b, c):
 
 
 def max_distance(points: np.ndarray) -> float:
-    """Largest distance between two of the points, over all pairs (64 rows
-    of the distance matrix at a time, which stay in cache)."""
+    """Largest distance between two of the points, over all pairs."""
     x, y = np.asarray(points, float).reshape(-1, 2).T
-    d2 = 0.0
-    for i in range(0, len(x), 64):
-        dx, dy = x[i:i + 64, None] - x, y[i:i + 64, None] - y
-        d2 = max(d2, float((dx * dx + dy * dy).max()))
-    return float(np.sqrt(d2))
+    d2 = _reduce_pairs(lambda i, j: (x[i, None] - x[j]) ** 2 + (y[i, None] - y[j]) ** 2,
+                       len(x), len(x), np.maximum, 0.0)
+    return float(np.sqrt(d2.max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

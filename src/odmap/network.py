@@ -567,12 +567,14 @@ class _AliasTable:
         return self.col[np.where(x < self.cut[slot], slot, self.alias[slot])]
 
 
-def _leap_table(P: sp.csr_matrix, max_steps: int):
-    """(alias table of P^k, k), k doubled by squaring while 2k <= max_steps
-    and the square's structural nnz bound (the summed lengths of the rows
-    that the slots point to) is at most ``_LEAP_CAP`` nnz(P)."""
+def _leap_table(P: sp.csr_matrix, inner: np.ndarray, max_steps: int):
+    """(alias table of P^k, k), k doubled by squaring while 2k <= max_steps,
+    some ``inner`` row of P^k keeps more than float eps of its mass on the
+    inner vertices, and the square's structural nnz bound (the summed lengths
+    of the rows that the slots point to) is at most ``_LEAP_CAP`` nnz(P)."""
     Q, k = P, 1
-    while 2 * k <= max_steps and np.diff(Q.indptr)[Q.indices].sum() <= _LEAP_CAP * P.nnz:
+    while (2 * k <= max_steps and (Q @ inner)[inner].max() > np.finfo(float).eps
+           and np.diff(Q.indptr)[Q.indices].sum() <= _LEAP_CAP * P.nnz):
         Q, k = Q @ Q, 2 * k
     return _AliasTable(Q), k
 
@@ -588,10 +590,10 @@ def random_walk_exit_measure(problem: DirichletProblem, start,
     reaches the boundary within ``max_steps`` steps.  The walks leap k steps
     at a time through the alias tables of P^k, P the transition matrix with
     an absorbing boundary, so the exit law is that of single steps; k
-    doubles by squaring while 2k <= max_steps and the square's size bound
-    stays within a fixed multiple of nnz(P) (a hub of high degree keeps
-    k = 1).  Steps after the last whole leap are taken on P.  Returns
-    {boundary label: probability}.
+    doubles by squaring while 2k <= max_steps, walks may outlast k steps and
+    the square's size bound stays within a fixed multiple of nnz(P) (a hub
+    of high degree keeps k = 1).  Steps after the last whole leap are taken
+    on P.  Returns {boundary label: probability}.
     """
     if n_samples is not None and n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -614,7 +616,7 @@ def random_walk_exit_measure(problem: DirichletProblem, start,
     if not net.is_connected:
         raise DisconnectedNetworkError("exit measure requires a connected network")
     P = _stopped_chain(net, is_boundary)
-    table, k = _leap_table(P, max_steps)
+    table, k = _leap_table(P, ~is_boundary, max_steps)
     rng = np.random.default_rng(seed)
     exits = [np.empty(0, int)]
     at = np.full(n_samples, s)

@@ -141,7 +141,7 @@ def test_boundary_walk_alternates(grid16_square):
     assert all(pm[a] != pm[b] for a, b in zip(walk, np.roll(walk, -1)))
     # edges bordering exactly one face are exactly the walk edges
     walk_edges = {(min(a, b), max(a, b)) for a, b in zip(walk, np.roll(walk, -1))}
-    assert walk_edges == set(grid16_square.boundary_edges)
+    assert walk_edges == set(map(tuple, grid16_square.edges[grid16_square.edge_face_count == 1].tolist()))
 
 
 def test_single_quad_all_boundary():
@@ -184,7 +184,7 @@ def test_augmented_diamond(diamond):
     aug = odmap.augmented_duals(diamond)
     k = 4  # boundary dual vertices
     assert aug.primal.n_edges == diamond.n_faces + k
-    new = aug.dual_pairs[aug.augmented_edge_indices]
+    new = aug.dual_pairs[aug.n_core_edges:]
     assert np.all(new[:, 1] == AugmentedDuals.APEX)
     # the new primal edges form the square on the outer primal vertices
     sq = {(min(t, h), max(t, h))
@@ -196,7 +196,7 @@ def test_augmented_diamond(diamond):
 def test_augmented_counts(grid16_square):
     aug = odmap.augmented_duals(grid16_square)
     _, bd = grid16_square.boundary_vertices()
-    assert len(aug.augmented_edge_indices) == len(bd)
+    assert len(aug.dual_pairs) - aug.n_core_edges == len(bd)
 
 
 def test_augmented_edges_hug_their_dual_vertex(grid16_square):

@@ -202,7 +202,7 @@ def test_augmented_dual_endpoint_norms_match_pair_loop(grid32_centered):
                 for pair in aug.dual_pairs]
         lo, hi = _dual_endpoint_norms(aug, center)
         assert lo.tolist() == [min(e) for e in ends] and hi.tolist() == [max(e) for e in ends]
-        assert np.isinf(hi).sum() == len(aug.augmented_edge_indices) > 0
+        assert np.isinf(hi).sum() == len(aug.dual_pairs) - aug.n_core_edges > 0
 
 
 def test_rho_edges_strict_convention(diamond):

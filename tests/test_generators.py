@@ -47,7 +47,7 @@ def test_rotated_grid_n2_is_single_diamond():
 def test_rotated_grid_boundary_walk_counts():
     # the boundary walk covers exactly the edges bordering one face
     m = rotated_grid("square", 8)
-    assert len(m.boundary_walk) == len(m.boundary_edges)
+    assert len(m.boundary_walk) == np.count_nonzero(m.edge_face_count == 1)
     m2 = rotated_grid("square", 4)
     assert len(m2.boundary_walk) < len(m.boundary_walk)
 
@@ -146,7 +146,7 @@ def test_clip_respects_buffer():
     for block in out:
         assert odmap.validate(block).passed
         for i in range(block.n_faces):
-            assert disk.face_distance(block.face_polygon(i)) >= b - 1e-12
+            assert disk.face_distance(block.positions[block.faces[i]]) >= b - 1e-12
     # retained face sets are subsets with unchanged conductances
     total = sum(bl.n_faces for bl in out)
     assert total <= m.n_faces
@@ -403,8 +403,9 @@ def test_rect_nonuniform_matches_per_cell_loop(seed, p, q):
 
 
 def _clip_oracle(omap, domain, buffer):
-    keep = [i for i in range(omap.n_faces) if domain.face_inside(omap.face_polygon(i))
-            and not (buffer > 0 and domain.face_distance(omap.face_polygon(i)) < buffer)]
+    quads = omap.positions[omap.faces]
+    keep = [i for i in range(omap.n_faces) if domain.face_inside(quads[i])
+            and not (buffer > 0 and domain.face_distance(quads[i]) < buffer)]
     return odmap.blocks(omap.submap(keep)) if keep else []
 
 
@@ -453,6 +454,11 @@ def _star_domain(rng, corners):
     return DomainSpec("polygon", polygon=np.column_stack([radius * np.cos(angle), radius * np.sin(angle)]))
 
 
+def _edges(domain):
+    """The polygon's edges as (start, end) pairs, one at a time."""
+    return zip(domain.polygon, np.roll(domain.polygon, -1, axis=0))
+
+
 def _face_inside_loop(domain, quads, tol=1e-12):
     """Corner containment, then one quad side against one polygon edge at a
     time (the oracle for polygon DomainSpec.face_inside)."""
@@ -461,19 +467,27 @@ def _face_inside_loop(domain, quads, tol=1e-12):
         inside = bool(domain.contains(q, tol).all())
         if inside:
             inside = not any(segments_intersect_scalar(a, b, q[i], q[(i + 1) % 4], include_endpoints=False)
-                             for a, b in domain.boundary_segments() for i in range(4))
+                             for a, b in _edges(domain) for i in range(4))
         out.append(inside)
     return out
 
 
-@given(seed=st.integers(0, 10_000), corners=st.integers(3, 12))
-@example(seed=0, corners=0)  # corners=0: the notched hexagon
+PAIRS = st.sampled_from([1, 7, 64, 1 << 15])  # block sizes patched into geometry._PAIRS
+
+
+@given(seed=st.integers(0, 10_000), corners=st.integers(3, 12), pairs=PAIRS)
+@example(seed=0, corners=0, pairs=1 << 15)  # corners=0: the notched hexagon
 @settings(max_examples=20, deadline=None)
-def test_polygon_face_inside_matches_edge_loop(seed, corners):
+def test_polygon_face_inside_matches_edge_loop(seed, corners, pairs):
+    from odmap import geometry
+
     domain = _star_domain(np.random.default_rng(seed), corners) if corners else NOTCHED
     base = perturbed(rotated_grid("square", 12), 0.3, seed=seed)
     quads = 2.4 * (base.positions[base.faces] - 0.5)
-    assert domain.face_inside(quads).tolist() == _face_inside_loop(domain, quads)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_PAIRS", pairs)
+        got = domain.face_inside(quads)
+    assert got.tolist() == _face_inside_loop(domain, quads)
 
 
 def test_notched_grid_face_inside_matches_edge_loop():
@@ -485,6 +499,18 @@ def test_notched_grid_face_inside_matches_edge_loop():
     assert flags.tolist() == _face_inside_loop(NOTCHED, quads)
     assert 0 < flags.sum() < len(quads)
     assert NOTCHED.face_inside(quads[0]) is bool(flags[0])
+
+
+def test_face_tests_see_a_slot_between_the_corners():
+    """A slot reaches the middle of a square quad through one side: the
+    corners are inside and half a side from the boundary, yet the quad
+    crosses it (not inside) and meets it (distance 0), as the loops say."""
+    w = 0.01
+    slot = DomainSpec("polygon", [[-3, -3], [3, -3], [3, -w], [0, -w], [0, w], [3, w], [3, 3], [-3, 3]])
+    quads = np.array([[[1, -1], [1, 1], [-1, 1], [-1, -1]], [[1.5, -1], [2.5, -1], [2.5, -0.5], [1.5, -0.5]]], float)
+    assert slot.face_inside(quads).tolist() == _face_inside_loop(slot, quads) == [False, True]
+    got = slot.face_distance(quads)
+    assert got.tolist() == _face_distance_loop(slot, quads) and got[0] == 0.0 < got[1]
 
 
 def seg_seg_distance_scalar(a, b, c, d):
@@ -502,15 +528,17 @@ def _face_distance_loop(domain, quads):
     if domain.kind == "disk":
         return [float(1.0 - np.hypot(q[:, 0], q[:, 1]).max()) for q in quads]
     return [min(seg_seg_distance_scalar(a, b, q[i], q[(i + 1) % 4])
-                for a, b in domain.boundary_segments() for i in range(4)) for q in quads]
+                for a, b in _edges(domain) for i in range(4)) for q in quads]
 
 
-@given(seed=st.integers(0, 10_000), corners=st.integers(3, 12))
-@example(seed=0, corners=0)  # the notched hexagon
-@example(seed=0, corners=1)  # the unit square
-@example(seed=0, corners=2)  # the unit disk
+@given(seed=st.integers(0, 10_000), corners=st.integers(3, 12), pairs=PAIRS)
+@example(seed=0, corners=0, pairs=1 << 15)  # the notched hexagon
+@example(seed=0, corners=1, pairs=7)  # the unit square
+@example(seed=0, corners=2, pairs=1 << 15)  # the unit disk
 @settings(max_examples=20, deadline=None)
-def test_face_distance_broadcasts_like_edge_loop(seed, corners):
+def test_face_distance_broadcasts_like_edge_loop(seed, corners, pairs):
+    from odmap import geometry
+
     fixed = {0: NOTCHED, 1: odmap.unit_square(), 2: odmap.unit_disk()}
     domain = fixed[corners] if corners in fixed else _star_domain(np.random.default_rng(seed), corners)
     base = perturbed(rotated_grid("square", 12), 0.3, seed=seed)
@@ -519,12 +547,34 @@ def test_face_distance_broadcasts_like_edge_loop(seed, corners):
     quads = 2.4 * (base.positions[base.faces] - 0.5)
     quads = quads[:2 * (len(quads) // 2)]
     want = _face_distance_loop(domain, quads)
-    got = domain.face_distance(quads)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_PAIRS", pairs)
+        got = domain.face_distance(quads)
     assert got.shape == (len(quads),) and got.tolist() == want
     assert domain.face_distance(quads.reshape(2, -1, 4, 2)).ravel().tolist() == want
     single = [domain.face_distance(q) for q in quads]
     assert all(type(v) is float for v in single) and single == want
     assert (got[domain.face_inside(quads)] >= 0).all()
+
+
+@pytest.mark.parametrize("method", ["face_inside", "face_distance"])
+def test_polygon_face_tests_run_in_bounded_memory(method):
+    """The boundary polygon of the 32-grid disk, scaled by 1.05 (180 edges),
+    against that map's 1,509 quads: the pair tables are built in blocks, so
+    the peak stays at a few MiB, where the edges x quads x sides tables built
+    whole take 8.3 MiB each and 58-77 MiB in all."""
+    import tracemalloc
+
+    m = rotated_grid("disk", 32)
+    domain = DomainSpec("polygon", 1.05 * m.positions[m.boundary_walk])
+    quads = m.positions[m.faces]
+    tracemalloc.start()
+    try:
+        getattr(domain, method)(quads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_diam_of_a_many_sided_polygon_is_the_largest_pairwise_distance():
@@ -586,12 +636,15 @@ def _inside_at_extreme_vertices(poly):
     return np.array(pts)
 
 
-@given(seed=st.integers(0, 10_000), corners=st.integers(3, 12), tol=st.sampled_from([1e-12, 1e-3]))
-@example(seed=0, corners=0, tol=1e-12)  # corners=0: the notched hexagon
-@example(seed=51, corners=3, tol=1e-12)  # slivers that none of the 300 box samples hit
-@example(seed=4688, corners=3, tol=1e-12)
+@given(seed=st.integers(0, 10_000), corners=st.integers(3, 12), tol=st.sampled_from([1e-12, 1e-3]),
+       pairs=PAIRS)
+@example(seed=0, corners=0, tol=1e-12, pairs=1 << 15)  # corners=0: the notched hexagon
+@example(seed=51, corners=3, tol=1e-12, pairs=1 << 15)  # slivers that none of the 300 box samples hit
+@example(seed=4688, corners=3, tol=1e-12, pairs=7)
 @settings(max_examples=40, deadline=None)
-def test_polygon_contains_matches_point_loop(seed, corners, tol):
+def test_polygon_contains_matches_point_loop(seed, corners, tol, pairs):
+    from odmap import geometry
+
     rng = np.random.default_rng(seed)
     domain = _star_domain(rng, corners) if corners else NOTCHED
     poly = domain.polygon
@@ -601,7 +654,9 @@ def test_polygon_contains_matches_point_loop(seed, corners, tol):
     pts = np.vstack([rng.uniform(lo, hi, (300, 2)), poly, on_edges,
                      on_edges + rng.normal(0.0, tol, (60, 2)), _inside_at_extreme_vertices(poly),
                      lo, hi])
-    got = domain.contains(pts, tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_PAIRS", pairs)
+        got = domain.contains(pts, tol)
     assert np.array_equal(got, _contains_point_loop(domain, pts, tol))
     # polygon and edge points, and the four extreme-vertex points, are
     # inside; the corners of the sampling box are outside
@@ -625,7 +680,7 @@ def _hausdorff_delta_loop(omap, domain, samples):
     if domain.kind == "disk":
         d2 = domain.dist_to_boundary(pts)
     else:
-        d2 = np.min([seg_points_distance(a, b, pts) for a, b in domain.boundary_segments()], axis=0)
+        d2 = np.min([seg_points_distance(a, b, pts) for a, b in _edges(domain)], axis=0)
     return float(max(d1.max(), d2.max()))
 
 

@@ -795,7 +795,7 @@ def test_alias_table_reconstructs_leap_matrix(seed, hub, extra, log_range, integ
     is_boundary[boundary] = True
     P = _stopped_chain(net, is_boundary)
     nnz_p = P.nnz
-    table, k = _leap_table(P, max_steps)
+    table, k = _leap_table(P, ~is_boundary, max_steps)
     assert k <= max_steps
     if absorb == "few":
         assert k == 1
@@ -812,6 +812,17 @@ def test_alias_table_reconstructs_leap_matrix(seed, hub, extra, log_range, integ
     np.add.at(got, (row, table.col[table.alias]), (1.0 - keep) / length[row])
     want = np.linalg.matrix_power(_dense_stopped_chain(net, boundary), k)
     assert np.abs(got - want).max() <= 1e-12
+
+
+def test_leap_table_stops_once_walks_have_left(diamond):
+    """Squaring stops once every interior row of P^k keeps at most float eps
+    of its mass inside: on the diamond one step from the hub exits, so k = 1
+    at the default max_steps; on a disk grid the size cap sets k = 2."""
+    for omap, k_want in ((diamond, 1), (odmap.rotated_grid("disk", 32), 2)):
+        net = omap.primal_network()
+        is_boundary = np.zeros(net.n_vertices, bool)
+        is_boundary[net.indices_of(omap.boundary_vertices()[0])] = True
+        assert _leap_table(_stopped_chain(net, is_boundary), ~is_boundary, 10_000_000)[1] == k_want
 
 
 def test_label_lookup():
