@@ -383,23 +383,23 @@ def exit_measure_vs_arcs(omap: OrthodiagonalMap, start: int, k: int = 16,
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     net = omap.primal_network()
-    bdry, _ = omap.boundary_vertices()
-    problem = DirichletProblem(net, {int(v): 0.0 for v in bdry})
-    mu = random_walk_exit_measure(problem, start, n_samples=n_samples, seed=seed)
-
     pos = omap.positions
     c = np.asarray(center, float)
-    d = pos[np.fromiter(mu, int, len(mu))] - c
-    ang = np.arctan2(d[:, 1], d[:, 0]) % (2 * np.pi)
-    # bincount adds the weights in mu's order, as the sum per arc did
-    arc = np.bincount((ang / (2 * np.pi / k)).astype(int) % k,
-                      weights=np.fromiter(mu.values(), float, len(mu)), minlength=k)
-
-    z = pos[start] - c
+    # the reference first: a start outside the disk raises before any walk
+    z = pos[net.labels[net.index_of(start)]] - c
     r = float(np.hypot(*z))
     if r < 1e-12:
         ref = np.full(k, 1.0 / k)
     else:
         ref = poisson_arc_masses(r, float(np.arctan2(z[1], z[0])), k)
+
+    bdry, _ = omap.boundary_vertices()
+    problem = DirichletProblem(net, {int(v): 0.0 for v in bdry})
+    mu = random_walk_exit_measure(problem, start, n_samples=n_samples, seed=seed)
+    d = pos[np.fromiter(mu, int, len(mu))] - c
+    ang = np.arctan2(d[:, 1], d[:, 0]) % (2 * np.pi)
+    # bincount adds the weights in mu's order, as the sum per arc did
+    arc = np.bincount((ang / (2 * np.pi / k)).astype(int) % k,
+                      weights=np.fromiter(mu.values(), float, len(mu)), minlength=k)
     tv = 0.5 * float(np.abs(arc - ref).sum())
     return {"tv": tv, "arcs": arc, "reference": ref, "exit_measure": mu}

@@ -485,7 +485,7 @@ def star_cycle_decomposition(network: Network, theta: EdgeField):
 # exit measure of the weighted random walk
 
 
-_LEAP_CAP = 8  # nnz(P^k) may grow to this many times nnz(P)
+_LEAP_CAP = 24  # caps a square's structural nnz bound, in nnz(P): grids reach k = 4
 _ALIAS_BLOCK = 2 ** 14  # slots per block of rows in an alias-table build
 
 
@@ -591,9 +591,11 @@ def random_walk_exit_measure(problem: DirichletProblem, start,
     at a time through the alias tables of P^k, P the transition matrix with
     an absorbing boundary, so the exit law is that of single steps; k
     doubles by squaring while 2k <= max_steps, walks may outlast k steps and
-    the square's size bound stays within a fixed multiple of nnz(P) (a hub
-    of high degree keeps k = 1).  Steps after the last whole leap are taken
-    on P.  Returns {boundary label: probability}.
+    the square's size bound stays within a fixed multiple of nnz(P) (k = 4
+    on grids; a hub of high degree keeps k = 1).  A loop pass takes one draw
+    for up to 64 leaps, never past max_steps, then drops the exited walks,
+    which stay put meanwhile.  Steps after the last whole leap are taken on
+    P.  Returns {boundary label: probability}.
     """
     if n_samples is not None and n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -624,12 +626,15 @@ def random_walk_exit_measure(problem: DirichletProblem, start,
     while at.size and steps < max_steps:
         if steps + k > max_steps:  # only when k > 1, so P is still whole
             table, k = _AliasTable(P), 1
-        at = table.step(at, rng.random(at.size))
+        # at most 2^14 draws a pass; exited walks stay put on the absorbing boundary
+        r = min(64, max(1, 2 ** 14 // at.size), (max_steps - steps) // k)
+        for u in rng.random((r, at.size)):
+            at = table.step(at, u)
         done = is_boundary[at]
         if np.count_nonzero(done):
             exits.append(at[done])
             at = at[~done]
-        steps += k
+        steps += r * k
     counts = np.bincount(np.concatenate(exits), minlength=net.n_vertices)
     total = int(counts.sum())
     if not total:

@@ -5,6 +5,8 @@ import pytest
 import odmap
 from odmap.cli import main
 
+from conftest import central_primal_vertex
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -170,6 +172,18 @@ def test_exitmeasure_cli_rejects_zero_samples(tmp_path, capsys):
         assert run(["exitmeasure", "--map", map_path, option, value, "-o", tmp_path / "x.json"]) == 1
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert diag["error"] == "ValueError" and message in diag["detail"]
+
+
+def test_exitmeasure_cli_rejects_start_outside_disk(tmp_path, capsys):
+    map_path = tmp_path / "map.json"
+    m = odmap.rotated_grid("square", 32)
+    m.to_json(map_path)
+    start = central_primal_vertex(m, target=(0.94, 0.91))  # at r = 1.30
+    assert run(["exitmeasure", "--map", map_path, "--start", start, "--samples", 2000,
+                "-o", tmp_path / "x.json"]) == 1
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag == {"error": "GeometryError", "detail": "evaluation point must be inside the disk"}
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_flow_cli_random_path_runs_between_the_cones(tmp_path):

@@ -417,6 +417,28 @@ def test_exit_measure_sampled_mode(diamond):
     assert out["tv"] <= 0.05
 
 
+def test_exit_measure_start_outside_disk_raises_before_walking(monkeypatch):
+    """A start at r >= 1 from the centre is rejected before the exit measure
+    runs: on the 32-grid square a vertex at r = 1.30 raises GeometryError and
+    no walk is drawn, in either mode."""
+    m = odmap.rotated_grid("square", 32)
+    start = central_primal_vertex(m, target=(0.94, 0.91))
+    assert np.hypot(*m.positions[start]) > 1.3
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the exit measure ran")
+
+    monkeypatch.setattr(odmap.dirichlet, "random_walk_exit_measure", no_walk)
+    for n_samples in (None, 2000):
+        with pytest.raises(odmap.GeometryError, match="inside the disk"):
+            exit_measure_vs_arcs(m, start, n_samples=n_samples, seed=1)
+        with pytest.raises(odmap.GeometryError, match="inside the disk"):
+            exit_measure_vs_arcs(m, central_primal_vertex(m), n_samples=n_samples, seed=1,
+                                 center=(1.0, 1.0))
+    with pytest.raises(KeyError):
+        exit_measure_vs_arcs(m, -1)  # not a primal vertex: the network's error
+
+
 @pytest.mark.parametrize("k", [3, 8, 16])
 def test_exit_measure_arcs_match_per_label_loop(k):
     m = odmap.rotated_grid("disk", 24)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -686,13 +687,15 @@ def _dense_stopped_chain(net, boundary):
     return P
 
 
-@pytest.mark.parametrize("max_steps", range(6))
+@pytest.mark.parametrize("max_steps", [0, 1, 2, 3, 4, 5, 7, 9, 33])
 def test_sampled_exit_measure_max_steps_is_exact(diamond, max_steps):
-    """max_steps counts single steps whatever the leap length k: the walks
-    still out after it match the chance of surviving exactly max_steps steps
-    (5 sigma), a walk that exits at step max_steps counts, and the two
-    errors keep their messages.  Starts at distance 1 to 4 from the
-    boundary of an 8-grid, and the diamond with one absorbing leaf."""
+    """max_steps counts single steps whatever the leap length k and the
+    leaps per loop pass: the walks still out after it match the chance of
+    surviving exactly max_steps steps (5 sigma), a walk that exits at step
+    max_steps counts, and the two errors keep their messages.  Starts at
+    distance 1 to 4 from the boundary of an 8-grid, and the diamond with one
+    absorbing leaf.  On the grid k = 4 and 4000 walks start at four leaps a
+    pass, so 7, 9 and 33 end partway through a pass and off a multiple of k."""
     n = 4000
     grid = grid_network(8)
     cases = [(DirichletProblem(diamond.primal_network(), {1: 0.0}), 0)]
@@ -817,12 +820,34 @@ def test_alias_table_reconstructs_leap_matrix(seed, hub, extra, log_range, integ
 def test_leap_table_stops_once_walks_have_left(diamond):
     """Squaring stops once every interior row of P^k keeps at most float eps
     of its mass inside: on the diamond one step from the hub exits, so k = 1
-    at the default max_steps; on a disk grid the size cap sets k = 2."""
-    for omap, k_want in ((diamond, 1), (odmap.rotated_grid("disk", 32), 2)):
+    at the default max_steps; on a disk grid the size cap sets k = 4, and
+    the table of P^4 holds at most 8 nnz(P) slots (about 6)."""
+    for omap, k_want in ((diamond, 1), (odmap.rotated_grid("disk", 32), 4)):
         net = omap.primal_network()
         is_boundary = np.zeros(net.n_vertices, bool)
         is_boundary[net.indices_of(omap.boundary_vertices()[0])] = True
-        assert _leap_table(_stopped_chain(net, is_boundary), ~is_boundary, 10_000_000)[1] == k_want
+        P = _stopped_chain(net, is_boundary)
+        table, k = _leap_table(P, ~is_boundary, 10_000_000)
+        assert k == k_want
+        assert table.cut.size <= 8 * P.nnz
+
+
+def test_sampled_exit_measure_runs_in_bounded_memory():
+    """1000 walks from the centre of the 64-grid disk peak under 8 MiB in
+    tracemalloc, leap table included (about 3 MiB with k = 4), so the cap
+    on P^k keeps the table from growing with k."""
+    m = odmap.rotated_grid("disk", 64)
+    interior, _ = m.interior_vertices()
+    center = int(interior[np.argmin(np.hypot(*m.positions[interior].T))])
+    prob = DirichletProblem(m.primal_network(), {int(v): 0.0 for v in m.boundary_vertices()[0]})
+    tracemalloc.start()
+    try:
+        mu = random_walk_exit_measure(prob, center, n_samples=1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(mu.values()) == pytest.approx(1.0)
+    assert peak < 8 * 2 ** 20
 
 
 def test_label_lookup():
