@@ -1,9 +1,10 @@
 """Dirichlet solver on the canonical primal network, discrete-vs-continuous
 energy comparisons, and the convergence sweep harness.
 
-Ground truth comes from a catalog of entire harmonic functions with closed
-form gradients, Hessians, and harmonic conjugates, so the continuous
-solution is exact and every measured error is purely discretization error.
+Ground truth comes from a catalog of harmonic functions f = Re F for entire
+F, whose gradients, Hessians and harmonic conjugates follow from F' and F''
+by Cauchy-Riemann, so the continuous solution is exact and every measured
+error is purely discretization error.
 The universal constants of the convergence theorem are never asserted; the
 harness reports the empirical ratio of the measured error to the theorem's
 shape and only checks that it stays bounded.
@@ -34,122 +35,67 @@ from .network import (
 # catalog of harmonic test functions
 
 
+def _complex(pts):
+    """(N, 2) points (or one (2,) point) as N complex numbers x + iy."""
+    return np.ascontiguousarray(np.atleast_2d(np.asarray(pts, float))).view(complex)[:, 0]
+
+
 @dataclass
 class TestFunction:
-    """Entire harmonic function with analytic derivative data.
+    """f = Re F for an entire function F, given with F' and F''.
 
-    sup_grad/sup_hess return sup |grad| and sup ||Hess||_2 over an axis
-    aligned box (lo, hi); the catalog entries all have monotone closed forms
-    attained at box corners.
+    F, dF and d2F map complex arrays to complex arrays.  Cauchy-Riemann
+    gives the rest: the harmonic conjugate is Im F, grad f = (Re F', -Im F')
+    and Hess f = [[Re F'', -Im F''], [-Im F'', -Re F'']], whose 2-norm is
+    |F''|.  sup_grad/sup_hess return the max of |F'| and |F''| over the four
+    corners of the axis-aligned box (lo, hi); that is the sup over the box
+    only when |F'| and |F''| peak at a corner of every box, the condition a
+    catalog entry must meet (true of c z^k, whose modulus grows with |z|, and
+    of c exp(z), whose modulus grows with x).
     """
 
     name: str
-    f: callable
-    grad: callable
-    hess: callable
-    conjugate: callable
-    sup_grad: callable
-    sup_hess: callable
+    F: callable
+    dF: callable
+    d2F: callable
 
     def __call__(self, pts):
-        return self.f(np.atleast_2d(np.asarray(pts, float)))
+        return self.F(_complex(pts)).real
+
+    f = __call__
+
+    def conjugate(self, pts):
+        return self.F(_complex(pts)).imag
+
+    def grad(self, pts):
+        d = self.dF(_complex(pts))
+        return np.column_stack([d.real, -d.imag])
+
+    def hess(self, pts):
+        s = self.d2F(_complex(pts))
+        return np.stack([s.real, -s.imag, -s.imag, -s.real], axis=1).reshape(-1, 2, 2)
+
+    def sup_grad(self, lo, hi):
+        return _corner_max(self.dF, lo, hi)
+
+    def sup_hess(self, lo, hi):
+        return _corner_max(self.d2F, lo, hi)
 
 
-def _box_absmax(lo, hi):
-    mx = np.maximum(np.abs(lo), np.abs(hi))
-    return float(mx[0]), float(mx[1])
+def _corner_max(g, lo, hi):
+    (x0, y0), (x1, y1) = lo, hi
+    return float(np.abs(g(np.array([x0 + 1j * y0, x0 + 1j * y1, x1 + 1j * y0, x1 + 1j * y1]))).max())
 
 
-def _catalog() -> dict:
-    cat = {}
-
-    def add(name, f, grad, hess, conj, sup_grad, sup_hess):
-        cat[name] = TestFunction(name, f, grad, hess, conj, sup_grad, sup_hess)
-
-    add(
-        "coord_x",
-        lambda p: p[:, 0],
-        lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))]),
-        lambda p: np.zeros((len(p), 2, 2)),
-        lambda p: p[:, 1],
-        lambda lo, hi: 1.0,
-        lambda lo, hi: 0.0,
-    )
-    add(
-        "coord_y",
-        lambda p: p[:, 1],
-        lambda p: np.column_stack([np.zeros(len(p)), np.ones(len(p))]),
-        lambda p: np.zeros((len(p), 2, 2)),
-        lambda p: -p[:, 0],
-        lambda lo, hi: 1.0,
-        lambda lo, hi: 0.0,
-    )
-    add(
-        "xy",
-        lambda p: p[:, 0] * p[:, 1],
-        lambda p: np.column_stack([p[:, 1], p[:, 0]]),
-        lambda p: np.broadcast_to(np.array([[0.0, 1.0], [1.0, 0.0]]), (len(p), 2, 2)).copy(),
-        lambda p: 0.5 * (p[:, 1] ** 2 - p[:, 0] ** 2),
-        lambda lo, hi: float(np.hypot(*_box_absmax(lo, hi))),
-        lambda lo, hi: 1.0,
-    )
-    add(
-        "x2_minus_y2",
-        lambda p: p[:, 0] ** 2 - p[:, 1] ** 2,
-        lambda p: np.column_stack([2 * p[:, 0], -2 * p[:, 1]]),
-        lambda p: np.broadcast_to(np.array([[2.0, 0.0], [0.0, -2.0]]), (len(p), 2, 2)).copy(),
-        lambda p: 2 * p[:, 0] * p[:, 1],
-        lambda lo, hi: 2.0 * float(np.hypot(*_box_absmax(lo, hi))),
-        lambda lo, hi: 2.0,
-    )
-
-    def _re_z3(p):
-        return p[:, 0] ** 3 - 3 * p[:, 0] * p[:, 1] ** 2
-
-    def _im_z3(p):
-        return 3 * p[:, 0] ** 2 * p[:, 1] - p[:, 1] ** 3
-
-    add(
-        "re_z3",
-        _re_z3,
-        lambda p: np.column_stack([3 * (p[:, 0] ** 2 - p[:, 1] ** 2), -6 * p[:, 0] * p[:, 1]]),
-        lambda p: np.stack([
-            np.stack([6 * p[:, 0], -6 * p[:, 1]], axis=1),
-            np.stack([-6 * p[:, 1], -6 * p[:, 0]], axis=1),
-        ], axis=1),
-        _im_z3,
-        lambda lo, hi: 3.0 * (_box_absmax(lo, hi)[0] ** 2 + _box_absmax(lo, hi)[1] ** 2),
-        lambda lo, hi: 6.0 * float(np.hypot(*_box_absmax(lo, hi))),
-    )
-    add(
-        "im_z3",
-        _im_z3,
-        lambda p: np.column_stack([6 * p[:, 0] * p[:, 1], 3 * (p[:, 0] ** 2 - p[:, 1] ** 2)]),
-        lambda p: np.stack([
-            np.stack([6 * p[:, 1], 6 * p[:, 0]], axis=1),
-            np.stack([6 * p[:, 0], -6 * p[:, 1]], axis=1),
-        ], axis=1),
-        lambda p: -_re_z3(p),
-        lambda lo, hi: 3.0 * (_box_absmax(lo, hi)[0] ** 2 + _box_absmax(lo, hi)[1] ** 2),
-        lambda lo, hi: 6.0 * float(np.hypot(*_box_absmax(lo, hi))),
-    )
-    add(
-        "exp_x_cos_y",
-        lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1]),
-        lambda p: np.column_stack([np.exp(p[:, 0]) * np.cos(p[:, 1]),
-                                   -np.exp(p[:, 0]) * np.sin(p[:, 1])]),
-        lambda p: np.stack([
-            np.stack([np.exp(p[:, 0]) * np.cos(p[:, 1]), -np.exp(p[:, 0]) * np.sin(p[:, 1])], axis=1),
-            np.stack([-np.exp(p[:, 0]) * np.sin(p[:, 1]), -np.exp(p[:, 0]) * np.cos(p[:, 1])], axis=1),
-        ], axis=1),
-        lambda p: np.exp(p[:, 0]) * np.sin(p[:, 1]),
-        lambda lo, hi: float(np.exp(hi[0])),
-        lambda lo, hi: float(np.exp(hi[0])),
-    )
-    return cat
-
-
-CATALOG = _catalog()
+CATALOG = {tf.name: tf for tf in (
+    TestFunction("coord_x", lambda z: z, np.ones_like, np.zeros_like),
+    TestFunction("coord_y", lambda z: -1j * z, lambda z: np.full_like(z, -1j), np.zeros_like),
+    TestFunction("xy", lambda z: -0.5j * z * z, lambda z: -1j * z, lambda z: np.full_like(z, -1j)),
+    TestFunction("x2_minus_y2", lambda z: z * z, lambda z: 2 * z, lambda z: np.full_like(z, 2)),
+    TestFunction("re_z3", lambda z: z * z * z, lambda z: 3 * z * z, lambda z: 6 * z),
+    TestFunction("im_z3", lambda z: -1j * z * z * z, lambda z: -3j * z * z, lambda z: -6j * z),
+    TestFunction("exp_x_cos_y", np.exp, np.exp, np.exp),
+)}
 
 
 def get_test_function(name: str) -> TestFunction:
@@ -306,8 +252,11 @@ def theorem_shape(omap: OrthodiagonalMap, domain: DomainSpec, tf: TestFunction,
     return diam * (c1 + c2 * eps) / float(np.sqrt(np.log(ratio)))
 
 
+_HAUSDORFF_SAMPLES = 2000  # the domain side's sampling error is at most perimeter / 2000
+
+
 def convergence_sweep(spec: GeneratorSpec, levels, tf: TestFunction,
-                      csv_path=None, hausdorff_samples: int = 2000) -> list:
+                      csv_path=None) -> list:
     """One SweepRecord per refinement level; failures yield error markers."""
     if len(levels) < 2:
         raise GeometryError("a sweep needs at least two levels")
@@ -318,7 +267,7 @@ def convergence_sweep(spec: GeneratorSpec, levels, tf: TestFunction,
             omap, domain = build_generator_level(spec, n)
             h_d = solve_dirichlet(omap, tf)
             eps = omap.mesh_size()
-            delta = hausdorff_delta(omap, domain, hausdorff_samples)
+            delta = hausdorff_delta(omap, domain, _HAUSDORFF_SAMPLES)
             sup = sup_error(omap, domain, tf, h_d=h_d)
             e_err, p52 = energy_convergence_check(omap, tf, h_d=h_d)
             pair = energy_pair_check(omap, tf)

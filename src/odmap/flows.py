@@ -284,7 +284,6 @@ def rho_path(aug: AugmentedDuals, rho: float, A, B_prime, center=(0.0, 0.0)) -> 
 
 def random_path_flow(omap: OrthodiagonalMap, S, T, r1: float, r2: float,
                      m: int = 32, center=(0.0, 0.0), seed: int | None = None,
-                     aug: AugmentedDuals | None = None,
                      relax_radius_hypothesis: bool = False) -> FlowReport:
     """Unit flow from S to T averaging indicator flows of rho-edge paths.
 
@@ -301,8 +300,7 @@ def random_path_flow(omap: OrthodiagonalMap, S, T, r1: float, r2: float,
         warnings.warn(msg)
     if m < 1:
         raise GeometryError("need at least one quadrature point")
-    if aug is None:
-        aug = augmented_duals(omap)
+    aug = augmented_duals(omap)
     net = omap.primal_network()
 
     if seed is None:

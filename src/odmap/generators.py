@@ -146,8 +146,7 @@ def _first_appearance(keys):
 # constraint-respecting perturbation
 
 
-def perturbed(base: OrthodiagonalMap, amplitude: float, seed: int = 0,
-              max_tries: int = 20) -> OrthodiagonalMap:
+def perturbed(base: OrthodiagonalMap, amplitude: float, seed: int = 0) -> OrthodiagonalMap:
     """Random orthogonality-preserving displacement of the dual vertices.
 
     Moving a dual vertex w is admissible only along directions orthogonal to
@@ -177,7 +176,7 @@ def perturbed(base: OrthodiagonalMap, amplitude: float, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     scale = float(amplitude)
-    for _ in range(max_tries):
+    for _ in range(20):
         g = rng.standard_normal(2 * nd)
         # project g onto null(A):  d = g - A^T (A A^T)^+ (A g)
         y, info = sparse_cg(AAt, A @ g, rtol=1e-13, atol=1e-14, maxiter=20 * len(f))

@@ -160,12 +160,12 @@ def gauss_triangle(n: int):
 _QUAD_POINTS = 1 << 14
 
 
-def integrate_over_quad(f, quad: np.ndarray, tol: float = 1e-10, n0: int = 4):
+def integrate_over_quad(f, quad: np.ndarray, tol: float = 1e-10):
     """Integrate f over orthodiagonal quads, doubling the rule until stable.
 
     A (4, 2) quad gives a float, an (..., 4, 2) stack one value per quad.
     Each quad is split along an interior diagonal and integrated with the
-    n x n Duffy-Gauss rule on both triangles for n = n0, 2 n0, ... until two
+    n x n Duffy-Gauss rule on both triangles for n = 4, 8, 16, ... until two
     orders agree to tol (1 + |val|) or n exceeds 64.  The quads still open
     share one cached rule per order; f maps (N, 2) points to N values and
     gets whole quads, at most _QUAD_POINTS points a call unless one quad
@@ -175,7 +175,7 @@ def integrate_over_quad(f, quad: np.ndarray, tol: float = 1e-10, n0: int = 4):
     tris = np.stack(split_quad(q), -3).reshape(-1, 2, 3, 2)
     val = np.full(len(tris), np.nan)
     todo = np.arange(len(val))
-    n = n0
+    n = 4
     while todo.size:
         ref, w = gauss_triangle(n)
         step = max(1, _QUAD_POINTS // (2 * len(w)))

@@ -426,20 +426,19 @@ def project_to_current(problem: DirichletProblem, f) -> EdgeField:
     return discrete_gradient(net, h)
 
 
-def sandwich_check(problem: DirichletProblem, f, theta: EdgeField,
-                   pre_tol: float = 1e-8):
+def sandwich_check(problem: DirichletProblem, f, theta: EdgeField):
     """Pythagoras split E(c df - c dh) + E(theta - c dh) = E(c df - theta).
 
     Preconditions (theta a flow on U, f matching the boundary data) are
-    verified and violations reported as exceptions.
+    verified to a relative 1e-8 and violations reported as exceptions.
     """
     net = problem.network
     vals = f.values if isinstance(f, VertexFunction) else np.asarray(f, float)
     div = theta.divergence()[problem.interior_idx]
     scale = 1.0 + float(np.abs(theta.values).max(initial=0.0))
-    if np.any(np.abs(div) > pre_tol * scale):
+    if np.any(np.abs(div) > 1e-8 * scale):
         raise ValueError("theta is not a flow on the interior set")
-    if np.any(np.abs(vals[problem.boundary_idx] - problem.boundary_vals) > pre_tol * (1 + np.abs(problem.boundary_vals))):
+    if np.any(np.abs(vals[problem.boundary_idx] - problem.boundary_vals) > 1e-8 * (1 + np.abs(problem.boundary_vals))):
         raise ValueError("f does not match the boundary data")
     h = harmonic_extension(problem)
     cdh = discrete_gradient(net, h)

@@ -42,7 +42,7 @@ from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
 from .core_map import OrthodiagonalMap, SideTable, side_table
-from .errors import PackingError, StructuralError
+from .errors import GeometryError, PackingError, StructuralError
 from .geometry import incircle, segments_intersect, signed_area
 from .network import edge_graph
 
@@ -139,11 +139,21 @@ class Triangulation:
 
 
 def triangulation_from_points(points: np.ndarray) -> Triangulation:
-    """Delaunay triangulation of a planar point set (faces oriented CCW)."""
-    from scipy.spatial import Delaunay
+    """Delaunay triangulation of a planar point set (faces oriented CCW).
+
+    Raises GeometryError when the points span no triangle (fewer than three,
+    or all on one line).
+    """
+    from scipy.spatial import Delaunay, QhullError
 
     points = np.asarray(points, float)
-    tri = Delaunay(points)
+    if len(points) < 3:
+        raise GeometryError(f"a triangulation needs at least 3 points, got {len(points)}")
+    try:
+        tri = Delaunay(points)
+    except QhullError as exc:
+        raise GeometryError(f"the {len(points)} points span no triangle: "
+                            f"{str(exc).splitlines()[0]}") from None
     faces = tri.simplices.copy()
     cw = signed_area(points[faces]) < 0
     faces[cw] = faces[cw, ::-1]

@@ -49,6 +49,14 @@ def test_bad_arguments_exit_1(capsys):
     assert diag["error"] == "StructuralError"
 
 
+def test_generate_packed_triangulation_of_two_points_exit_1(tmp_path, capsys):
+    assert run(["generate", "--family", "packed_triangulation", "--n", 2,
+                "-o", tmp_path / "map.json"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "GeometryError"
+
+
 @pytest.mark.parametrize("outer", [9, -1])
 def test_doublepack_outer_face_out_of_range_exit_1(tmp_path, capsys, outer):
     assert run(["doublepack", "--shape", "cube", "--outer-face", outer,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import odmap
 from odmap.dirichlet import (
@@ -65,23 +67,105 @@ def test_catalog_conjugate_cauchy_riemann(name):
     assert np.abs(g[:, 1] + cx).max() <= 1e-8 * (1 + np.abs(g).max())
 
 
+_SIDE = st.floats(0.05, 2.0)
+
+
+@st.composite
+def _boxes(draw):
+    """Axis-aligned boxes that straddle both axes or sit in one quadrant."""
+    if draw(st.booleans()):
+        return (-np.array([draw(_SIDE), draw(_SIDE)]), np.array([draw(_SIDE), draw(_SIDE)]))
+    sign = np.array([draw(st.sampled_from([-1.0, 1.0])) for _ in range(2)])
+    a = sign * [draw(_SIDE), draw(_SIDE)]
+    b = a + sign * [draw(_SIDE), draw(_SIDE)]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG))
-def test_catalog_sup_formulas_vs_sampling(name):
+@given(box=_boxes())
+@example(box=(np.array([-0.7, -0.3]), np.array([0.9, 1.1])))
+@settings(max_examples=40, deadline=None)
+def test_catalog_sup_formulas_vs_sampling(name, box):
+    # the sups read |F'| and |F''| at the box corners: each must be a corner
+    # value and at least the maximum over a grid of the box
     tf = get_test_function(name)
-    lo = np.array([-0.7, -0.3])
-    hi = np.array([0.9, 1.1])
-    xs = np.linspace(lo[0], hi[0], 60)
-    ys = np.linspace(lo[1], hi[1], 60)
-    X, Y = np.meshgrid(xs, ys)
+    lo, hi = box
+    X, Y = np.meshgrid(np.linspace(lo[0], hi[0], 40), np.linspace(lo[1], hi[1], 40))
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    g = tf.grad(pts)
-    gn = np.hypot(g[:, 0], g[:, 1]).max()
-    H = tf.hess(pts)
-    hn = np.linalg.norm(H, ord=2, axis=(1, 2)).max() if len(pts) else 0.0
-    assert tf.sup_grad(lo, hi) >= gn - 1e-9
-    assert tf.sup_grad(lo, hi) <= gn * 1.05 + 1e-9
-    assert tf.sup_hess(lo, hi) >= hn - 1e-9
-    assert tf.sup_hess(lo, hi) <= hn * 1.05 + 1e-9
+    corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
+
+    def grad_norm(p):
+        return np.hypot(*tf.grad(p).T)
+
+    def hess_norm(p):
+        return np.linalg.norm(tf.hess(p), ord=2, axis=(1, 2))
+
+    for sup, norm in ((tf.sup_grad(lo, hi), grad_norm), (tf.sup_hess(lo, hi), hess_norm)):
+        tol = 1e-12 * (1.0 + sup)
+        assert sup >= norm(pts).max() - tol
+        assert np.abs(norm(corners) - sup).min() <= tol
+
+
+def _absmax(lo, hi):
+    return np.maximum(np.abs(lo), np.abs(hi))
+
+
+# the catalog's hand-derived closed forms in x, y: f, conjugate, grad, the
+# Hessian's rows in order, and the sups over a box (lo, hi)
+_CLOSED_FORMS = {
+    "coord_x": (lambda x, y: x, lambda x, y: y,
+                lambda x, y: (1 + 0 * x, 0 * x), lambda x, y: (0 * x, 0 * x, 0 * x, 0 * x),
+                lambda lo, hi: 1.0, lambda lo, hi: 0.0),
+    "coord_y": (lambda x, y: y, lambda x, y: -x,
+                lambda x, y: (0 * x, 1 + 0 * x), lambda x, y: (0 * x, 0 * x, 0 * x, 0 * x),
+                lambda lo, hi: 1.0, lambda lo, hi: 0.0),
+    "xy": (lambda x, y: x * y, lambda x, y: 0.5 * (y**2 - x**2),
+           lambda x, y: (y, x), lambda x, y: (0 * x, 1 + 0 * x, 1 + 0 * x, 0 * x),
+           lambda lo, hi: np.hypot(*_absmax(lo, hi)), lambda lo, hi: 1.0),
+    "x2_minus_y2": (lambda x, y: x**2 - y**2, lambda x, y: 2 * x * y,
+                    lambda x, y: (2 * x, -2 * y), lambda x, y: (2 + 0 * x, 0 * x, 0 * x, -2 + 0 * x),
+                    lambda lo, hi: 2 * np.hypot(*_absmax(lo, hi)), lambda lo, hi: 2.0),
+    "re_z3": (lambda x, y: x**3 - 3 * x * y**2, lambda x, y: 3 * x**2 * y - y**3,
+              lambda x, y: (3 * (x**2 - y**2), -6 * x * y),
+              lambda x, y: (6 * x, -6 * y, -6 * y, -6 * x),
+              lambda lo, hi: 3 * (_absmax(lo, hi) ** 2).sum(),
+              lambda lo, hi: 6 * np.hypot(*_absmax(lo, hi))),
+    "im_z3": (lambda x, y: 3 * x**2 * y - y**3, lambda x, y: -(x**3 - 3 * x * y**2),
+              lambda x, y: (6 * x * y, 3 * (x**2 - y**2)),
+              lambda x, y: (6 * y, 6 * x, 6 * x, -6 * y),
+              lambda lo, hi: 3 * (_absmax(lo, hi) ** 2).sum(),
+              lambda lo, hi: 6 * np.hypot(*_absmax(lo, hi))),
+    "exp_x_cos_y": (lambda x, y: np.exp(x) * np.cos(y), lambda x, y: np.exp(x) * np.sin(y),
+                    lambda x, y: (np.exp(x) * np.cos(y), -np.exp(x) * np.sin(y)),
+                    lambda x, y: (np.exp(x) * np.cos(y), -np.exp(x) * np.sin(y),
+                                  -np.exp(x) * np.sin(y), -np.exp(x) * np.cos(y)),
+                    lambda lo, hi: np.exp(hi[0]), lambda lo, hi: np.exp(hi[0])),
+}
+
+
+def test_catalog_matches_the_closed_forms():
+    assert sorted(_CLOSED_FORMS) == sorted(CATALOG)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-2, 2, size=(500, 2))
+    x, y = pts.T
+    boxes = np.sort(rng.uniform(-2, 2, size=(40, 2, 2)), axis=1)  # (lo, hi) rows
+
+    def close(got, want):
+        want = np.asarray(want, float)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+
+    for name, (f, conj, grad, hess, sup_grad, sup_hess) in _CLOSED_FORMS.items():
+        tf = get_test_function(name)
+        close(tf(pts), f(x, y))
+        close(tf.f(pts), f(x, y))
+        close(tf(pts[0]), f(x[:1], y[:1]))
+        close(tf.conjugate(pts), conj(x, y))
+        close(tf.grad(pts), np.column_stack(grad(x, y)))
+        close(tf.hess(pts), np.stack(hess(x, y), axis=1).reshape(-1, 2, 2))
+        for lo, hi in boxes:
+            assert tf.sup_grad(lo, hi) == pytest.approx(sup_grad(lo, hi), rel=1e-15, abs=0)
+            assert tf.sup_hess(lo, hi) == pytest.approx(sup_hess(lo, hi), rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------------------------

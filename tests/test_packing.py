@@ -166,6 +166,17 @@ def test_tighter_tolerance_tightens_residuals():
     assert worst_tight <= max(worst_loose / 5, 1e-13)
 
 
+@pytest.mark.parametrize("points", [
+    np.zeros((0, 2)),
+    [[0.0, 0.0], [1.0, 1.0]],
+    [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
+    [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [3.0, 0.0]],
+])
+def test_triangulation_from_points_rejects_sets_spanning_no_triangle(points):
+    with pytest.raises(odmap.GeometryError):
+        packing.triangulation_from_points(np.array(points, float))
+
+
 def test_non_triangulation_rejected():
     with pytest.raises(StructuralError):
         Triangulation(4, np.array([[0, 1, 2], [0, 1, 3]])).validate()  # edge 0-1 reused same orientation
