@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_map import OrthodiagonalMap
+from .core_map import OrthodiagonalMap, side_table
 from .domains import DomainSpec, hausdorff_delta
 from .errors import GeometryError
 from .generators import GeneratorSpec, build_generator_level
-from .geometry import integrate_over_quad
+from .geometry import split_quad
 from .network import (
     DirichletProblem,
     VertexFunction,
@@ -134,6 +134,8 @@ def sup_error(omap: OrthodiagonalMap, domain: DomainSpec, tf: TestFunction,
     labels = h_d.network.labels
     pos = omap.positions[labels]
     inside = domain.contains(pos)
+    if not inside.any():
+        raise GeometryError("no primal vertex lies in the domain")
     exact = tf(pos)
     return float(np.abs(h_d.values[inside] - exact[inside]).max())
 
@@ -146,26 +148,34 @@ def _map_bbox(omap: OrthodiagonalMap):
     return omap.positions.min(axis=0), omap.positions.max(axis=0)
 
 
-def energy_pair_check(omap: OrthodiagonalMap, tf: TestFunction, quad_tol: float = 1e-10):
+def energy_pair_check(omap: OrthodiagonalMap, tf: TestFunction):
     """Compare the averaged primal/dual energy of f with its Dirichlet integral.
 
     Returns dict with e_primal, e_dual, integral, discrepancy, and the bound
-    area * (10 L M eps + 8 M^2 eps^2) it must respect.  The integral is one
-    batched integrate_over_quad call over all faces (each face stops on its
-    own at quad_tol), summed in face order.
+    area * (10 L M eps + 8 M^2 eps^2) it must respect.  The integral is the
+    line integral of Re F d(Im F) along the face sides (Cauchy-Riemann), by
+    Gauss-Legendre with n = 4, 8, ..., 256 points until two orders agree, else GeometryError.
     """
     pos = omap.positions
     pnet = omap.primal_network()
     dnet = omap.dual_network()
     e_p = energy_of_function(pnet, tf(pos[pnet.labels]))
     e_d = energy_of_function(dnet, tf(pos[dnet.labels]))
-
-    def grad_sq(pts):
-        g = tf.grad(pts)
-        return g[:, 0] ** 2 + g[:, 1] ** 2
-
-    # a sequential sum in face order: math.fsum and np.sum change the last bits
-    integral = sum(integrate_over_quad(grad_sq, pos[omap.faces], tol=quad_tol).tolist())
+    split_quad(pos[omap.faces])  # names the first face that is not a simple CCW polygon
+    s = side_table(omap.faces)
+    keep = (s.twin < 0) | (s.tail[s.twin] != s.head)  # two sides running opposite ways cancel
+    a = _complex(pos[s.tail[keep]])[:, None]
+    d = _complex(pos[s.head[keep]])[:, None] - a
+    integral = np.nan
+    for n in (4, 8, 16, 32, 64, 128, 256):
+        x, w = np.polynomial.legendre.leggauss(n)
+        z = a + 0.5 * (x + 1.0) * d
+        terms = (tf.F(z).real * (tf.dF(z) * d).imag) @ (0.5 * w)  # on side a -> a + d
+        prev, integral = integral, float(terms.sum())
+        if abs(integral - prev) <= 1e-12 * (1.0 + np.abs(terms).sum()):
+            break
+    else:
+        raise GeometryError(f"the Dirichlet integral of {tf.name} did not converge with 256 points a side")
     lo, hi = _map_bbox(omap)
     L = tf.sup_grad(lo, hi)
     M = tf.sup_hess(lo, hi)

@@ -205,6 +205,12 @@ def test_solve_coordinates_exact(grid16_square):
         assert sup_error(grid16_square, odmap.unit_square(), tf) <= 1e-9
 
 
+def test_sup_error_with_no_vertex_in_the_domain():
+    far = odmap.DomainSpec("polygon", polygon=[(5, 5), (6, 5), (6, 6), (5, 6)])
+    with pytest.raises(odmap.GeometryError, match="no primal vertex lies in the domain"):
+        sup_error(odmap.rotated_grid("square", 4), far, get_test_function("coord_x"))
+
+
 def test_solve_diamond_center_symmetry(diamond):
     tf = get_test_function("x2_minus_y2")
     h = solve_dirichlet(diamond, tf)

@@ -1,4 +1,6 @@
-"""Batched quadrature against the per-face doubling loop it replaced."""
+"""The batched 2D face quadrature against the per-face doubling loop it
+replaced, and energy_pair_check's boundary line integral against the 2D
+quadrature summed in face order."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ import odmap
 from odmap import geometry
 from odmap.dirichlet import CATALOG, energy_pair_check, get_test_function
 from odmap.errors import GeometryError
+from odmap.generators import two_diamonds_sharing_vertex
 from odmap.geometry import cross2, gauss_triangle, integrate_over_quad, signed_area, split_quad
 
 # -- reference: one quad at a time, a fresh rule per triangle and order -------
@@ -65,6 +68,14 @@ def _map(kind, size, seed):
     return odmap.perturbed(m, 0.3, seed=seed) if kind == "perturbed" else m
 
 
+def _assert_boundary_integral_agrees(m, tf):
+    """energy_pair_check's line integral equals the 2D rule at tol 1e-10,
+    summed in face order, to 1e-12 (1 + |I|)."""
+    want = sum(integrate_over_quad(_grad_sq(tf), m.positions[m.faces], tol=1e-10).tolist())
+    got = energy_pair_check(m, tf)["integral"]
+    assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (got, want)
+
+
 @given(kind=st.sampled_from(["square", "disk", "perturbed", "packed"]), size=st.integers(3, 9),
        seed=st.integers(0, 10_000), name=st.sampled_from(sorted(CATALOG)),
        tol=st.sampled_from([1e-10, 1e-6]))
@@ -75,9 +86,9 @@ def test_batched_quadrature_matches_per_face_loop(kind, size, seed, name, tol):
     f = _grad_sq(tf)
     want = [_quad_oracle(f, q, tol) for q in m.positions[m.faces]]
     got = integrate_over_quad(f, m.positions[m.faces], tol=tol)
-    # bit for bit, per face and in the face-order sum
+    # bit for bit, per face
     assert got.tolist() == want
-    assert energy_pair_check(m, tf, quad_tol=tol)["integral"] == sum(want)
+    _assert_boundary_integral_agrees(m, tf)
 
 
 def test_stack_over_several_chunks_equals_single_quads():
@@ -131,3 +142,50 @@ def test_split_quad_names_the_bad_face():
         split_quad(bad)
     with pytest.raises(GeometryError, match=r"^face 17 is not a simple CCW polygon$"):
         integrate_over_quad(_grad_sq(get_test_function("xy")), bad)
+
+
+def _face_listed_twice():
+    g = odmap.rotated_grid("square", 6)
+    return odmap.OrthodiagonalMap(g.positions, g.primal_mask, np.vstack([g.faces, g.faces[7:8]]))
+
+
+@pytest.mark.parametrize("m", [two_diamonds_sharing_vertex(), _face_listed_twice()],
+                         ids=["pinch-point", "edges-with-three-faces"])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_boundary_integral_on_maps_that_fail_validation(m, name):
+    # only sides running both ways along an edge cancel, so the line integral
+    # still equals the face-by-face sum
+    _assert_boundary_integral_agrees(m, get_test_function(name))
+
+
+def test_boundary_integral_raises_its_order_on_a_large_map():
+    g = odmap.rotated_grid("square", 8)
+    big = odmap.OrthodiagonalMap(6.0 * g.positions, g.primal_mask, g.faces)
+    orders = []
+
+    def exp(z):
+        if z.ndim == 2:  # (sides, points per side)
+            orders.append(z.shape[1])
+        return np.exp(z)
+
+    energy_pair_check(big, odmap.dirichlet.TestFunction("exp_x_cos_y", exp, np.exp, np.exp))
+    assert max(orders) > 8
+    _assert_boundary_integral_agrees(big, get_test_function("exp_x_cos_y"))
+
+
+def test_energy_pair_check_names_a_reversed_face():
+    g = odmap.rotated_grid("square", 8)
+    faces = g.faces.copy()
+    faces[5] = faces[5][[0, 3, 2, 1]]  # clockwise, primal corners kept in place
+    with pytest.raises(GeometryError, match=r"^face 5 is not a simple CCW polygon$"):
+        energy_pair_check(odmap.OrthodiagonalMap(g.positions, g.primal_mask, faces),
+                          get_test_function("xy"))
+
+
+def test_boundary_integral_of_a_kink_raises():
+    # |x - 0.06| kinks inside the boundary sides that join x = 0 and x = 0.125,
+    # where Gauss-Legendre converges like 1 / n^2
+    kink = odmap.dirichlet.TestFunction("kink", lambda z: np.abs(z.real - 0.06) + 0j,
+                                        np.ones_like, np.zeros_like)
+    with pytest.raises(GeometryError, match="did not converge with 256 points a side"):
+        energy_pair_check(odmap.rotated_grid("square", 8), kink)
