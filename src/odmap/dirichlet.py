@@ -154,7 +154,8 @@ def energy_pair_check(omap: OrthodiagonalMap, tf: TestFunction):
     Returns dict with e_primal, e_dual, integral, discrepancy, and the bound
     area * (10 L M eps + 8 M^2 eps^2) it must respect.  The integral is the
     line integral of Re F d(Im F) along the face sides (Cauchy-Riemann), by
-    Gauss-Legendre with n = 4, 8, ..., 256 points until two orders agree, else GeometryError.
+    Gauss-Legendre with n = 4, 8, ..., 256 points until three orders in a row
+    agree (two can agree by chance across a kink), else GeometryError.
     """
     pos = omap.positions
     pnet = omap.primal_network()
@@ -166,13 +167,14 @@ def energy_pair_check(omap: OrthodiagonalMap, tf: TestFunction):
     keep = (s.twin < 0) | (s.tail[s.twin] != s.head)  # two sides running opposite ways cancel
     a = _complex(pos[s.tail[keep]])[:, None]
     d = _complex(pos[s.head[keep]])[:, None] - a
-    integral = np.nan
+    integral = prev = np.nan
     for n in (4, 8, 16, 32, 64, 128, 256):
         x, w = np.polynomial.legendre.leggauss(n)
         z = a + 0.5 * (x + 1.0) * d
         terms = (tf.F(z).real * (tf.dF(z) * d).imag) @ (0.5 * w)  # on side a -> a + d
-        prev, integral = integral, float(terms.sum())
-        if abs(integral - prev) <= 1e-12 * (1.0 + np.abs(terms).sum()):
+        older, prev, integral = prev, integral, float(terms.sum())
+        tol = 1e-12 * (1.0 + np.abs(terms).sum())
+        if abs(integral - prev) <= tol and abs(prev - older) <= tol:
             break
     else:
         raise GeometryError(f"the Dirichlet integral of {tf.name} did not converge with 256 points a side")

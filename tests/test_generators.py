@@ -513,6 +513,19 @@ def test_face_tests_see_a_slot_between_the_corners():
     assert got.tolist() == _face_distance_loop(slot, quads) and got[0] == 0.0 < got[1]
 
 
+def test_face_distance_sees_a_vertex_beside_a_far_side():
+    """A wall 3 below a 2-wide quad sets its corner distance r = 3.  A
+    spike's tip 2.83 above the middle of the top side, 3.0015 from the
+    side's ends, sits just above sqrt(r^2 - 1) = 2.828, the lowest a vertex
+    beside the side can be while no nearer to its ends than r, and sets the
+    distance: the quad is farther from the boundary than it is wide."""
+    spike = DomainSpec("polygon", [[-10, -5], [10, -5], [10, 10], [0.1, 10], [0, 2.83], [-0.1, 10], [-10, 10]])
+    quad = np.array([[[-1, -2], [1, -2], [1, 0], [-1, 0]]], float)
+    got = spike.face_distance(quad)
+    assert got.tolist() == _face_distance_loop(spike, quad)
+    assert spike.dist_to_boundary(quad[0]).min() == 3.0 and got[0] == pytest.approx(2.83)
+
+
 def seg_seg_distance_scalar(a, b, c, d):
     """Distance between segments ab and cd, 0 if they meet, one pair at a
     time (the oracle for polygon DomainSpec.face_distance)."""
@@ -535,6 +548,7 @@ def _face_distance_loop(domain, quads):
 @example(seed=0, corners=0, pairs=1 << 15)  # the notched hexagon
 @example(seed=0, corners=1, pairs=7)  # the unit square
 @example(seed=0, corners=2, pairs=1 << 15)  # the unit disk
+@example(seed=0, corners=12, pairs=7)  # a vertex at a corner's distance, one rounding below it from a side
 @settings(max_examples=20, deadline=None)
 def test_face_distance_broadcasts_like_edge_loop(seed, corners, pairs):
     from odmap import geometry
@@ -712,3 +726,115 @@ def test_nearest_segment_distance_matches_segment_loop(seed, segments, points, p
         patch.setattr(geometry, "_PAIRS", pairs)
         got = geometry.nearest_segment_distance(a, b, pts)
     assert np.array_equal(got, np.min([geometry.seg_points_distance(s, e, pts) for s, e in zip(a, b)], axis=0))
+
+
+def _closed_walk(rng, n):
+    """The ends of a closed polyline of n short segments around the unit
+    circle, about a tenth of them of length 0."""
+    t = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+    a = (1 + 0.05 * rng.normal(size=(n, 1))) * np.column_stack([np.cos(t), np.sin(t)])
+    repeat = np.flatnonzero(rng.random(n) < 0.1)
+    a[repeat] = a[repeat - 1]
+    return a, np.roll(a, -1, axis=0)
+
+
+@given(seed=st.integers(0, 10_000), segments=st.integers(50, 400), case=st.sampled_from(["walk", "points", "zero"]),
+       pairs=st.sampled_from([7, 1000, 1 << 15]))
+@example(seed=0, segments=1, case="walk", pairs=7)  # one segment, of length 0
+@example(seed=0, segments=2, case="walk", pairs=7)  # a segment there and back
+@settings(max_examples=30, deadline=None)
+def test_nearest_segment_distance_on_short_segments_matches_segment_loop(seed, segments, case, pairs):
+    """Boundary walks of short segments, so the near-pair grid runs: points on
+    the segments, within a cell of them, far beyond (where all pairs run) and
+    repeated; also no points, one segment and segments all of length 0."""
+    from odmap import geometry
+
+    rng = np.random.default_rng(seed)
+    a, b = _closed_walk(rng, segments)
+    if case == "zero":
+        b = a.copy()
+    k = rng.integers(segments, size=200)
+    on = a[k] + rng.random((200, 1)) * (b[k] - a[k])
+    lo, hi = np.minimum(a, b).min(0), np.maximum(a, b).max(0)
+    pts = np.vstack([on, on + rng.normal(0.0, 0.05, on.shape), rng.uniform(2 * lo - hi, 2 * hi - lo, (100, 2)),
+                     on[:20], a[:5]])
+    if case == "points":
+        pts = pts[:0]
+    want = np.min([seg_points_distance(s, e, pts) for s, e in zip(a, b)], axis=0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_PAIRS", pairs)
+        got = geometry.nearest_segment_distance(a, b, pts)
+    assert np.array_equal(got, want)
+
+
+def _count_pairs(patch, module, name, into):
+    """Wrap module.name so each call adds the size of its result to into."""
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        into.append(np.size(out))
+        return out
+
+    patch.setattr(module, name, counting)
+
+
+def test_hausdorff_delta_pairs_only_nearby_segments():
+    """Of the 252 x 2000 segment-sample pairs of the perturbed 64-grid, the
+    domain-to-map distances see under a tenth."""
+    from odmap import domains, geometry
+
+    m = perturbed(rotated_grid("square", 64), 0.3, seed=1)
+    seen, calls = [], []
+    real = domains.nearest_segment_distance
+
+    def tagged(a, b, pts):
+        before = len(seen)
+        out = real(a, b, pts)
+        calls.append((len(a), sum(seen[before:])))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        _count_pairs(patch, geometry, "seg_points_distance", seen)
+        patch.setattr(domains, "nearest_segment_distance", tagged)
+        delta = odmap.hausdorff_delta(m, odmap.unit_square(), 2000)
+    assert delta == _hausdorff_delta_loop(m, odmap.unit_square(), 2000)
+    (d1,) = [n for k, n in calls if k == len(m.boundary_walk) == 252]
+    assert 0 < d1 < 0.1 * 252 * 2000
+
+
+def test_face_distance_pairs_few_vertices_with_sides():
+    """The boundary polygon of the 32-grid disk, scaled by 1.05 (180
+    vertices), against that map's 1,509 quads: under a tenth of the
+    vertex-to-side pairs are evaluated."""
+    from odmap import domains
+
+    m = rotated_grid("disk", 32)
+    domain = DomainSpec("polygon", 1.05 * m.positions[m.boundary_walk])
+    quads = m.positions[m.faces]
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        _count_pairs(patch, domains, "seg_points_distance", seen)
+        domain.face_distance(quads)
+    assert 0 < sum(seen) < 0.1 * len(quads) * 4 * len(domain.polygon)
+
+
+def test_face_distance_evaluates_fewer_pairs_than_face_inside():
+    """On the boundary polygon of the 128-grid disk, scaled by 1.05 (724
+    edges), against that map's 25,325 quads: the point-segment distances,
+    winding crossings and segment crossings that face_distance evaluates are
+    fewer than face_inside's."""
+    from odmap import domains, geometry
+
+    m = rotated_grid("disk", 128)
+    domain = DomainSpec("polygon", 1.05 * m.positions[m.boundary_walk])
+    quads = m.positions[m.faces]
+    seen = {"face_inside": [], "face_distance": []}
+    for method, into in seen.items():
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name in [(geometry, "seg_points_distance"), (domains, "seg_points_distance"),
+                                 (domains, "cross2"), (domains, "segments_intersect")]:
+                _count_pairs(patch, module, name, into)
+            getattr(domain, method)(quads)
+    assert sum(seen["face_distance"]) < sum(seen["face_inside"])
+

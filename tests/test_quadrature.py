@@ -189,3 +189,17 @@ def test_boundary_integral_of_a_kink_raises():
                                         np.ones_like, np.zeros_like)
     with pytest.raises(GeometryError, match="did not converge with 256 points a side"):
         energy_pair_check(odmap.rotated_grid("square", 8), kink)
+
+
+def test_boundary_integral_needs_three_agreeing_orders():
+    # across the kinks of |x - 0.123| on the boundary of the disk-8 grid the
+    # 4- and 8-point rules agree exactly, at -0.40025, while more points drift
+    # towards -0.4002420; two agreeing orders accepted the wrong value
+    kink = odmap.dirichlet.TestFunction("kink", lambda z: np.abs(z.real - 0.123) + 0j,
+                                        np.ones_like, np.zeros_like)
+    try:
+        integral = energy_pair_check(odmap.rotated_grid("disk", 8), kink)["integral"]
+    except GeometryError as exc:
+        assert "did not converge with 256 points a side" in str(exc)
+    else:
+        assert abs(integral + 0.4002420) < 1e-7
