@@ -154,8 +154,7 @@ def energy_pair_check(omap: OrthodiagonalMap, tf: TestFunction):
     Returns dict with e_primal, e_dual, integral, discrepancy, and the bound
     area * (10 L M eps + 8 M^2 eps^2) it must respect.  The integral is the
     line integral of Re F d(Im F) along the face sides (Cauchy-Riemann), by
-    Gauss-Legendre with n = 4, 8, ..., 256 points until three orders in a row
-    agree (two can agree by chance across a kink), else GeometryError.
+    Gauss-Legendre with n = 4, 8, ..., 256 points until three orders agree, else GeometryError.
     """
     pos = omap.positions
     pnet = omap.primal_network()
@@ -167,17 +166,17 @@ def energy_pair_check(omap: OrthodiagonalMap, tf: TestFunction):
     keep = (s.twin < 0) | (s.tail[s.twin] != s.head)  # two sides running opposite ways cancel
     a = _complex(pos[s.tail[keep]])[:, None]
     d = _complex(pos[s.head[keep]])[:, None] - a
-    integral = prev = np.nan
+    sums = []  # two orders can agree by chance across a kink
     for n in (4, 8, 16, 32, 64, 128, 256):
         x, w = np.polynomial.legendre.leggauss(n)
         z = a + 0.5 * (x + 1.0) * d
         terms = (tf.F(z).real * (tf.dF(z) * d).imag) @ (0.5 * w)  # on side a -> a + d
-        older, prev, integral = prev, integral, float(terms.sum())
-        tol = 1e-12 * (1.0 + np.abs(terms).sum())
-        if abs(integral - prev) <= tol and abs(prev - older) <= tol:
+        sums.append(float(terms.sum()))
+        if len(sums) > 2 and np.abs(np.diff(sums[-3:])).max() <= 1e-12 * (1.0 + np.abs(terms).sum()):
             break
     else:
         raise GeometryError(f"the Dirichlet integral of {tf.name} did not converge with 256 points a side")
+    integral = sums[-1]
     lo, hi = _map_bbox(omap)
     L = tf.sup_grad(lo, hi)
     M = tf.sup_hess(lo, hi)

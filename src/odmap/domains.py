@@ -6,9 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
 from .errors import GeometryError
-from .geometry import (_near_pairs, _reduce_pairs, cross2, max_distance, nearest_segment_distance, seg_points_distance,
+from .geometry import (_reduce_pairs, cross2, max_distance, nearest_segment_distance, seg_points_distance,
                        segments_intersect, signed_area)
 
 
@@ -78,65 +77,21 @@ class DomainSpec:
 
     def face_distance(self, quad: np.ndarray):
         """dist(Q, boundary) for quads whose closures lie inside the domain,
-        broadcast over any leading axes ((m, 4, 2) quads give m distances).
-        On polygons it is 0 where a quad side meets a polygon edge, else the
-        least distance from a quad corner to an edge or from a polygon vertex
-        to a side; the latter pairs only the vertices that can beat the
-        corners (see _vertex_gap), so the result is exact."""
+        broadcast over any leading axes ((m, 4, 2) quads give m distances)."""
         quad = np.asarray(quad, float)
         if self.kind == "disk":
             dist = 1.0 - np.hypot(quad[..., 0], quad[..., 1]).max(-1)
         else:
+            # 0 where a quad side meets a polygon edge, else the least distance
+            # from a quad corner to an edge or from a polygon vertex to a side
             q = quad.reshape(-1, 4, 2)
-            corner = self.dist_to_boundary(q.reshape(-1, 2)).reshape(-1, 4)
-            dist = np.minimum(corner.min(1), self._vertex_gap(q, corner))
-            dist[self._meets(q, corner.min(1), include_endpoints=True)] = 0.0
+            corner = self.dist_to_boundary(q.reshape(-1, 2)).reshape(-1, 4).min(1)
+            a, c, d = self.polygon, q.reshape(-1, 2), np.roll(q, -1, axis=1).reshape(-1, 2)
+            dist = np.minimum(corner, _reduce_pairs(lambda i, j: seg_points_distance(c[i, None], d[i, None], a[j]),
+                                                    len(c), len(a), np.minimum, np.inf).reshape(-1, 4).min(1))
+            dist[self._meets(q, corner, include_endpoints=True)] = 0.0
             dist = dist.reshape(quad.shape[:-2])
         return float(dist) if quad.ndim == 2 else dist
-
-    def _vertex_gap(self, q: np.ndarray, corner: np.ndarray) -> np.ndarray:
-        """Least distance from a polygon vertex to a side of each (m, 4, 2)
-        quad wherever it is below r, the least of the quad's (m, 4) corner
-        distances; elsewhere a value no less than r.
-
-        A vertex v closer than r to a side cd either lies within r of c or
-        d, or has |v - c|, |v - d| > r, so its foot is inside cd and its height
-        above cd between sqrt(r^2 - |cd|^2 / 4) and r: it is in one of two
-        boxes beside cd, as long as cd, and a grid of the vertices finds it.
-        Every bound is widened by m, 1e-9 of the coordinates' size, against
-        rounding."""
-        v, c, d = self.polygon, q.reshape(-1, 2), np.roll(q, -1, axis=1).reshape(-1, 2)
-        r = corner.min(1).repeat(4)  # one per side
-        m = 1e-9 * (r + np.maximum(np.abs(q).max((1, 2)), np.abs(v).max()).repeat(4))
-        gap = np.full(len(c), np.inf)
-        e = d - c
-        s = np.tile(np.flatnonzero(np.hypot(*e.T) > 0), 2)  # a side of length 0 has no inside
-        n = np.stack([-e[s, 1], e[s, 0]], 1) / np.hypot(*e[s].T)[:, None] * np.repeat([-1.0, 1.0], len(s) // 2)[:, None]
-        h0, h1 = np.sqrt(np.maximum(0.0, (r[s] - m[s]) ** 2 - (e[s] ** 2).sum(1) / 4)), r[s] + m[s]
-        half = (np.abs(e[s]) + np.abs(n) * (h1 - h0)[:, None]) / 2 + m[s, None]  # the boxes' half sides
-        size = half.max(initial=0.0) * 1.001  # the grid lists what is within size (1 - 2^-30)
-        for i, j in _near_pairs(v, v, c[s] + e[s] / 2 + n * ((h0 + h1) / 2)[:, None], size):
-            np.minimum.at(gap, s[i], seg_points_distance(np.take(c, s[i], 0), np.take(d, s[i], 0), np.take(v, j, 0)))
-        # vertices within r of a corner (which is then about r from the
-        # boundary) pair with the quad's four sides; such corners go in blocks
-        # from cells about sqrt(step) sides wide, each block tested only
-        # against the vertices in its reach
-        p = np.flatnonzero(corner.ravel() <= r + m)
-        step = max(1, geometry._PAIRS // len(v))
-        p = p[np.lexsort(np.floor(c[p] / (size * np.sqrt(step) or 1.0)).T)]
-        (px, py), (vx, vy), reach = c[p].T, v.T, (r + m)[p]
-        hit = [np.zeros((2, 0), int)]  # (corner, vertex) pairs
-        for k in range(0, len(p), step):
-            x, y, rk = px[k:k + step], py[k:k + step], reach[k:k + step]
-            x0, x1, y0, y1 = x.min(), x.max(), y.min(), y.max()
-            close = np.flatnonzero((vx - (x0 + x1) / 2) ** 2 + (vy - (y0 + y1) / 2) ** 2
-                                   <= 1.001 * (rk.max() + np.hypot(x1 - x0, y1 - y0) / 2) ** 2)  # 1.001: rounding
-            i, j = np.nonzero((x[:, None] - vx[close]) ** 2 + (y[:, None] - vy[close]) ** 2 <= rk[:, None] ** 2)
-            hit.append(np.array([p[k + i], close[j]]))
-        at, j = np.hstack(hit)
-        side = at[:, None] // 4 * 4 + np.arange(4)
-        np.minimum.at(gap, side, seg_points_distance(c[side], d[side], v[j, None]))
-        return gap.reshape(-1, 4).min(1)
 
     def face_inside(self, quad: np.ndarray, tol: float = 1e-12):
         """Whether the closed quad is contained in the closed domain, broadcast

@@ -63,70 +63,40 @@ def _reduce_pairs(table, rows: int, cols: int, op, start) -> np.ndarray:
     return out
 
 
-def _near_pairs(lo, hi, pts, c):
-    """Blocks (i, j) of at most _PAIRS pairs of point i and box j = [lo[j],
-    hi[j]] that list every box within Chebyshev distance c (1 - 2^-30) of each
-    point, for c no less than any box side.
-
-    The boxes go in the cells of side c they meet (at most 2x2, 3x3 after
-    rounding), and the points in one cell share the boxes in the 3x3 cells
-    around it.  c is raised if need be so that there are no more cells than
-    boxes and points, which also keeps the rounding of a cell index far below
-    2^-30 c."""
-    o = lo.min(0)
-    c = max(c, float((hi.max(0) - o).max()) / np.sqrt(len(lo) + len(pts)))
-    top = np.floor((hi.max(0) - o) / c).astype(int)
-    w = top[1] + 4  # cell (x, y), -2 <= x, y <= top + 1, has key (x + 2) w + y + 2
-    dx, dy = np.divmod(np.arange(9), 3)
-    first = np.floor((lo - o) / c).astype(int)
-    span = np.floor((hi - o) / c).astype(int) - first
-    hit = (dx <= span[:, :1]) & (dy <= span[:, 1:])
-    key = ((first[:, :1] + dx + 2) * w + first[:, 1:] + dy + 2)[hit]
-    box = np.nonzero(hit)[0][np.argsort(key, kind="stable")]
-    count = np.bincount(key, minlength=(top[0] + 4) * w)
-    ends = np.cumsum(count)
-    cell = np.clip(np.nan_to_num(np.floor((pts - o) / c), nan=-1), -1, top).astype(int)  # past the boxes: empty
-    cell = (cell[:, 0] + 2) * w + cell[:, 1] + 2
-    by_cell = np.argsort(cell, kind="stable")
-    cell = cell[by_cell]
-    at = np.flatnonzero(np.diff(cell, prepend=-1))
-    around = (cell[at, None] + (dx - 1) * w + dy - 1).ravel()
-    count = count[around]  # boxes in each of the 9 cells around each cell of points
-    near = box[np.repeat(ends[around] - np.cumsum(count), count) + np.arange(count.sum())]
-    # a box in several of the 9 cells is listed once
-    near = np.unique(np.repeat(np.arange(len(at)), count.reshape(-1, 9).sum(1)) * len(lo) + near)
-    nnear = np.bincount(near // len(lo), minlength=len(at))
-    near %= len(lo)
-    size = np.diff(at, append=len(cell)) * nnear  # pairs of each cell's points and boxes
-    ends, skip = np.cumsum(size), np.cumsum(nnear) - nnear
-    for s in range(0, int(ends[-1]) if len(ends) else 0, _PAIRS):
-        t = np.arange(s, min(s + _PAIRS, ends[-1]))
-        u = np.searchsorted(ends, t, "right")
-        t -= ends[u] - size[u]
-        yield by_cell[at[u] + t // nnear[u]], near[skip[u] + t % nnear[u]]
-
-
 def nearest_segment_distance(a, b, pts) -> np.ndarray:
     """Distance from each row of pts to the nearest segment a[k] b[k].
 
-    Exact: on a grid of cells of side c, the segments' longest side, a
-    segment within c of a point meets the 3x3 cells around it, so the least
-    distance to the segments listed there is the true one wherever it is
-    <= c; the other points take every segment, as do all points when 3x3
-    cells span the segments (a few long segments, or c = 0)."""
+    Exact: a segment within c of a point, c no less than any segment's
+    length, has its bounding box's lower-left corner in the 4x4 grid cells
+    of side c around the point's, so the least distance to the segments
+    listed there is the true one wherever it is <= c (less 2^-30 c for
+    rounding); other points take every segment, as do all points when the
+    segments span under 4 cells a side.  Pair blocks hold at most _PAIRS."""
     a, b, pts = (np.asarray(v, float).reshape(-1, 2) for v in (a, b, pts))
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    out = np.full(len(pts), np.inf)
-    far = np.arange(len(pts))
-    c = float((hi - lo).max(initial=0.0))
-    if len(pts) and 0 < 3 * c <= np.ptp(np.vstack([lo, hi]), axis=0).max():
-        for i, j in _near_pairs(lo, hi, pts, c):
+    out, far, lo = np.full(len(pts), np.inf), np.arange(len(pts)), np.minimum(a, b)
+    o = lo.min(0) if len(a) else 0.0
+    span = float((np.maximum(a, b) - o).max(initial=0.0))
+    # no more cells than segments and points, so a cell index rounds far below 2^-30 of a cell
+    c = max(float(np.abs(b - a).max(initial=0.0)), span / np.sqrt(len(a) + len(pts) + 1))
+    if len(pts) and 0 < 4 * c <= span:
+        w = int(span // c) + 9  # cell (x, y), -4 <= x, y < w - 4, has key (x + 4) w + y + 4
+        key = (np.floor((lo - o) / c).astype(int) + 4) @ [w, 1]
+        order, edge = np.argsort(key, kind="stable"), np.append(0, np.cumsum(np.bincount(key, minlength=w * w)))
+        g = np.fmin(np.fmax(np.floor((pts - o) / c), -2), w - 6).astype(int) + 2  # fmax takes NaN to -2
+        row = ((g[:, :1] + np.arange(4)) * w + g[:, 1:]).ravel()  # each point's 4x4 cells are 4 runs of keys
+        stop = edge[row + 4]
+        ends = np.cumsum(stop - edge[row])
+        shift = stop - ends  # pair t of run e is segment order[t + shift[e]]
+        for s in range(0, int(ends[-1]), _PAIRS):
+            t = np.arange(s, min(s + _PAIRS, ends[-1]))
+            e = np.searchsorted(ends, t, "right")
+            i, j = e // 4, order[t + shift[e]]
             d = seg_points_distance(np.take(a, j, 0), np.take(b, j, 0), np.take(pts, i, 0))
             run = np.flatnonzero(np.diff(i, prepend=-1))  # each point's pairs are consecutive
             out[i[run]] = np.minimum(out[i[run]], np.minimum.reduceat(d, run))
         far = np.flatnonzero(out > c * (1 - 2 ** -30))
-    out[far] = _reduce_pairs(lambda i, j: seg_points_distance(a[j], b[j], pts[far[i], None]),
-                             len(far), len(a), np.minimum, np.inf)
+    q = pts[far]
+    out[far] = _reduce_pairs(lambda i, j: seg_points_distance(a[j], b[j], q[i, None]), len(q), len(a), np.minimum, np.inf)
     return out
 
 

@@ -548,7 +548,6 @@ def _face_distance_loop(domain, quads):
 @example(seed=0, corners=0, pairs=1 << 15)  # the notched hexagon
 @example(seed=0, corners=1, pairs=7)  # the unit square
 @example(seed=0, corners=2, pairs=1 << 15)  # the unit disk
-@example(seed=0, corners=12, pairs=7)  # a vertex at a corner's distance, one rounding below it from a side
 @settings(max_examples=20, deadline=None)
 def test_face_distance_broadcasts_like_edge_loop(seed, corners, pairs):
     from odmap import geometry
@@ -767,18 +766,6 @@ def test_nearest_segment_distance_on_short_segments_matches_segment_loop(seed, s
     assert np.array_equal(got, want)
 
 
-def _count_pairs(patch, module, name, into):
-    """Wrap module.name so each call adds the size of its result to into."""
-    real = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        out = real(*args, **kwargs)
-        into.append(np.size(out))
-        return out
-
-    patch.setattr(module, name, counting)
-
-
 def test_hausdorff_delta_pairs_only_nearby_segments():
     """Of the 252 x 2000 segment-sample pairs of the perturbed 64-grid, the
     domain-to-map distances see under a tenth."""
@@ -786,55 +773,22 @@ def test_hausdorff_delta_pairs_only_nearby_segments():
 
     m = perturbed(rotated_grid("square", 64), 0.3, seed=1)
     seen, calls = [], []
-    real = domains.nearest_segment_distance
+    pair_distances, nearest = geometry.seg_points_distance, domains.nearest_segment_distance
+
+    def counting(*args):
+        seen.append(np.size(out := pair_distances(*args)))
+        return out
 
     def tagged(a, b, pts):
         before = len(seen)
-        out = real(a, b, pts)
+        out = nearest(a, b, pts)
         calls.append((len(a), sum(seen[before:])))
         return out
 
     with pytest.MonkeyPatch.context() as patch:
-        _count_pairs(patch, geometry, "seg_points_distance", seen)
+        patch.setattr(geometry, "seg_points_distance", counting)
         patch.setattr(domains, "nearest_segment_distance", tagged)
         delta = odmap.hausdorff_delta(m, odmap.unit_square(), 2000)
     assert delta == _hausdorff_delta_loop(m, odmap.unit_square(), 2000)
     (d1,) = [n for k, n in calls if k == len(m.boundary_walk) == 252]
     assert 0 < d1 < 0.1 * 252 * 2000
-
-
-def test_face_distance_pairs_few_vertices_with_sides():
-    """The boundary polygon of the 32-grid disk, scaled by 1.05 (180
-    vertices), against that map's 1,509 quads: under a tenth of the
-    vertex-to-side pairs are evaluated."""
-    from odmap import domains
-
-    m = rotated_grid("disk", 32)
-    domain = DomainSpec("polygon", 1.05 * m.positions[m.boundary_walk])
-    quads = m.positions[m.faces]
-    seen = []
-    with pytest.MonkeyPatch.context() as patch:
-        _count_pairs(patch, domains, "seg_points_distance", seen)
-        domain.face_distance(quads)
-    assert 0 < sum(seen) < 0.1 * len(quads) * 4 * len(domain.polygon)
-
-
-def test_face_distance_evaluates_fewer_pairs_than_face_inside():
-    """On the boundary polygon of the 128-grid disk, scaled by 1.05 (724
-    edges), against that map's 25,325 quads: the point-segment distances,
-    winding crossings and segment crossings that face_distance evaluates are
-    fewer than face_inside's."""
-    from odmap import domains, geometry
-
-    m = rotated_grid("disk", 128)
-    domain = DomainSpec("polygon", 1.05 * m.positions[m.boundary_walk])
-    quads = m.positions[m.faces]
-    seen = {"face_inside": [], "face_distance": []}
-    for method, into in seen.items():
-        with pytest.MonkeyPatch.context() as patch:
-            for module, name in [(geometry, "seg_points_distance"), (domains, "seg_points_distance"),
-                                 (domains, "cross2"), (domains, "segments_intersect")]:
-                _count_pairs(patch, module, name, into)
-            getattr(domain, method)(quads)
-    assert sum(seen["face_distance"]) < sum(seen["face_inside"])
-
