@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dirichlet, flows, generators, packing
 from .core_map import OrthodiagonalMap, validate
-from .errors import GeometryError, PackingError, RhoPathError, StructuralError
+from .errors import StructuralError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -270,8 +270,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args)
-    except (StructuralError, GeometryError, PackingError, RhoPathError,
-            FileNotFoundError, KeyError, ValueError) as exc:
+    # every odmap error subclasses ValueError or RuntimeError; OSError covers
+    # unreadable inputs and unwritable outputs
+    except (ValueError, RuntimeError, OSError, KeyError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
               file=sys.stderr)
         return 1

@@ -594,11 +594,6 @@ def _biconnected_components(n: int, edges: np.ndarray):
                     for e in comp:
                         comp_of_edge[e] = n_comps
                     n_comps += 1
-        if edge_stack:
-            for e in edge_stack:
-                comp_of_edge[e] = n_comps
-            n_comps += 1
-            edge_stack = []
     return comp_of_edge, n_comps
 
 

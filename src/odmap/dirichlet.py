@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_map import OrthodiagonalMap, side_table
+from .core_map import OrthodiagonalMap
 from .domains import DomainSpec, hausdorff_delta
 from .errors import GeometryError
 from .generators import GeneratorSpec, build_generator_level
@@ -162,7 +162,7 @@ def energy_pair_check(omap: OrthodiagonalMap, tf: TestFunction):
     e_p = energy_of_function(pnet, tf(pos[pnet.labels]))
     e_d = energy_of_function(dnet, tf(pos[dnet.labels]))
     split_quad(pos[omap.faces])  # names the first face that is not a simple CCW polygon
-    s = side_table(omap.faces)
+    s = omap._sides
     keep = (s.twin < 0) | (s.tail[s.twin] != s.head)  # two sides running opposite ways cancel
     a = _complex(pos[s.tail[keep]])[:, None]
     d = _complex(pos[s.head[keep]])[:, None] - a

@@ -27,7 +27,10 @@ to the flower of w, with the outer circle entering at fixed radius 1.  A
 :func:`~odmap.core_map.side_table`; the angle sums, their Jacobian, the
 residual checks and the induced map are array passes over it.  The layout treats
 every inner face as a rigid star of kites about its centre and places the
-stars in one breadth-first pass over the inner dual graph.
+stars one array pass per generation, each face through a side whose two ends
+are already placed.  The solve's outer circle has radius 1, and every inner
+face on it touches it at its rim side's tangency point, so its centre is a
+closed form: the layout is only translated to put it at the origin.
 """
 from __future__ import annotations
 
@@ -743,11 +746,12 @@ def _double_packing_layout(h: PlanarMap3C, outer_face: int, rv, rf):
 
     Every inner face is a rigid star: corner v of face f sits at distance
     hypot(r_v, r_f) from its centre, at the kite angles summed along the
-    cycle.  One breadth-first search over the inner dual graph places each
-    face from its parent through the two ends of their shared edge, and a
-    vertex sits where the first face that holds it puts it.  Gauge: the
-    lowest vertex off the outer face, v0, at the origin, and the centre of
-    its lowest-index inner face on the positive real axis.
+    cycle.  Gauge: the lowest vertex off the outer face, v0, at the origin,
+    and the centre of its lowest-index inner face on the positive real axis.
+    From that face on, one array pass per generation places every unplaced
+    inner face with a side whose two ends are placed, turning its star onto
+    them through the first such side, and then every unplaced corner of the
+    faces just placed, where the first of them that holds it puts it.
     """
     s = h._sides
     n, nf = h.n_vertices, len(h.faces)
@@ -763,36 +767,33 @@ def _double_packing_layout(h: PlanarMap3C, outer_face: int, rv, rf):
         phi[sides + 1] = np.cumsum(step[sides], axis=1)
     corner = np.hypot(rv[s.tail], rf[s.face]) * np.exp(1j * phi)
 
+    # v0 is the lowest vertex off the outer face, k0 its side on its lowest
+    # inner face f0 (sides run face by face)
     on_outer = np.zeros(n, bool)
     on_outer[s.tail[s.face == outer_face]] = True
-    v0 = int(np.argmin(on_outer))
-    f0 = int(s.face[(s.tail == v0) & (s.face != outer_face)].min())
-    # the inner dual graph, each entry 1 + the side of the row's face on the
-    # edge it shares with the column's (two faces of a 3-connected map share
-    # at most one edge)
-    inner = np.flatnonzero((s.face != outer_face) & (s.face[s.twin] != outer_face))
-    dual = sp.csr_matrix((inner + 1, (s.face[inner], s.face[s.twin[inner]])), shape=(nf, nf))
-    order, parent = csgraph.breadth_first_order(dual, f0)
-    # the rigid motion from each child face's frame to its parent's
-    kids = order[1:]
-    side = np.asarray(dual[kids, parent[kids]]).ravel() - 1
-    rot = ((corner[s.twin[side]] - corner[s.nxt[s.twin[side]]])
-           / (corner[s.nxt[side]] - corner[side]))
-    rot /= np.abs(rot)
-    shift = corner[s.nxt[s.twin[side]]] - rot * corner[side]
-    frame_rot, frame_shift = [1 + 0j] * nf, [0j] * nf
-    for g, p, w, t in zip(kids.tolist(), parent[kids].tolist(), rot.tolist(), shift.tolist()):
-        frame_rot[g] = frame_rot[p] * w
-        frame_shift[g] = frame_rot[p] * t + frame_shift[p]
-    fc = np.array(frame_shift)
-    at = np.array(frame_rot)[s.face] * corner + fc[s.face]
-
-    rank = np.full(nf, nf)
-    rank[order] = np.arange(order.size)
-    by_vertex = np.lexsort((rank[s.face], s.tail))
-    vc = at[by_vertex[np.unique(s.tail[by_vertex], return_index=True)[1]]]
-    gauge = np.conj(fc[f0] - vc[v0]) / np.abs(fc[f0] - vc[v0])
-    return (vc - vc[v0]) * gauge, (fc - vc[v0]) * gauge
+    k0 = int(np.argmax((s.tail == np.argmin(on_outer)) & (s.face != outer_face)))
+    rot, fc, vc = np.zeros(nf, complex), np.zeros(nf, complex), np.zeros(n, complex)
+    rot[s.face[k0]], fc[s.face[k0]] = -abs(corner[k0]) / corner[k0], abs(corner[k0])
+    placed, done, new = np.zeros(n, bool), np.zeros(nf, bool), np.zeros(nf, bool)
+    done[outer_face] = new[s.face[k0]] = True
+    while new.any():
+        # the unplaced corners of the new faces, each where its first face puts it
+        k = np.flatnonzero(new[s.face] & ~placed[s.tail])
+        k = k[np.unique(s.tail[k], return_index=True)[1]]
+        vc[s.tail[k]] = rot[s.face[k]] * corner[k] + fc[s.face[k]]
+        placed[s.tail[k]] = True
+        done |= new
+        # each unplaced face turned onto the two placed ends of its first side
+        # that has them
+        k = np.flatnonzero(~done[s.face] & placed[s.tail] & placed[s.head])
+        k = k[np.unique(s.face[k], return_index=True)[1]]
+        f = s.face[k]
+        w = (vc[s.head[k]] - vc[s.tail[k]]) / (corner[s.nxt[k]] - corner[k])
+        rot[f] = w / abs(w)
+        fc[f] = vc[s.tail[k]] - rot[f] * corner[k]
+        new[:] = False
+        new[f] = True
+    return vc, fc
 
 
 def double_pack(h: PlanarMap3C, outer_face: int = 0, tol: float = 1e-9,
@@ -803,7 +804,10 @@ def double_pack(h: PlanarMap3C, outer_face: int = 0, tol: float = 1e-9,
     contributes the right-triangle angle 2 atan(r_f / r_w) at the vertex
     center (and 2 atan(r_w / r_f) at the face center).  Boundary vertex
     circles cross the unit circle orthogonally, so the outer face occupies
-    the reflex wedge 2 pi - 2 atan(1 / r_w) at their centers.
+    the reflex wedge 2 pi - 2 atan(1 / r_w) at their centers.  The radii are
+    kept as solved; the layout is translated so that the unit circle, found
+    from the inner faces tangent to it at the rim tangency points, is
+    centred at the origin.
     """
     if not 0 <= outer_face < len(h.faces):
         raise StructuralError(f"outer face {outer_face} out of range for {len(h.faces)} faces")
@@ -846,34 +850,25 @@ def double_pack(h: PlanarMap3C, outer_face: int = 0, tol: float = 1e-9,
     r = np.exp(u)
     rv, rf = r[:n], np.insert(r[n:], outer_face, 1.0)
     vc, fc = _double_packing_layout(h, outer_face, rv, rf)
-
-    # fit the outer circle (z0, R0), internally tangent to the inner faces g
-    # on it, |c_g - z0| = R0 - r_g, and orthogonal to its vertex circles,
-    # |c_v - z0|^2 = R0^2 + r_v^2; then make it the unit circle
+    # the outer circle has radius 1 in these units, and the inner face g on
+    # rim side (a, b) touches it from inside where vertex circles a and b
+    # touch, at q, so its centre is q + (c_g - q) / |c_g - q|: move the mean
+    # of that over the rim sides to the origin
     s = h._sides
-    rim = s.face == outer_face
-    g, v = np.unique(s.face[s.twin[rim]]), np.unique(s.tail[rim])
-    c = np.concatenate([fc[g], vc[v]])
-    A = np.column_stack([-2 * c.real, -2 * c.imag, np.concatenate([2 * rf[g], np.zeros(v.size)]),
-                         np.ones(c.size)])
-    sol, *_ = np.linalg.lstsq(A, np.concatenate([rf[g], rv[v]]) ** 2 - np.abs(c) ** 2, rcond=None)
-    z0 = complex(sol[0], sol[1])
-    R0 = float(sol[2])
-    if R0 <= 0:
-        raise PackingError("outer circle fit failed")
-
-    vc = (vc - z0) / R0
-    fc = (fc - z0) / R0
+    k = np.flatnonzero(s.face == outer_face)
+    a, b, g = s.tail[k], s.head[k], s.face[s.twin[k]]
+    q = vc[a] + rv[a] * (vc[b] - vc[a]) / abs(vc[b] - vc[a])
+    z0 = np.mean(q + (fc[g] - q) / abs(fc[g] - q))
+    vc -= z0
+    fc -= z0
     fc[outer_face] = 0j
-    f_r = rf / R0
-    f_r[outer_face] = 1.0
     dp = DoubleCirclePacking(
         planar_map=h,
         outer_face=outer_face,
         vertex_centers=np.column_stack([vc.real, vc.imag]),
-        vertex_radii=rv / R0,
+        vertex_radii=rv,
         face_centers=np.column_stack([fc.real, fc.imag]),
-        face_radii=f_r,
+        face_radii=rf,
         angle_residual=err,
     )
     dp.residuals = _double_packing_residuals(dp)

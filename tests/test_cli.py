@@ -57,6 +57,13 @@ def test_generate_packed_triangulation_of_two_points_exit_1(tmp_path, capsys):
     assert json.loads(err[0])["error"] == "GeometryError"
 
 
+def test_output_path_is_a_directory_exit_1(tmp_path, capsys):
+    assert run(["generate", "--family", "rotated_grid", "--n", 4, "-o", tmp_path]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "IsADirectoryError"
+
+
 @pytest.mark.parametrize("outer", [9, -1])
 def test_doublepack_outer_face_out_of_range_exit_1(tmp_path, capsys, outer):
     assert run(["doublepack", "--shape", "cube", "--outer-face", outer,
