@@ -118,11 +118,8 @@ def solve_dirichlet(omap: OrthodiagonalMap, g) -> VertexFunction:
     """
     net = omap.primal_network()
     bdry, _ = omap.boundary_vertices()
-    if isinstance(g, TestFunction) or callable(g):
-        vals = g(omap.positions[bdry])
-        data = {int(v): float(val) for v, val in zip(bdry, vals)}
-    else:
-        data = {int(v): float(g[int(v)]) for v in bdry}
+    vals = g(omap.positions[bdry]) if callable(g) else [g[v] for v in bdry.tolist()]
+    data = dict(zip(bdry.tolist(), np.asarray(vals, float).tolist()))
     return harmonic_extension(DirichletProblem(net, data))
 
 
@@ -316,19 +313,18 @@ def write_sweep_csv(path, records):
 def poisson_arc_masses(r: float, phi0: float, k: int) -> np.ndarray:
     """Harmonic measure of k equal arcs of the unit circle from r e^{i phi0}.
 
-    The measure of an arc is the (normalized) length of its image under the
-    disk automorphism moving the evaluation point to the origin; r = 0 gives
-    the uniform measure.
+    The measure of an arc w_j w_{j+1} is the normalized length of its image,
+    a proper arc, under the disk automorphism phi moving the evaluation point
+    to 0: (arg(phi(w_{j+1}) conj(phi(w_j))) mod 2 pi) / 2 pi, in closed form.
     """
     if r >= 1:
         raise GeometryError("evaluation point must be inside the disk")
+    if k == 1:
+        return np.ones(1)
     z = r * np.exp(1j * phi0)
-    sub = 128  # subdivide so every unwrap step stays below pi
-    t = np.linspace(0.0, 2 * np.pi, k * sub + 1)
-    w = np.exp(1j * t)
+    w = np.exp(2j * np.pi / k * np.arange(k + 1))
     img = (w - z) / (1.0 - np.conj(z) * w)
-    ang = np.unwrap(np.angle(img))
-    return np.diff(ang[::sub]) / (2 * np.pi)
+    return np.angle(img[1:] * np.conj(img[:-1])) % (2 * np.pi) / (2 * np.pi)
 
 
 def exit_measure_vs_arcs(omap: OrthodiagonalMap, start: int, k: int = 16,
@@ -346,15 +342,11 @@ def exit_measure_vs_arcs(omap: OrthodiagonalMap, start: int, k: int = 16,
     pos = omap.positions
     c = np.asarray(center, float)
     # the reference first: a start outside the disk raises before any walk
-    z = pos[net.labels[net.index_of(start)]] - c
-    r = float(np.hypot(*z))
-    if r < 1e-12:
-        ref = np.full(k, 1.0 / k)
-    else:
-        ref = poisson_arc_masses(r, float(np.arctan2(z[1], z[0])), k)
+    z = complex(*(pos[net.labels[net.index_of(start)]] - c))
+    ref = poisson_arc_masses(abs(z), float(np.angle(z)), k)
 
     bdry, _ = omap.boundary_vertices()
-    problem = DirichletProblem(net, {int(v): 0.0 for v in bdry})
+    problem = DirichletProblem(net, dict.fromkeys(bdry.tolist(), 0.0))
     mu = random_walk_exit_measure(problem, start, n_samples=n_samples, seed=seed)
     d = pos[np.fromiter(mu, int, len(mu))] - c
     ang = np.arctan2(d[:, 1], d[:, 0]) % (2 * np.pi)

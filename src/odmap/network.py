@@ -108,13 +108,14 @@ class Network:
         return sp.csr_matrix((v, (i, j)), shape=(n, n))
 
     def grounded(self, boundary_idx) -> "_InteriorSolver":
-        """The solver for L[I][:, I], I the vertices not in ``boundary_idx``
-        (distinct).  One solver is cached; another interior set replaces it."""
-        interior = np.setdiff1d(np.arange(self.n_vertices), boundary_idx, assume_unique=True)
-        if self._grounded is None or not np.array_equal(self._grounded.interior, interior):
+        """The solver for L[I][:, I], I the vertices not in ``boundary_idx``.
+        One solver is cached; another boundary set replaces it."""
+        is_boundary = np.zeros(self.n_vertices, bool)
+        is_boundary[boundary_idx] = True
+        if self._grounded is None or not np.array_equal(self._grounded.is_boundary, is_boundary):
             if not self.is_connected:
                 raise DisconnectedNetworkError("interior solve requires a connected network")
-            self._grounded = _InteriorSolver(self, interior)
+            self._grounded = _InteriorSolver(self, is_boundary)
         return self._grounded
 
     # -- fields ----------------------------------------------------------------
@@ -196,7 +197,8 @@ class VertexFunction:
 
 @dataclass
 class DirichletProblem:
-    """Boundary-value problem: prescribe values off U, extend harmonically on U."""
+    """Boundary-value problem: prescribe values off U, extend harmonically on U.
+    boundary_idx/_vals follow the dict's order, is_boundary is their mask, interior_idx ascends."""
 
     network: Network
     boundary_values: dict  # label -> value
@@ -207,9 +209,10 @@ class DirichletProblem:
         if len(self.boundary_values) > self.network.n_vertices:
             raise StructuralError("boundary set larger than vertex set")
         self.boundary_idx = self.network.indices_of(self.boundary_values.keys())
-        self.boundary_vals = np.array([float(v) for v in self.boundary_values.values()])
-        self.interior_idx = np.setdiff1d(np.arange(self.network.n_vertices), self.boundary_idx,
-                                         assume_unique=True)
+        self.boundary_vals = np.fromiter(self.boundary_values.values(), float)
+        self.is_boundary = np.zeros(self.network.n_vertices, bool)
+        self.is_boundary[self.boundary_idx] = True
+        self.interior_idx = np.flatnonzero(~self.is_boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +299,25 @@ def cycle_law_residuals(network: Network, theta: EdgeField) -> np.ndarray:
 
 
 class _InteriorSolver:
-    """Sparse LU of L_II = L[I][:, I] for a connected network, and the rows
-    L[I].  Each solve checks |L_II x - rhs|_i <= 1e-9 pi(i) ||x||_inf + 1e-305
-    (the floor admits subnormal data) and raises RuntimeError if missed."""
+    """Sparse LU of L_II = L[I][:, I] for a connected network, I the vertices
+    off the boundary mask, with the rows L[I] and, from first use, the boundary
+    rows L[B][:, I] (B ascending).  Each solve checks |L_II x - rhs|_i <= 1e-9
+    pi(i) ||x||_inf + 1e-305 (the floor admits subnormal data) or raises RuntimeError."""
 
-    def __init__(self, network: Network, interior: np.ndarray):
-        self.interior = interior
-        self.rows = network.laplacian[interior]
-        self._matrix = self.rows[:, interior].tocsc()
-        self._pi = network.pi[interior]
+    def __init__(self, network: Network, is_boundary: np.ndarray):
+        self.is_boundary = is_boundary
+        self.boundary = np.flatnonzero(is_boundary)
+        self.interior = np.flatnonzero(~is_boundary)
+        self.rows = network.laplacian[self.interior]
+        self._matrix = self.rows[:, self.interior].tocsc()
+        self._pi = network.pi[self.interior]
         # L_II is SPD: a symmetric fill-reducing order, no row pivoting
         self._lu = splu(self._matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options={"SymmetricMode": True})
+
+    @cached_property
+    def boundary_rows(self) -> sp.csc_matrix:
+        return self.rows[:, self.boundary].T  # L is symmetric
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = self._lu.solve(rhs)
@@ -602,17 +612,15 @@ def random_walk_exit_measure(problem: DirichletProblem, start,
         raise ValueError(f"max_steps must be at least 0, got {max_steps}")
     net = problem.network
     s = net.index_of(start)
-    B = problem.boundary_idx
-    is_boundary = np.zeros(net.n_vertices, bool)
-    is_boundary[B] = True
+    B, is_boundary = problem.boundary_idx, problem.is_boundary
     if is_boundary[s]:
         return {int(net.labels[s]): 1.0}
     if n_samples is None:
         solver = net.grounded(B)
         e_s = (solver.interior == s).astype(float)
-        # L is symmetric, so L[B][:, I] y = (L[I].T y)[B]
-        mu = -(solver.rows.T @ solver.solve(e_s))[B]
-        return {int(net.labels[b]): float(p) for b, p in zip(B, mu)}
+        # the solver's boundary rows run in ascending order; gather B's order
+        mu = -(solver.boundary_rows @ solver.solve(e_s))[np.searchsorted(solver.boundary, B)]
+        return dict(zip(net.labels[B].tolist(), mu.tolist()))
 
     if not net.is_connected:
         raise DisconnectedNetworkError("exit measure requires a connected network")

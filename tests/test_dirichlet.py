@@ -474,6 +474,32 @@ def test_poisson_masses_match_quadrature_oracle():
         assert masses[i] == pytest.approx(approx, abs=1e-4)
 
 
+def _poisson_arcs_by_antiderivative(r, phi0, k):
+    """Arc masses from F(theta) = arctan((1 + r)/(1 - r) tan(theta/2)) / pi,
+    the antiderivative of the Poisson kernel on [-pi, pi], theta the angle
+    from phi0; an arc that passes phi0 + pi is split there."""
+    def F(theta):
+        return np.arctan((1 + r) / (1 - r) * np.tan(theta / 2)) / np.pi
+
+    a = (2 * np.pi * np.arange(k) / k - phi0 + np.pi) % (2 * np.pi) - np.pi
+    b = a + 2 * np.pi / k
+    return np.where(b <= np.pi, F(b) - F(a),
+                    (0.5 - F(a)) + (F(b - 2 * np.pi) + 0.5))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 16])
+@pytest.mark.parametrize("r", [0.99, 0.999, 0.9999])
+@pytest.mark.parametrize("phi0", [0.1, -2.0])
+def test_poisson_masses_near_the_rim(r, k, phi0):
+    # near the rim the image of an arc that holds the start wraps almost all
+    # the way round the circle
+    masses = poisson_arc_masses(r, phi0, k)
+    assert masses.shape == (k,)
+    assert np.all(masses >= 0.0)
+    assert abs(masses.sum() - 1.0) <= 1e-12
+    assert np.abs(masses - _poisson_arcs_by_antiderivative(r, phi0, k)).max() <= 1e-12
+
+
 def test_exit_measure_diamond_symmetric(diamond):
     out = exit_measure_vs_arcs(diamond, 0, k=4)
     assert out["tv"] <= 1e-12

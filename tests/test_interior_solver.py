@@ -102,6 +102,34 @@ def test_solves_match_dense_and_pcg_references(seed, n):
     assert_agrees_with_references(L[keep][:, keep], -theta.divergence()[keep], a[keep])
 
 
+def test_exact_exit_measure_keeps_the_boundary_order():
+    # labels unrelated to the dense order: neither the sorted nor the shuffled
+    # labels list the boundary in the solver's ascending row order
+    rng = np.random.default_rng(11)
+    base = hub_network(rng, 120)
+    labels = 3 * rng.permutation(120) + 7
+    net = odmap.Network(labels, labels[base.tails], labels[base.heads],
+                        rng.uniform(0.5, 2.0, base.n_edges))
+    B = np.sort(rng.choice(labels, size=30, replace=False))
+    start = int(rng.choice(np.setdiff1d(labels, B)))
+    shuffled = rng.permutation(B).tolist()
+
+    def exit_measure(keys):
+        return random_walk_exit_measure(DirichletProblem(net, dict.fromkeys(keys, 0.0)), start)
+
+    in_order, mu = exit_measure(B.tolist()), exit_measure(shuffled)
+    assert list(in_order) == B.tolist()
+    assert list(mu) == shuffled
+    got = np.array(list(mu.values()))
+    assert np.array_equal(got, [in_order[v] for v in shuffled])
+
+    L = net.laplacian.toarray()
+    Bi = net.indices_of(shuffled)
+    I = np.setdiff1d(np.arange(net.n_vertices), Bi)
+    y = np.linalg.solve(L[np.ix_(I, I)], (I == net.index_of(start)).astype(float))
+    assert np.abs(got + L[np.ix_(Bi, I)] @ y).max() <= 1e-12
+
+
 def _count_splu(monkeypatch):
     calls = []
 
