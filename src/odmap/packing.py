@@ -8,14 +8,15 @@ angle at circle p inside a tangent triple (p, a, b) is
     alpha = 2 asin sqrt( (1-t_p^2)^2 t_a t_b / ((t_p+t_a)(t_p+t_b)(1+t_p t_a)(1+t_p t_b)) ).
 
 One sparse Newton solve in log t, where the Jacobian is symmetric, drives the
-angle sums to float precision.  The layout places Euclidean circles in the
-disk model (horocycles are circles internally tangent to the unit circle),
-tracking hyperbolic centres / ideal points, in breadth-first face order from
-the centre circle, one array pass per generation of circles.  Every placement
-is a closed form after one Moebius map: a disk automorphism that moves an
-interior pivot's centre to the origin, or, where both placed corners of a
-face are horocycles, the map to the upper half plane that sends one of them
-to a horizontal line.  A packing is accepted on its tangency residuals
+angle sums to float precision; once its steps go through at full length, they
+are CG steps preconditioned by the last factor of the Jacobian.  The layout
+places Euclidean circles in the disk model (horocycles are circles internally
+tangent to the unit circle), tracking hyperbolic centres / ideal points, in
+breadth-first face order from the centre circle, one array pass per
+generation of circles.  Every placement is a closed form after one Moebius
+map: a disk automorphism that moves an interior pivot's centre to the origin,
+or, where both placed corners of a face are horocycles, the map to the upper
+half plane that sends one of them to a horizontal line.  A packing is accepted on its tangency residuals
 relative to the smaller circle of each edge.
 
 Double packings are solved in Euclidean terms on the vertex-face incidence
@@ -42,7 +43,7 @@ from itertools import chain, combinations
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .core_map import OrthodiagonalMap, SideTable, side_table
 from .errors import GeometryError, PackingError, StructuralError
@@ -190,26 +191,37 @@ class _FixedPattern:
 
 _NEWTON_STEPS = 100  # Newton steps before the radius solve gives up
 _HALVINGS = 40       # halvings of one Newton step before it gives up
+_CG_ITERATIONS = 10  # CG iterations on a kept factor before a Newton step factors afresh
+_CG_RTOL = 1e-4      # CG stops at this fraction of ||F||_2 (the inexact-Newton forcing term)
 
 
-def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> np.ndarray:
+def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> tuple[np.ndarray, dict]:
     """t = tanh(h / 2) of every circle with angle sum 2 pi at every interior
-    vertex, and t = 1 (a horocycle) on the boundary.
+    vertex, and t = 1 (a horocycle) on the boundary, with what the solve did.
 
     Newton's method in u = log t on the angle-sum defects F, from t =
     1/sqrt(n), about the radius of n equal circles filling the disk.  In u
-    the Jacobian is symmetric negative definite (F is the gradient of Colin
-    de Verdiere's convex functional): each step factors it with diagonal
-    pivots, in the fill-reducing order the first factor picks.  A step
-    longer than 2 in any component is scaled down as a whole, then halved
-    until ||F||_2 falls.  Below angle_tol, one more step on the last factor
-    takes t to float precision.  Raises PackingError when halving bottoms
-    out or after _NEWTON_STEPS steps.
+    the Jacobian J is symmetric negative definite (F is the gradient of Colin
+    de Verdiere's convex functional).  A step factors J with diagonal pivots,
+    in the fill-reducing order the first factor picks, unless a factor is
+    kept: then it is CG on -J du = F preconditioned by that factor, to
+    _CG_RTOL ||F||_2 (an inexact Newton step), and factors J afresh only when
+    CG misses that in _CG_ITERATIONS iterations.  A factor is kept while its
+    own step and each one after it go through at full length; where Newton's
+    model holds over a step, J moves little along it.  A step longer than 2
+    in any component is scaled down as a whole, then halved until ||F||_2
+    falls.  Below angle_tol, one more step on the last factor, kept if it
+    lowers ||F||_2, takes t nearer float precision.  Raises PackingError when
+    halving bottoms out or after _NEWTON_STEPS steps.
+
+    The stats count the Newton steps, factorizations and CG iterations, and
+    give the final angle residual max |F|.
     """
     boundary = tri.boundary_mask
     t = np.where(boundary, 1.0, 1.0 / np.sqrt(tri.n_vertices))
+    stats = {"steps": 0, "factorizations": 0, "cg_iterations": 0, "angle_residual": 0.0}
     if boundary.all():
-        return t
+        return t, stats
     # the angle fans: corner v of face (v, a, b) for every interior v
     corners = np.concatenate([tri.faces, tri.faces[:, [1, 2, 0]], tri.faces[:, [2, 0, 1]]])
     v, a, b = corners[~boundary[corners[:, 0]]].T
@@ -244,32 +256,55 @@ def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> np.ndarray:
         du[order] = lu.solve(-F[order])
         return du
 
+    def cg_step(J, F):
+        """The step in u for F by CG on -J, J held in `order`, preconditioned
+        by the kept factor; None when CG misses _CG_RTOL ||F||_2 (scipy
+        reports success with du = 0 when _CG_ITERATIONS is 0)."""
+        def minus_j(x):
+            y = np.empty(m)
+            y[order] = J @ x[order]
+            return -y
+
+        def counted(_):
+            stats["cg_iterations"] += 1
+
+        du, info = cg(LinearOperator((m, m), minus_j), F, rtol=_CG_RTOL, atol=0.0,
+                      maxiter=_CG_ITERATIONS, callback=counted,
+                      M=LinearOperator((m, m), lambda r: newton_step(*kept, r)))
+        return du if info == 0 and du.any() and np.isfinite(du).all() else None
+
     def moved(t, du):
         trial = t.copy()
         trial[inner] = np.clip(t[inner] * np.exp(du), 1e-300, 1.0 - 1e-16)
         return trial
 
     F, k = defects(t)
-    steps = 0
+    kept = None
     while (err := float(np.abs(F).max())) >= angle_tol:
-        if steps == _NEWTON_STEPS:
-            raise PackingError(f"radius solve stopped after {steps} Newton steps "
+        if stats["steps"] == _NEWTON_STEPS:
+            raise PackingError(f"radius solve stopped after {_NEWTON_STEPS} Newton steps "
                                f"(angle residual {err:.3e})")
-        steps += 1
-        factor = None  # one factor alive at a time
-        try:
-            factor = splu(pattern.matrix(jacobian_data(t, k)), permc_spec=permc,
-                          diag_pivot_thresh=0.0, options={"SymmetricMode": True}), order
-            du = newton_step(*factor, F)
-        except RuntimeError:  # exactly singular factor
-            du = np.full(m, np.nan)
-        if not np.isfinite(du).all():
-            raise PackingError(f"singular Jacobian in the radius solve (angle residual {err:.3e})")
-        if permc != "NATURAL":  # later steps factor J[order][:, order]
-            rank, order, permc = factor[0].perm_c, np.argsort(factor[0].perm_c), "NATURAL"
-            pattern = _FixedPattern(rank[pattern.rows], rank[pattern.cols], m)
-        du *= min(1.0, 2.0 / np.abs(du).max())  # scaled, not clipped: same direction
-        norm, scale = np.linalg.norm(F), 1.0
+        stats["steps"] += 1
+        J = pattern.matrix(jacobian_data(t, k))
+        du = None if kept is None else cg_step(J, F)
+        if du is None:
+            factor = kept = None  # one factor alive at a time
+            stats["factorizations"] += 1
+            try:
+                factor = splu(J, permc_spec=permc, diag_pivot_thresh=0.0,
+                              options={"SymmetricMode": True}), order
+                du = newton_step(*factor, F)
+            except RuntimeError:  # exactly singular factor
+                du = np.full(m, np.nan)
+            if not np.isfinite(du).all():
+                raise PackingError("singular Jacobian in the radius solve "
+                                   f"(angle residual {err:.3e})")
+            kept = factor
+            if permc != "NATURAL":  # later steps factor J[order][:, order]
+                rank, order, permc = factor[0].perm_c, np.argsort(factor[0].perm_c), "NATURAL"
+                pattern = _FixedPattern(rank[pattern.rows], rank[pattern.cols], m)
+        norm = np.linalg.norm(F)
+        scale = min(1.0, 2.0 / np.abs(du).max())  # scaled, not clipped: same direction
         for _ in range(_HALVINGS):
             trial = moved(t, scale * du)
             F_trial, k_trial = defects(trial)
@@ -279,12 +314,16 @@ def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> np.ndarray:
         else:
             raise PackingError(f"radius solve stalled: no Newton step lowers the angle "
                                f"residual {err:.3e}")
+        if scale < 1.0:  # Newton's model failed over the step, so J moved along it
+            kept = None
         t, F, k = trial, F_trial, k_trial
-    if steps:  # the last factor is one short step back: a step on it cuts F by that much
+    if stats["steps"]:  # a chord step on the last factor, kept if it lowers ||F||
         trial = moved(t, newton_step(*factor, F))
-        if np.linalg.norm(defects(trial)[0]) < np.linalg.norm(F):
-            t = trial
-    return t
+        F_trial = defects(trial)[0]
+        if np.linalg.norm(F_trial) < np.linalg.norm(F):
+            t, F = trial, F_trial
+    stats["angle_residual"] = float(np.abs(F).max())
+    return t, stats
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +387,7 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
     faces = tri.faces
     boundary = tri.boundary_mask
     angle_tol = max(min(1e-12, 0.01 * tol), 1e-14)
-    t = _solve_hyperbolic_radii(tri, angle_tol)
+    t, solve_stats = _solve_hyperbolic_radii(tri, angle_tol)
 
     centers = np.full(n, np.nan + 0j, complex)
     radii = np.full(n, np.nan)
@@ -430,6 +469,7 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
 
     packing = CirclePacking(np.column_stack([centers.real, centers.imag]), radii, boundary.copy())
     packing.residuals = _packing_residuals(tri, packing)
+    packing.residuals["radius_solve"] = solve_stats
     # report which disk-approximation normalization hypothesis holds: a
     # circle centered at the origin, or at least one center well inside
     dist0 = np.hypot(packing.centers[:, 0], packing.centers[:, 1])

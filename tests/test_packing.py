@@ -244,9 +244,9 @@ def test_drifting_layout_raises(monkeypatch, drift, tol):
     solve = packing._solve_hyperbolic_radii
 
     def drifting(tri, angle_tol):
-        t = solve(tri, angle_tol)
+        t, stats = solve(tri, angle_tol)
         noise = np.random.default_rng(0).standard_normal(len(t))
-        return np.where(t < 1.0, t * (1.0 + drift * noise), t)
+        return np.where(t < 1.0, t * (1.0 + drift * noise), t), stats
 
     monkeypatch.setattr(packing, "_solve_hyperbolic_radii", drifting)
     with pytest.raises(PackingError, match="relative tangency") as err:
@@ -402,7 +402,7 @@ def test_layout_matches_per_circle_loop(kind, seed, n, degree, rings, k, rows):
     # circle of radius r (1.3e-10 on horocycles of radius 2e-3 in a 12-gon)
     tri = _oracle_input(kind, seed, n, degree, rings, k, rows)
     p = odmap.pack_in_disk(tri)
-    centers, radii = layout_loop(tri, packing._solve_hyperbolic_radii(tri, 1e-12))
+    centers, radii = layout_loop(tri, packing._solve_hyperbolic_radii(tri, 1e-12)[0])
     assert np.abs(p.centers[:, 0] + 1j * p.centers[:, 1] - centers).max() <= 1e-13
     assert (np.abs(p.radii / radii - 1.0) <= 1e-12 + 1e-16 / radii**2).all()
 
@@ -420,9 +420,64 @@ def test_radius_solve_matches_x_solve(kind, seed, n, degree, rings, k, rows):
     # a long-double Newton refinement agrees with the solve in t to 1.5e-14;
     # so the hubs here stop at 4 rings
     tri = _oracle_input(kind, seed, n, degree, rings, k, rows)
-    t = packing._solve_hyperbolic_radii(tri, 1e-12)
+    t, _ = packing._solve_hyperbolic_radii(tri, 1e-12)
     x = solve_x(tri, 1e-12)
     assert np.abs(t / np.where(tri.boundary_mask, 1.0, t_of_x(x)) - 1.0).max() <= 1e-12
+
+
+def test_radius_solve_reuses_its_factor():
+    # factoring at every step took 6 factorizations in 6 steps here; a
+    # kept factor preconditions CG on every step after the first full one
+    p = odmap.pack_in_disk(random_delaunay_triangulation(3000, seed=1))
+    stats = p.residuals["radius_solve"]
+    assert stats["factorizations"] < stats["steps"]
+    assert stats["factorizations"] <= 3 and stats["cg_iterations"] > 0
+    assert stats["angle_residual"] < 1e-12
+
+
+def _pack_both_ways(monkeypatch, tri):
+    """pack_in_disk as it runs, and with _CG_ITERATIONS = 0, where every
+    Newton step factors the Jacobian afresh."""
+    kept = odmap.pack_in_disk(tri)
+    with monkeypatch.context() as patch:
+        patch.setattr(packing, "_CG_ITERATIONS", 0)
+        fresh = odmap.pack_in_disk(tri)
+    stats = fresh.residuals["radius_solve"]
+    assert stats["factorizations"] == stats["steps"] and stats["cg_iterations"] == 0
+    return kept, fresh
+
+
+def _assert_same_radii(kept, fresh):
+    assert np.abs(kept.radii / fresh.radii - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind, size, seed", [
+    *(("delaunay", n, seed) for seed in (1, 2, 3) for n in (1000, 3000)),  # the pack_solve inputs
+    ("hub", 6, 0),  # degree 3, 6 rings
+])
+def test_cg_steps_match_factoring_every_step(monkeypatch, kind, size, seed):
+    tri = (random_delaunay_triangulation(size, seed=seed) if kind == "delaunay"
+           else hub_triangulation(3, size))
+    _assert_same_radii(*_pack_both_ways(monkeypatch, tri))
+
+
+@given(k=st.integers(3, 12), seed=st.integers(0, 10_000))
+@settings(max_examples=10, deadline=None)
+def test_polygon_packings_match_factoring_every_step(k, seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_same_radii(*_pack_both_ways(monkeypatch, polygon_triangulation(k, seed)))
+
+
+def test_cg_miss_factors_afresh(monkeypatch):
+    # scipy's cg tests its tolerance before each iteration, so capped at one
+    # it misses on every kept-factor step: each of them factors J afresh
+    tri = random_delaunay_triangulation(1000, seed=1)
+    monkeypatch.setattr(packing, "_CG_ITERATIONS", 1)
+    missed, fresh = _pack_both_ways(monkeypatch, tri)
+    stats = missed.residuals["radius_solve"]
+    assert stats["factorizations"] == stats["steps"] and stats["cg_iterations"] > 0
+    _assert_packing_sound(tri, missed)
+    _assert_same_radii(missed, fresh)
 
 
 def test_fixed_pattern_jacobian_matches_plain_assembly(monkeypatch):
