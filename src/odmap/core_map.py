@@ -608,7 +608,9 @@ def blocks(omap: OrthodiagonalMap) -> list:
     pieces and the vertices two or more pieces share: the pieces in one block
     of it, or in two of its blocks that share a piece, make one block of the
     map.  Blocks come largest first, then by least vertex id, then in the
-    order a block search of the whole map finds them.
+    order a block search of the whole map finds them.  A map that is one
+    block on all its vertices comes back as itself, with its cached side
+    table; every other block is a :meth:`~OrthodiagonalMap.submap`.
     """
     edges, side_edge = omap._sides.edges, omap._sides.edge.reshape(-1, 4)
     if not omap.n_faces:
@@ -630,6 +632,8 @@ def blocks(omap: OrthodiagonalMap) -> list:
     group = csgraph.connected_components(edge_graph(n_p + n_h, p_of, n_p + h_block),
                                          directed=False)[1][piece]  # of each edge
     face_block = group[side_edge[:, 0]]
+    if (face_block == face_block[0]).all() and np.bincount(f.ravel(), minlength=n).all():
+        return [omap]  # submap(all faces) would equal it, without its side table
     order = np.argsort(face_block, kind="stable")
     parts = [(omap.submap(fidx), face_block[fidx[0]])
              for fidx in np.split(order, np.flatnonzero(np.diff(face_block[order])) + 1)]

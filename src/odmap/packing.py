@@ -43,12 +43,12 @@ from itertools import chain, combinations
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .core_map import OrthodiagonalMap, SideTable, side_table
 from .errors import GeometryError, PackingError, StructuralError
 from .geometry import incircle, segments_intersect, signed_area
-from .network import edge_graph
+from .network import definite_splu, edge_graph
 
 # ---------------------------------------------------------------------------
 # combinatorial triangulations with boundary
@@ -202,17 +202,18 @@ def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> tuple[np.nd
     Newton's method in u = log t on the angle-sum defects F, from t =
     1/sqrt(n), about the radius of n equal circles filling the disk.  In u
     the Jacobian J is symmetric negative definite (F is the gradient of Colin
-    de Verdiere's convex functional).  A step factors J with diagonal pivots,
-    in the fill-reducing order the first factor picks, unless a factor is
-    kept: then it is CG on -J du = F preconditioned by that factor, to
-    _CG_RTOL ||F||_2 (an inexact Newton step), and factors J afresh only when
-    CG misses that in _CG_ITERATIONS iterations.  A factor is kept while its
-    own step and each one after it go through at full length; where Newton's
-    model holds over a step, J moves little along it.  A step longer than 2
-    in any component is scaled down as a whole, then halved until ||F||_2
-    falls.  Below angle_tol, one more step on the last factor, kept if it
-    lowers ||F||_2, takes t nearer float precision.  Raises PackingError when
-    halving bottoms out or after _NEWTON_STEPS steps.
+    de Verdiere's convex functional).  A step factors J by
+    :func:`~odmap.network.definite_splu`, in the fill-reducing order the
+    first factor picks, unless a factor is kept: then it is CG on -J du = F
+    preconditioned by that factor, to _CG_RTOL ||F||_2 (an inexact Newton
+    step), and factors J afresh only when CG misses that in _CG_ITERATIONS
+    iterations.  A factor is kept while its own step and each one after it go
+    through at full length; where Newton's model holds over a step, J moves
+    little along it.  A step longer than 2 in any component is scaled down as
+    a whole, then halved until ||F||_2 falls.  Below angle_tol, one more step
+    on the last factor, kept if it lowers ||F||_2, takes t nearer float
+    precision.  Raises PackingError when halving bottoms out or after
+    _NEWTON_STEPS steps.
 
     The stats count the Newton steps, factorizations and CG iterations, and
     give the final angle residual max |F|.
@@ -291,8 +292,7 @@ def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> tuple[np.nd
             factor = kept = None  # one factor alive at a time
             stats["factorizations"] += 1
             try:
-                factor = splu(J, permc_spec=permc, diag_pivot_thresh=0.0,
-                              options={"SymmetricMode": True}), order
+                factor = definite_splu(J, permc), order
                 du = newton_step(*factor, F)
             except RuntimeError:  # exactly singular factor
                 du = np.full(m, np.nan)

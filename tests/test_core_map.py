@@ -229,10 +229,13 @@ def test_augmented_euler_duality(grid16_square):
 
 
 def test_blocks_identity(grid16_square):
+    """A map that is one block on all its vertices comes back as itself, and
+    a clipped grid keeps the side table that the clip's block split built."""
     out = odmap.blocks(grid16_square)
     assert len(out) == 1
-    assert out[0].n_faces == grid16_square.n_faces
+    assert out[0] is grid16_square
     assert odmap.validate(out[0]).passed
+    assert "_sides" in odmap.rotated_grid("disk", 32).__dict__
 
 
 def test_blocks_two_diamonds():

@@ -29,7 +29,9 @@ from odmap.network import (
     star_cycle_decomposition,
     strength,
     _LEAP_CAP,
+    _AliasTable,
     _leap_table,
+    _row_cumsum,
     _stopped_chain,
 )
 
@@ -772,6 +774,51 @@ def _hub_network(seed, hub, extra, log_range, integral, hub_c, absorb):
     return odmap.Network(np.arange(n), tails, heads, c), boundary
 
 
+class _TwoSearchTable(_AliasTable):
+    """The alias sweep with one complex-key search per direction: each light
+    slot searches the heavy keys (row, E) for its (row, before), and each
+    heavy slot the light keys (row, D) for its (row, E).  The reference that
+    the one-merge sweep must match bit for bit."""
+
+    def _sweep(self, indptr):
+        a, b = indptr[0], indptr[-1]
+        starts, lengths = indptr[:-1] - a, np.diff(indptr)
+        row = np.repeat(np.arange(lengths.size), lengths)
+        q = self.cut[a:b]
+        q *= (lengths / np.add.reduceat(q, starts))[row]
+        light = q < np.minimum(np.maximum.reduceat(q, starts), 1.0)[row]
+        li, hi = np.flatnonzero(light), np.flatnonzero(~light)
+        rl, rh = row[li], row[hi]
+        E = _row_cumsum(np.maximum(q[hi] - 1.0, 0.0), rh)
+        last = np.searchsorted(rh, np.arange(lengths.size), side="right") - 1
+        keep_h = np.ones(hi.size)
+        if li.size:
+            D = _row_cumsum(1.0 - q[li], rl)
+            before = np.concatenate([[0.0], D[:-1]])
+            before[np.diff(rl, prepend=-1) != 0] = 0.0
+            to = np.searchsorted(rh + 1j * E, rl + 1j * before, side="right")
+            self.alias[a + li] = a + hi[np.minimum(to, last[rl])]
+            m = np.minimum(np.searchsorted(rl + 1j * D, rh + 1j * E), li.size - 1)
+            runs_out = (rl[m] == rh) & (E > 0.0)
+            keep_h[runs_out] = 1.0 + E[runs_out] - D[m[runs_out]]
+        is_last = np.arange(hi.size) == last[rh]
+        keep_h[is_last] = 1.0
+        q[hi] = np.clip(keep_h, 0.0, 1.0)
+        self.alias[a + hi] = a + np.where(is_last, hi, np.append(hi[1:], 0))
+        q += np.arange(b - a) - starts[row]
+
+
+def _assert_matches_two_search_sweep(table, P, k):
+    """``table`` (of P^k) has the cut and alias of the two-search sweep, bit
+    for bit; P^k is squared again as `_leap_table` squares it."""
+    Q = P
+    for _ in range(k.bit_length() - 1):
+        Q = Q @ Q
+    ref = _TwoSearchTable(Q.copy())
+    assert np.array_equal(table.cut, ref.cut)
+    assert np.array_equal(table.alias, ref.alias)
+
+
 @given(seed=st.integers(0, 10_000), hub=st.integers(500, 700), extra=st.integers(0, 300),
        log_range=st.sampled_from([0.0, 2.0, 6.0]), integral=st.booleans(),
        hub_c=st.sampled_from([None, 1.0, 3.0, 0.1, 1e6]),
@@ -786,13 +833,14 @@ def test_alias_table_reconstructs_leap_matrix(seed, hub, extra, log_range, integ
                                               absorb, max_steps):
     """Every alias row gives its row of P^k to 1e-12, against a dense power
     of the stopped chain; keep lies in [0, 1] and each alias stays in its
-    row; k <= max_steps, the table never passes the cap, and a hub with
-    hundreds of interior neighbours keeps k = 1.  Equal conductances put
-    the running deficit and excess sums on one another, where the sweep
-    breaks ties.  max_steps stays at or below 4096 because the rounding of
-    either power grows with k: a pocket of 14 vertices held by conductances
-    near 1e-6 squares on to k = 2^23, where the two powers differ by 1.7e-10
-    (2.4e-13 at k = 4096)."""
+    row; cut and alias equal the two-search sweep's bit for bit; k <=
+    max_steps, the table never passes the cap, and a hub with hundreds of
+    interior neighbours keeps k = 1.  Equal conductances put the running
+    deficit and excess sums on one another, where the sweep breaks ties.
+    max_steps stays at or below 4096 because the rounding of either power
+    grows with k: a pocket of 14 vertices held by conductances near 1e-6
+    squares on to k = 2^23, where the two powers differ by 1.7e-10 (2.4e-13
+    at k = 4096)."""
     net, boundary = _hub_network(seed, hub, extra, log_range, integral, hub_c, absorb)
     is_boundary = np.zeros(net.n_vertices, bool)
     is_boundary[boundary] = True
@@ -815,13 +863,17 @@ def test_alias_table_reconstructs_leap_matrix(seed, hub, extra, log_range, integ
     np.add.at(got, (row, table.col[table.alias]), (1.0 - keep) / length[row])
     want = np.linalg.matrix_power(_dense_stopped_chain(net, boundary), k)
     assert np.abs(got - want).max() <= 1e-12
+    # a table of P itself consumed P.data
+    _assert_matches_two_search_sweep(table, _stopped_chain(net, is_boundary), k)
 
 
 def test_leap_table_stops_once_walks_have_left(diamond):
     """Squaring stops once every interior row of P^k keeps at most float eps
     of its mass inside: on the diamond one step from the hub exits, so k = 1
     at the default max_steps; on a disk grid the size cap sets k = 4, and
-    the table of P^4 holds at most 8 nnz(P) slots (about 6)."""
+    the table of P^4 holds at most 8 nnz(P) slots (about 6).  Both tables
+    equal the two-search sweep's bit for bit (the disk's is the one the
+    pinned sampled walks use)."""
     for omap, k_want in ((diamond, 1), (odmap.rotated_grid("disk", 32), 4)):
         net = omap.primal_network()
         is_boundary = np.zeros(net.n_vertices, bool)
@@ -830,6 +882,7 @@ def test_leap_table_stops_once_walks_have_left(diamond):
         table, k = _leap_table(P, ~is_boundary, 10_000_000)
         assert k == k_want
         assert table.cut.size <= 8 * P.nnz
+        _assert_matches_two_search_sweep(table, _stopped_chain(net, is_boundary), k)
 
 
 def test_sampled_exit_measure_runs_in_bounded_memory():
