@@ -459,8 +459,15 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
             rim = boundary[r]
             z[rim] /= abs(z[rim])
             anchors[r] = z
-            centers[r[rim]], radii[r[rim]] = _horo_from_tangency(z[rim], centers[p[rim]],
-                                                                 radii[p[rim]])
+            # r a horocycle from two: w is real, |z - zeta|^2 = 4 / (w^2 + 1)
+            # and rho_r = (1 - rho_p) / (1 + rho_p w^2), where the tangency's
+            # terms of size 1 would cancel to one of size rho_p rho_r
+            pair, tang = rim & horo, rim & ~horo
+            rho_p = radii[p[pair]]
+            radii[r[pair]] = (1.0 - rho_p) / (1.0 + rho_p * w[rim[horo]].real ** 2)
+            centers[r[pair]] = (1.0 - radii[r[pair]]) * z[pair]
+            centers[r[tang]], radii[r[tang]] = _horo_from_tangency(z[tang], centers[p[tang]],
+                                                                   radii[p[tang]])
             centers[r[~rim]], radii[r[~rim]] = _euclid_from_hyp(z[~rim], tr[~rim])
 
     bad = ~(np.isfinite(centers) & np.isfinite(radii))

@@ -161,7 +161,8 @@ def layout_loop(tri, t):
                 z = zeta * (w - 1j) / (w + 1j)
                 if boundary[r]:
                     z /= abs(z)
-                    c, rho = _horo_from_tangency(z, centers[p], radii[p])
+                    rho = (1.0 - radii[p]) / (1.0 + radii[p] * w.real**2)
+                    c = (1.0 - rho) * z
                 else:
                     c, rho = _euclid_from_hyp(z, t[r])
             place(r, c, rho, z)

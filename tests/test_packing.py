@@ -393,6 +393,7 @@ def _oracle_input(kind, seed, n, degree, rings, k, rows):
 @example(kind="delaunay", seed=3, n=3000, degree=3, rings=2, k=3, rows=2)
 @example(kind="hub", seed=0, n=10, degree=3, rings=10, k=3, rows=2)
 @example(kind="polygon", seed=1, n=10, degree=3, rings=2, k=12, rows=2)
+@example(kind="polygon", seed=2557, n=10, degree=3, rings=2, k=10, rows=2)
 @settings(max_examples=16, deadline=None)
 def test_layout_matches_per_circle_loop(kind, seed, n, degree, rings, k, rows):
     # each generation pass places its circles from the same two corners, by
@@ -517,19 +518,27 @@ def zigzag_strip(n):
 
 
 def test_zigzag_strip_too_fine_for_floats_raises():
-    # the horocycles shrink like phi^(-2 depth); at 40 vertices two ideal
+    # the horocycles shrink like phi^(-2 depth); at 49 vertices two ideal
     # points fall on one float and the layout comes out NaN, which must be
     # a PackingError rather than a failure inside the residual checks
-    with pytest.raises(PackingError, match="circle 19 is not finite"):
-        odmap.pack_in_disk(zigzag_strip(40))
+    with pytest.raises(PackingError, match="circle 24 is not finite"):
+        odmap.pack_in_disk(zigzag_strip(49))
 
 
 def test_zigzag_strip_past_float_precision_says_so():
-    # at 20 vertices the smallest horocycles have radius 6.5e-8: their
-    # positions hold about 1e-16 / r^2 = 2.4e-2 relative, far above tol
-    with pytest.raises(PackingError, match=r"relative tangency .*circle 10 of radius 6\.47e-08 "
+    # at 30 vertices the smallest horocycles have radius 4.3e-12: their
+    # tangencies hold about 1e-16 / r = 2.3e-5 relative, far above tol
+    with pytest.raises(PackingError, match=r"relative tangency .*circle 15 of radius 4\.29e-12 "
                                            r"is past the disk model's float precision"):
-        odmap.pack_in_disk(zigzag_strip(20))
+        odmap.pack_in_disk(zigzag_strip(30))
+
+
+def test_zigzag_strip_horocycles_hold_to_one_over_r():
+    # a horocycle placed from two is laid out to about 1e-16 / r relative,
+    # not 1e-16 / r^2: at 20 vertices, radius 6.5e-8, it packs at tol 1e-8
+    p = odmap.pack_in_disk(zigzag_strip(20))
+    assert p.radii.min() == pytest.approx(6.485e-8, rel=1e-3)
+    assert p.residuals["max_relative_tangency"] <= 2e-16 / p.radii.min()
 
 
 def test_packing_to_map_symmetric_fixture():
