@@ -195,8 +195,7 @@ class OrthodiagonalMap:
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
-        p = self.positions
-        e = self.edges
+        p, e = self.positions, self.edges
         return np.hypot(*(p[e[:, 1]] - p[e[:, 0]]).T)
 
     def mesh_size(self) -> float:
@@ -207,11 +206,8 @@ class OrthodiagonalMap:
 
     def diagonal_lengths(self):
         """Per-face primal and dual diagonal lengths (|v1 v2|, |w1 w2|)."""
-        p = self.positions
-        f = self.faces
-        dp = np.hypot(*(p[f[:, 2]] - p[f[:, 0]]).T)
-        dd = np.hypot(*(p[f[:, 3]] - p[f[:, 1]]).T)
-        return dp, dd
+        p, f = self.positions, self.faces
+        return np.hypot(*(p[f[:, 2]] - p[f[:, 0]]).T), np.hypot(*(p[f[:, 3]] - p[f[:, 1]]).T)
 
     def face_areas(self) -> np.ndarray:
         """Shoelace area per face (equals half the diagonal product)."""
@@ -250,16 +246,9 @@ class OrthodiagonalMap:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        order = np.argsort(self.ids)
-        verts = [
-            {
-                "id": int(self.ids[i]),
-                "x": float(self.positions[i, 0]),
-                "y": float(self.positions[i, 1]),
-                "color": "primal" if self.primal_mask[i] else "dual",
-            }
-            for i in order
-        ]
+        verts = [{"id": int(self.ids[i]), "x": float(self.positions[i, 0]),
+                  "y": float(self.positions[i, 1]), "color": "primal" if self.primal_mask[i] else "dual"}
+                 for i in np.argsort(self.ids)]
         faces = [[int(self.ids[v]) for v in f] for f in self.faces]
         return {"format": "odmap/1", "vertices": verts, "faces": faces}
 
@@ -382,10 +371,8 @@ def validate(omap: OrthodiagonalMap, tol: float = 1e-9) -> ValidationReport:
                f"faces {bad_color[:8].tolist()}" if bad_color.size else "")
 
     # orthogonality of diagonals, relative to diagonal lengths
-    dv = p[f[:, 2]] - p[f[:, 0]]
-    dw = p[f[:, 3]] - p[f[:, 1]]
-    lv = np.hypot(*dv.T)
-    lw = np.hypot(*dw.T)
+    dv, dw = p[f[:, 2]] - p[f[:, 0]], p[f[:, 3]] - p[f[:, 1]]
+    lv, lw = np.hypot(*dv.T), np.hypot(*dw.T)
     degenerate = np.flatnonzero((lv <= 0) | (lw <= 0))
     report.add("faces/nondegenerate_diagonals", degenerate.size == 0, f"faces {degenerate[:8].tolist()}")
     if degenerate.size:
@@ -608,9 +595,10 @@ def blocks(omap: OrthodiagonalMap) -> list:
     pieces and the vertices two or more pieces share: the pieces in one block
     of it, or in two of its blocks that share a piece, make one block of the
     map.  Blocks come largest first, then by least vertex id, then in the
-    order a block search of the whole map finds them.  A map that is one
-    block on all its vertices comes back as itself, with its cached side
-    table; every other block is a :meth:`~OrthodiagonalMap.submap`.
+    order a block search of the whole map finds them.  A map whose faces make
+    one piece and whose vertices all lie on a face comes back as itself, with
+    its cached side table, before the block search; every other block is a
+    :meth:`~OrthodiagonalMap.submap`.
     """
     edges, side_edge = omap._sides.edges, omap._sides.edge.reshape(-1, 4)
     if not omap.n_faces:
@@ -622,6 +610,8 @@ def blocks(omap: OrthodiagonalMap) -> list:
     n_p, piece = csgraph.connected_components(
         edge_graph(n_f + len(edges), np.repeat(np.arange(n_f), 4), n_f + link.ravel()),
         directed=False)
+    if n_p == 1 and np.bincount(f.ravel(), minlength=n).all():
+        return [omap]  # one piece is one block; submap(all faces) would be a copy
     piece = piece[n_f:]  # of each edge
     inc = sp.csr_matrix((np.ones(edges.size), (edges.ravel(), np.repeat(piece, 2))), (n, n_p))
     count = np.diff(inc.indptr)  # pieces at each vertex
@@ -632,8 +622,6 @@ def blocks(omap: OrthodiagonalMap) -> list:
     group = csgraph.connected_components(edge_graph(n_p + n_h, p_of, n_p + h_block),
                                          directed=False)[1][piece]  # of each edge
     face_block = group[side_edge[:, 0]]
-    if (face_block == face_block[0]).all() and np.bincount(f.ravel(), minlength=n).all():
-        return [omap]  # submap(all faces) would equal it, without its side table
     order = np.argsort(face_block, kind="stable")
     parts = [(omap.submap(fidx), face_block[fidx[0]])
              for fidx in np.split(order, np.flatnonzero(np.diff(face_block[order])) + 1)]

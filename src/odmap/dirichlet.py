@@ -12,6 +12,7 @@ shape and only checks that it stays bounded.
 from __future__ import annotations
 
 import csv
+import functools
 import time
 from dataclasses import dataclass
 
@@ -29,6 +30,8 @@ from .network import (
     harmonic_extension,
     random_walk_exit_measure,
 )
+
+_gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)  # n -> (nodes, weights), shared: read only
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +168,7 @@ def energy_pair_check(omap: OrthodiagonalMap, tf: TestFunction):
     d = _complex(pos[s.head[keep]])[:, None] - a
     sums = []  # two orders can agree by chance across a kink
     for n in (4, 8, 16, 32, 64, 128, 256):
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _gauss_legendre(n)
         z = a + 0.5 * (x + 1.0) * d
         terms = (tf.F(z).real * (tf.dF(z) * d).imag) @ (0.5 * w)  # on side a -> a + d
         sums.append(float(terms.sum()))
@@ -287,9 +290,7 @@ def convergence_sweep(spec: GeneratorSpec, levels, tf: TestFunction,
                 runtime_ms=1000.0 * (time.perf_counter() - t0),
             )
         except Exception as exc:  # record and continue with the other levels
-            rec = SweepRecord(spec.family, int(n), float("nan"), float("nan"),
-                              float("nan"), float("nan"), float("nan"),
-                              float("nan"), float("nan"), float("nan"),
+            rec = SweepRecord(spec.family, int(n), *[float("nan")] * 8,
                               1000.0 * (time.perf_counter() - t0), error=str(exc))
         records.append(rec)
     if csv_path is not None:

@@ -8,12 +8,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
-from scipy.sparse.linalg import cg as sparse_cg
 
 from .core_map import OrthodiagonalMap, blocks, side_table, validate
 from .domains import DomainSpec, hausdorff_delta, unit_disk, unit_square
 from .errors import GeometryError
 from .geometry import cross2
+from .network import definite_splu
 from .packing import (
     PlanarMap3C,
     Triangulation,
@@ -152,47 +152,50 @@ def perturbed(base: OrthodiagonalMap, amplitude: float, seed: int = 0) -> Orthod
     Moving a dual vertex w is admissible only along directions orthogonal to
     the primal diagonals of every face containing w, and the moves of the two
     dual endpoints of a face are coupled; the set of admissible displacement
-    fields is the null space of one linear constraint per face.  A random
-    element of that null space is sampled and scaled so no dual vertex moves
-    farther than amplitude * mesh.  amplitude = 0 returns the base map.
+    fields is the null space of one linear constraint per face, A d = 0.  A
+    Gaussian draw g is projected onto it, g - A^T (A A^T)^-1 A g, through one
+    sparse factor of A A^T (:func:`~odmap.network.definite_splu`), shared by
+    every attempt: A A^T depends only on the primal diagonals, which do not
+    move.  The projection is scaled so no dual vertex moves farther than
+    amplitude * mesh, and halved until the map validates.  The result shares
+    the base map's faces and side table.  amplitude = 0 returns the base map.
     """
     if amplitude == 0:
         return base
-    eps = base.mesh_size()
-    duals = base.dual_vertices
+    eps, duals, p, f = base.mesh_size(), base.dual_vertices, base.positions, base.faces
     nd = len(duals)
-    p = base.positions
-    f = base.faces
     dual_pos = np.zeros(len(p), int)
     dual_pos[duals] = np.arange(nd)
     # one row per face: (d_{w2} - d_{w1}) . t = 0
     t = p[f[:, 2]] - p[f[:, 0]]
     w1, w2 = dual_pos[f[:, 1]], dual_pos[f[:, 3]]
-    rows = np.repeat(np.arange(len(f)), 4)
     cols = np.column_stack([2 * w2, 2 * w2 + 1, 2 * w1, 2 * w1 + 1]).ravel()
-    vals = np.column_stack([t, -t]).ravel()
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(len(f), 2 * nd))
-    AAt = (A @ A.T).tocsr()
+    A = sp.csr_matrix((np.column_stack([t, -t]).ravel(), (np.repeat(np.arange(len(f)), 4), cols)),
+                      shape=(len(f), 2 * nd))
+    try:
+        lu = definite_splu((A @ A.T).tocsc())
+    except RuntimeError as exc:  # exactly singular: the constraints are dependent
+        raise GeometryError(f"the {len(f)} face constraints of the perturbation are "
+                            f"rank-deficient: A A^T has no factor ({exc})") from exc
 
     rng = np.random.default_rng(seed)
     scale = float(amplitude)
     for _ in range(20):
         g = rng.standard_normal(2 * nd)
-        # project g onto null(A):  d = g - A^T (A A^T)^+ (A g)
-        y, info = sparse_cg(AAt, A @ g, rtol=1e-13, atol=1e-14, maxiter=20 * len(f))
-        if info != 0:
-            raise GeometryError(f"null-space projection did not converge (cg info {info})")
-        d = g - A.T @ y
-        disp = d.reshape(nd, 2)
-        mx = np.abs(disp).max()
+        Ag = A @ g
+        d = g - A.T @ lu.solve(Ag)
+        if not np.linalg.norm(A @ d) <= 1e-13 * np.linalg.norm(Ag):  # a NaN fails too
+            raise GeometryError("the projection missed the face constraints: they are "
+                                "rank-deficient to rounding")
+        mx = np.abs(d).max()
         if mx < 1e-12:
             warnings.warn("base map admits no dual-vertex perturbation; returning base")
             return base
-        disp = disp * (scale * eps / mx)
         new_pos = p.copy()
-        new_pos[duals] += disp
+        new_pos[duals] += d.reshape(nd, 2) * (scale * eps / mx)
         cand = OrthodiagonalMap(new_pos, base.primal_mask.copy(), base.faces.copy(),
                                 ids=base.ids.copy())
+        cand._sides = base._sides  # the same faces: their side table is the base's
         if validate(cand, tol=1e-9).passed:
             return cand
         scale *= 0.5
@@ -261,10 +264,8 @@ def triangular_disk_triangulation(rows: int) -> Triangulation:
     _, comp = csgraph.connected_components(incidence @ incidence.T, directed=False)
     best = np.argmax(np.bincount(comp))
     faces = faces[comp == best]
-    used = np.unique(faces)
-    remap = -np.ones(len(pts), int)
-    remap[used] = np.arange(len(used))
-    return Triangulation(len(used), remap[faces], positions=pts[used]).validate()
+    used, faces = np.unique(faces, return_inverse=True)
+    return Triangulation(len(used), faces.reshape(-1, 3), positions=pts[used]).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -100,12 +100,9 @@ class Network:
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
-        n, m = self.n_vertices, self.n_edges
-        i = np.concatenate([self.tails, self.heads, self.tails, self.heads])
-        j = np.concatenate([self.tails, self.heads, self.heads, self.tails])
-        v = np.concatenate([self.conductances, self.conductances,
-                            -self.conductances, -self.conductances])
-        return sp.csr_matrix((v, (i, j)), shape=(n, n))
+        t, h, c = self.tails, self.heads, self.conductances
+        i, j = np.concatenate([t, h, t, h]), np.concatenate([t, h, h, t])
+        return sp.csr_matrix((np.concatenate([c, c, -c, -c]), (i, j)), shape=(self.n_vertices,) * 2)
 
     def grounded(self, boundary_idx) -> "_InteriorSolver":
         """The solver for L[I][:, I], I the vertices not in ``boundary_idx``.

@@ -179,10 +179,22 @@ class _FixedPattern:
     """CSC structure of a square COO pattern (rows, cols) and the slot of each
     entry: one bincount fills what `sp.csc_matrix((data, (rows, cols)))` builds."""
 
-    def __init__(self, rows, cols, size):
+    def __init__(self, rows, cols, size, keys=None, slot=None):
         self.rows, self.cols, self.size = rows, cols, size
-        keys, self.slot = np.unique(cols * size + rows, return_inverse=True)
+        if keys is None:  # the distinct cols * size + rows, ascending
+            keys, slot = np.unique(cols * size + rows, return_inverse=True)
+        self.slot = slot
         self.indices, self.indptr = keys % size, np.searchsorted(keys, np.arange(size + 1) * size)
+
+    def renumbered(self, rank) -> "_FixedPattern":
+        """The pattern of (rank[rows], rank[cols]) by one argsort of its
+        distinct keys, renumbered, in place of a second np.unique."""
+        cols = np.repeat(np.arange(self.size), np.diff(self.indptr))
+        keys = rank[cols] * self.size + rank[self.indices]
+        order = np.argsort(keys)
+        where = np.empty_like(order)
+        where[order] = np.arange(order.size)
+        return _FixedPattern(rank[self.rows], rank[self.cols], self.size, keys[order], where[self.slot])
 
     def matrix(self, data) -> sp.csc_matrix:
         return sp.csc_matrix((np.bincount(self.slot, data, self.indices.size), self.indices,
@@ -302,7 +314,7 @@ def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> tuple[np.nd
             kept = factor
             if permc != "NATURAL":  # later steps factor J[order][:, order]
                 rank, order, permc = factor[0].perm_c, np.argsort(factor[0].perm_c), "NATURAL"
-                pattern = _FixedPattern(rank[pattern.rows], rank[pattern.cols], m)
+                pattern = pattern.renumbered(rank)
         norm = np.linalg.norm(F)
         scale = min(1.0, 2.0 / np.abs(du).max())  # scaled, not clipped: same direction
         for _ in range(_HALVINGS):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import odmap
+from odmap import core_map
 from odmap.core_map import (
     AugmentedDuals,
     _biconnected_components,
@@ -229,13 +230,35 @@ def test_augmented_euler_duality(grid16_square):
 
 
 def test_blocks_identity(grid16_square):
-    """A map that is one block on all its vertices comes back as itself, and
+    """A map of one piece on all its vertices comes back as itself, and
     a clipped grid keeps the side table that the clip's block split built."""
     out = odmap.blocks(grid16_square)
     assert len(out) == 1
     assert out[0] is grid16_square
     assert odmap.validate(out[0]).passed
     assert "_sides" in odmap.rotated_grid("disk", 32).__dict__
+
+
+@pytest.mark.parametrize("domain", ["square", "disk"])
+@pytest.mark.parametrize("n", [4, 16, 33])
+def test_blocks_of_one_piece_return_the_map_without_a_block_search(domain, n, monkeypatch):
+    m = odmap.rotated_grid(domain, n)
+
+    def no_search(*args):
+        raise AssertionError("block search on a map of one piece")
+
+    monkeypatch.setattr(core_map, "_biconnected_components", no_search)
+    out = odmap.blocks(m)
+    assert len(out) == 1 and out[0] is m
+
+
+def test_blocks_drop_a_vertex_on_no_face():
+    g = odmap.diamond_map()
+    m = odmap.OrthodiagonalMap(np.vstack([g.positions, [[5.0, 5.0]]]),
+                               np.append(g.primal_mask, True), g.faces)
+    (out,) = odmap.blocks(m)
+    assert out is not m and out.n_vertices == g.n_vertices
+    assert np.array_equal(out.faces, g.faces) and np.array_equal(out.positions, g.positions)
 
 
 def test_blocks_two_diamonds():

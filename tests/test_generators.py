@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
+from scipy.sparse.linalg import cg as sparse_cg
 
 import odmap
 from odmap.core_map import martingale_residuals, side_table
@@ -112,11 +113,77 @@ def test_perturbed_heterogeneous_and_valid(grid16_square):
     assert degrees(m) == degrees(grid16_square)
 
 
-def test_perturbed_raises_when_the_projection_does_not_converge(grid16_square, monkeypatch):
-    monkeypatch.setattr(odmap.generators, "sparse_cg",
-                        lambda A, b, **kw: (np.zeros_like(b), 1))
-    with pytest.raises(odmap.GeometryError, match="did not converge"):
+def test_perturbed_raises_when_the_constraints_are_singular(grid16_square, monkeypatch):
+    def singular(A):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(odmap.generators, "definite_splu", singular)
+    with pytest.raises(odmap.GeometryError, match="rank-deficient"):
         perturbed(grid16_square, 0.3, seed=2)
+
+
+def test_perturbed_raises_when_the_projection_misses(grid16_square, monkeypatch):
+    class NoSolve:  # a factor that solves nothing leaves A g unprojected
+        def solve(self, rhs):
+            return np.zeros_like(rhs)
+
+    monkeypatch.setattr(odmap.generators, "definite_splu", lambda A: NoSolve())
+    with pytest.raises(odmap.GeometryError, match="missed the face constraints"):
+        perturbed(grid16_square, 0.3, seed=2)
+
+
+def _perturbed_by_cg(base, amplitude, seed):
+    """perturbed() with each draw projected by CG on A A^T to rtol 1e-13: the
+    projection it had before the sparse factor, kept as the oracle."""
+    eps, duals, p, f = base.mesh_size(), base.dual_vertices, base.positions, base.faces
+    nd = len(duals)
+    dual_pos = np.zeros(len(p), int)
+    dual_pos[duals] = np.arange(nd)
+    t = p[f[:, 2]] - p[f[:, 0]]
+    w1, w2 = dual_pos[f[:, 1]], dual_pos[f[:, 3]]
+    A = sp.csr_matrix((np.column_stack([t, -t]).ravel(),
+                       (np.repeat(np.arange(len(f)), 4),
+                        np.column_stack([2 * w2, 2 * w2 + 1, 2 * w1, 2 * w1 + 1]).ravel())),
+                      shape=(len(f), 2 * nd))
+    AAt = (A @ A.T).tocsr()
+    rng = np.random.default_rng(seed)
+    scale = float(amplitude)
+    for _ in range(20):
+        g = rng.standard_normal(2 * nd)
+        y, info = sparse_cg(AAt, A @ g, rtol=1e-13, atol=1e-14, maxiter=20 * len(f))
+        assert info == 0
+        disp = (g - A.T @ y).reshape(nd, 2)
+        new_pos = p.copy()
+        new_pos[duals] += disp * (scale * eps / np.abs(disp).max())
+        cand = odmap.OrthodiagonalMap(new_pos, base.primal_mask, base.faces, ids=base.ids)
+        if odmap.validate(cand, tol=1e-9).passed:
+            return cand
+        scale *= 0.5
+    raise AssertionError("no valid perturbation")
+
+
+L_SHAPE = DomainSpec("polygon", polygon=[[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("domain", ["square", "disk", L_SHAPE], ids=["square", "disk", "L"])
+@pytest.mark.parametrize("n", [16, 37, 64, 128])
+def test_perturbed_matches_the_cg_projection(domain, n):
+    base = rotated_grid(domain, n)
+    got, want = perturbed(base, 0.3, seed=n), _perturbed_by_cg(base, 0.3, seed=n)
+    assert np.abs(got.positions - want.positions).max() <= 1e-13
+    assert np.array_equal(got.faces, base.faces) and np.array_equal(got.ids, base.ids)
+    p, f = got.positions, got.faces
+    dv, dw = p[f[:, 2]] - p[f[:, 0]], p[f[:, 3]] - p[f[:, 1]]
+    assert (np.abs((dv * dw).sum(1)) <= 1e-12 * np.hypot(*dv.T) * np.hypot(*dw.T)).all()
+
+
+def test_perturbed_shares_the_base_side_table(grid16_square):
+    m = perturbed(grid16_square, 0.3, seed=2)
+    assert m._sides is grid16_square._sides
+    fresh = side_table(m.faces)
+    for name, got in m._sides._asdict().items():
+        want = getattr(fresh, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def test_perturbed_martingale_still_holds(grid16_square):

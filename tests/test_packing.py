@@ -503,6 +503,36 @@ def test_fixed_pattern_jacobian_matches_plain_assembly(monkeypatch):
         assert abs(got - got.T).max() <= 1e-15 * abs(got).max()
 
 
+def _unique_renumbered(pattern, rank):
+    """The renumbered pattern built afresh by np.unique, as the oracle."""
+    return packing._FixedPattern(rank[pattern.rows], rank[pattern.cols], pattern.size)
+
+
+def test_renumbered_pattern_matches_a_fresh_build(monkeypatch):
+    seen = []
+    renumbered = packing._FixedPattern.renumbered
+
+    def spy(pattern, rank):
+        seen.append((renumbered(pattern, rank), _unique_renumbered(pattern, rank)))
+        return seen[-1][0]
+
+    monkeypatch.setattr(packing._FixedPattern, "renumbered", spy)
+    packing._solve_hyperbolic_radii(random_delaunay_triangulation(3000, seed=1), 1e-12)
+    assert len(seen) == 1
+    for name in ("rows", "cols", "indices", "indptr", "slot"):
+        got, want = (getattr(p, name) for p in seen[0])
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("size, seed", [(n, seed) for seed in (1, 2, 3) for n in (1000, 3000)])
+def test_renumbered_pattern_keeps_the_pack_solve_radii(monkeypatch, size, seed):
+    tri = random_delaunay_triangulation(size, seed=seed)
+    got = odmap.pack_in_disk(tri)
+    monkeypatch.setattr(packing._FixedPattern, "renumbered", _unique_renumbered)
+    want = odmap.pack_in_disk(tri)
+    assert np.array_equal(got.radii, want.radii) and np.array_equal(got.centers, want.centers)
+
+
 def zigzag_strip(n):
     """Triangulated convex n-gon whose faces zigzag across it from the edge
     (0, n - 1): a strip, each face sharing an edge with the next."""
