@@ -209,9 +209,15 @@ class OrthodiagonalMap:
         p, f = self.positions, self.faces
         return np.hypot(*(p[f[:, 2]] - p[f[:, 0]]).T), np.hypot(*(p[f[:, 3]] - p[f[:, 1]]).T)
 
+    @cached_property
+    def _face_areas(self) -> np.ndarray:
+        areas = signed_area(self.positions[self.faces])
+        areas.flags.writeable = False
+        return areas
+
     def face_areas(self) -> np.ndarray:
-        """Shoelace area per face (equals half the diagonal product)."""
-        return signed_area(self.positions[self.faces])
+        """Shoelace area per face (half the diagonal product), computed once per map and read-only."""
+        return self._face_areas
 
     def area(self) -> float:
         """Area of the region covered by the map (sum of face areas)."""

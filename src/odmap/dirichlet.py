@@ -22,7 +22,7 @@ from .core_map import OrthodiagonalMap
 from .domains import DomainSpec, hausdorff_delta
 from .errors import GeometryError
 from .generators import GeneratorSpec, build_generator_level
-from .geometry import split_quad
+from .geometry import interior_diagonal
 from .network import (
     DirichletProblem,
     VertexFunction,
@@ -161,7 +161,7 @@ def energy_pair_check(omap: OrthodiagonalMap, tf: TestFunction):
     dnet = omap.dual_network()
     e_p = energy_of_function(pnet, tf(pos[pnet.labels]))
     e_d = energy_of_function(dnet, tf(pos[dnet.labels]))
-    split_quad(pos[omap.faces])  # names the first face that is not a simple CCW polygon
+    interior_diagonal(pos[omap.faces])  # names the first face that is not a simple CCW polygon
     s = omap._sides
     keep = (s.twin < 0) | (s.tail[s.twin] != s.head)  # two sides running opposite ways cancel
     a = _complex(pos[s.tail[keep]])[:, None]

@@ -67,17 +67,15 @@ class DomainSpec:
         return ((dist <= tol) | (_reduce_pairs(crossings, len(p), len(a), np.add, 0) != 0))[at], dist[at]
 
     def dist_to_boundary(self, pts) -> np.ndarray:
-        """Unsigned distance to the domain boundary, vectorized."""
+        """Unsigned distance to the domain boundary, vectorized; repeated points are measured again."""
         pts = np.atleast_2d(np.asarray(pts, float))
         if self.kind == "disk":
             return np.abs(1.0 - np.hypot(pts[:, 0], pts[:, 1]))
-        z, at = np.unique(np.ascontiguousarray(pts).view(complex).ravel(), return_inverse=True)  # each point once
-        a, b = self.polygon, np.roll(self.polygon, -1, axis=0)
-        return nearest_segment_distance(a, b, z.view(float).reshape(-1, 2))[at]
+        return nearest_segment_distance(self.polygon, np.roll(self.polygon, -1, axis=0), pts)
 
     def face_distance(self, quad: np.ndarray):
         """dist(Q, boundary) for quads whose closures lie inside the domain,
-        broadcast over any leading axes ((m, 4, 2) quads give m distances)."""
+        broadcast over any leading axes ((m, 4, 2) quads give m distances); shared corners are measured once."""
         quad = np.asarray(quad, float)
         if self.kind == "disk":
             dist = 1.0 - np.hypot(quad[..., 0], quad[..., 1]).max(-1)
@@ -85,7 +83,8 @@ class DomainSpec:
             # 0 where a quad side meets a polygon edge, else the least distance
             # from a quad corner to an edge or from a polygon vertex to a side
             q = quad.reshape(-1, 4, 2)
-            corner = self.dist_to_boundary(q.reshape(-1, 2)).reshape(-1, 4).min(1)
+            z, at = np.unique(np.ascontiguousarray(q).view(complex).ravel(), return_inverse=True)
+            corner = self.dist_to_boundary(z.view(float).reshape(-1, 2))[at].reshape(-1, 4).min(1)
             a, c, d = self.polygon, q.reshape(-1, 2), np.roll(q, -1, axis=1).reshape(-1, 2)
             dist = np.minimum(corner, _reduce_pairs(lambda i, j: seg_points_distance(c[i, None], d[i, None], a[j]),
                                                     len(c), len(a), np.minimum, np.inf).reshape(-1, 4).min(1))

@@ -148,22 +148,27 @@ def max_distance(points: np.ndarray) -> float:
 # quadrature over orthodiagonal quads
 
 
+def interior_diagonal(quad: np.ndarray) -> np.ndarray:
+    """Whether each simple CCW quad splits along diagonal 0-2 (True) or only along 1-3 (False),
+    broadcast over leading axes, by one signed_area call over its triangles 012, 023, 123 and 130;
+    a GeometryError names the first quad with neither diagonal inside."""
+    q = np.asarray(quad, float)
+    pos = signed_area(q[..., [[0, 1, 2], [0, 2, 3], [1, 2, 3], [1, 3, 0]], :]) > 0
+    ok_a = pos[..., 0] & pos[..., 1]
+    bad = np.flatnonzero(~(ok_a | (pos[..., 2] & pos[..., 3])))
+    if bad.size:
+        raise GeometryError(f"{'quad' if q.ndim == 2 else f'face {bad[0]}'} is not a simple CCW polygon")
+    return ok_a
+
+
 def split_quad(quad: np.ndarray):
     """Split a simple CCW quad into two triangles along an interior diagonal,
     broadcast over any leading axes ((m, 4, 2) quads give two (m, 3, 2)
     stacks); a GeometryError names the first quad that has no such diagonal.
     """
     q = np.asarray(quad, float)
-    t1a, t2a = q[..., [0, 1, 2], :], q[..., [0, 2, 3], :]
-    t1b, t2b = q[..., [1, 2, 3], :], q[..., [1, 3, 0], :]
-    ok_a = (signed_area(t1a) > 0) & (signed_area(t2a) > 0)
-    ok_b = (signed_area(t1b) > 0) & (signed_area(t2b) > 0)
-    bad = np.flatnonzero(~(ok_a | ok_b))
-    if bad.size:
-        what = "quad" if q.ndim == 2 else f"face {bad[0]}"
-        raise GeometryError(f"{what} is not a simple CCW polygon")
-    keep_a = ok_a[..., None, None]
-    return np.where(keep_a, t1a, t1b), np.where(keep_a, t2a, t2b)
+    a = interior_diagonal(q)[..., None, None]
+    return np.where(a, q[..., [0, 1, 2], :], q[..., [1, 2, 3], :]), np.where(a, q[..., [0, 2, 3], :], q[..., [1, 3, 0], :])
 
 
 @functools.cache

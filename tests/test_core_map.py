@@ -14,12 +14,27 @@ from odmap.core_map import (
     orientation_residuals,
 )
 from odmap.errors import StructuralError
+from odmap.geometry import signed_area
 
 
 def test_diamond_validates(diamond):
     report = odmap.validate(diamond, tol=1e-9)
     assert report.passed
     assert report.worst_orthogonality <= 1e-15
+
+
+def test_face_areas_are_computed_once_per_map_and_read_only():
+    m = odmap.rotated_grid("square", 8)
+    areas = m.face_areas()
+    assert m.face_areas() is areas and np.array_equal(areas, signed_area(m.positions[m.faces]))
+    assert m.area() == float(areas.sum())
+    with pytest.raises(ValueError):
+        areas[0] = 1.0
+    # a perturbed map shares the base's side table, not its areas
+    p = odmap.perturbed(m, 0.3, seed=1)
+    assert p._sides is m._sides and p.face_areas() is not areas
+    assert np.array_equal(p.face_areas(), signed_area(p.positions[p.faces]))
+    assert not np.array_equal(p.face_areas(), areas)
 
 
 def test_moved_dual_vertex_fails_orthogonality(diamond):

@@ -779,6 +779,26 @@ def test_hausdorff_delta_matches_segment_loops(domain, n, seed, samples, pairs):
     assert delta == _hausdorff_delta_loop(m, domain, samples)
 
 
+def test_square_dist_to_boundary_is_the_least_edge_distance():
+    """On the unit square, bit for bit: inside, beside an edge, beyond a
+    corner, on edges and corners, repeated points, NaN and infinities."""
+    rng = np.random.default_rng(11)
+    u, side = rng.uniform(0.0, 1.0, 200), rng.choice([-1.0, 1.0], (200, 2))
+    far = rng.uniform(0.0, 3.0, (200, 2))
+    beyond = np.where(side > 0, 1.0 + far, -far)  # x and y both outside
+    beside = np.column_stack([u, beyond[:, 1]])
+    edges = np.column_stack([u, rng.integers(0, 2, 200)])
+    odd = [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [-np.inf, 0.5], [0.5, np.inf], [np.inf, -np.inf]]
+    pts = np.vstack([rng.uniform(0.0, 1.0, (200, 2)), beside, beside[:, ::-1], beyond, edges, edges[:, ::-1],
+                     odd, odmap.unit_square().polygon, 1.0 - far, edges[:7], beyond[:7]])
+    with np.errstate(invalid="ignore"):  # inf * 0 in the projections onto the edges
+        got = odmap.unit_square().dist_to_boundary(pts)
+        want = np.min([seg_points_distance(a, b, pts) for a, b in _edges(odmap.unit_square())], axis=0)
+    assert np.isnan(got[1200:1202]).all() and (got[:1200] >= 0).all()
+    # bit for bit off NaN (a NaN's sign depends on the order of the minimum)
+    assert got.shape == (len(pts),) and np.array_equal(got, want, equal_nan=True)
+
+
 @given(seed=st.integers(0, 10_000), segments=st.integers(1, 40), points=st.integers(1, 60),
        pairs=st.sampled_from([1, 7, 64, 1 << 15]))
 @settings(max_examples=40, deadline=None)

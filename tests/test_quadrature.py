@@ -11,7 +11,7 @@ from odmap import geometry
 from odmap.dirichlet import CATALOG, energy_pair_check, get_test_function
 from odmap.errors import GeometryError
 from odmap.generators import two_diamonds_sharing_vertex
-from odmap.geometry import cross2, gauss_triangle, integrate_over_quad, signed_area, split_quad
+from odmap.geometry import cross2, gauss_triangle, integrate_over_quad, interior_diagonal, signed_area, split_quad
 
 # -- reference: one quad at a time, a fresh rule per triangle and order -------
 
@@ -142,6 +142,30 @@ def test_split_quad_names_the_bad_face():
         split_quad(bad)
     with pytest.raises(GeometryError, match=r"^face 17 is not a simple CCW polygon$"):
         integrate_over_quad(_grad_sq(get_test_function("xy")), bad)
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=20, deadline=None)
+def test_interior_diagonal_matches_four_area_stacks(seed):
+    rng = np.random.default_rng(seed)
+    quads = rng.normal(size=(600, 4, 2))
+    # near-collinear: one corner on the line through two others, to rounding
+    i, k = np.arange(300, 600), rng.integers(0, 4, 300)
+    a, b = quads[i, (k + 1) % 4], quads[i, (k + 2) % 4]
+    quads[i, k] = a + rng.uniform(-0.5, 1.5, (300, 1)) * (b - a)
+    pos = [signed_area(quads[:, c]) > 0 for c in ([0, 1, 2], [0, 2, 3], [1, 2, 3], [1, 3, 0])]
+    ok_a, good = pos[0] & pos[1], (pos[0] & pos[1]) | (pos[2] & pos[3])
+    assert 0 < good.sum() < len(quads) and np.array_equal(interior_diagonal(quads[good]), ok_a[good])
+    with pytest.raises(GeometryError, match=rf"^face {np.argmin(good)} is not a simple CCW polygon$"):
+        interior_diagonal(quads)
+    for q, flag in zip(quads[good][:50], ok_a[good]):
+        assert interior_diagonal(q) == flag
+        assert all(np.array_equal(t, s) for t, s in zip(split_quad(q), _split_oracle(q)))
+    for q in quads[~good][:20]:
+        with pytest.raises(GeometryError, match=r"^quad is not a simple CCW polygon$"):
+            interior_diagonal(q)
+    tris = split_quad(quads[good])
+    assert all(np.array_equal(t, np.array([_split_oracle(q)[i] for q in quads[good]])) for i, t in enumerate(tris))
 
 
 def _face_listed_twice():
