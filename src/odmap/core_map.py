@@ -230,24 +230,26 @@ class OrthodiagonalMap:
 
     # -- networks ------------------------------------------------------------
 
-    @cached_property
-    def _networks(self):
-        dp, dd = self.diagonal_lengths()
-        if np.any(dp <= 0) or np.any(dd <= 0):
+    def _network(self, k: int) -> Network:
+        """Network on the diagonals k, k + 2 of the faces (0 primal, 1 dual), c = |other| / |own|."""
+        lengths = self.diagonal_lengths()
+        if np.any(lengths[0] <= 0) or np.any(lengths[1] <= 0):
             raise DegenerateFaceError("face with zero-length diagonal")
-        f = self.faces
-        pv, dv = self.primal_vertices, self.dual_vertices
-        return Network(pv, f[:, 0], f[:, 2], dd / dp), Network(dv, f[:, 1], f[:, 3], dp / dd)
+        return Network(self.dual_vertices if k else self.primal_vertices, self.faces[:, k],
+                       self.faces[:, k + 2], lengths[1 - k] / lengths[k])
+
+    _primal_network = cached_property(lambda self: self._network(0))
+    _dual_network = cached_property(lambda self: self._network(1))
 
     def primal_network(self) -> Network:
         """Network on the primal vertices, one edge per face, c = |w1w2|/|v1v2|
-        (built once per map, with the dual one)."""
-        return self._networks[0]
+        (built once per map, on first use)."""
+        return self._primal_network
 
     def dual_network(self) -> Network:
         """Network on the dual vertices, one edge per face, c = |v1v2|/|w1w2|
-        (built once per map, with the primal one)."""
-        return self._networks[1]
+        (built once per map, on first use)."""
+        return self._dual_network
 
     # -- serialization -------------------------------------------------------
 

@@ -157,8 +157,7 @@ def energy_pair_check(omap: OrthodiagonalMap, tf: TestFunction):
     Gauss-Legendre with n = 4, 8, ..., 256 points until three orders agree, else GeometryError.
     """
     pos = omap.positions
-    pnet = omap.primal_network()
-    dnet = omap.dual_network()
+    pnet, dnet = omap.primal_network(), omap.dual_network()
     e_p = energy_of_function(pnet, tf(pos[pnet.labels]))
     e_d = energy_of_function(dnet, tf(pos[dnet.labels]))
     interior_diagonal(pos[omap.faces])  # names the first face that is not a simple CCW polygon
@@ -178,10 +177,8 @@ def energy_pair_check(omap: OrthodiagonalMap, tf: TestFunction):
         raise GeometryError(f"the Dirichlet integral of {tf.name} did not converge with 256 points a side")
     integral = sums[-1]
     lo, hi = _map_bbox(omap)
-    L = tf.sup_grad(lo, hi)
-    M = tf.sup_hess(lo, hi)
-    eps = omap.mesh_size()
-    area = omap.area()
+    L, M = tf.sup_grad(lo, hi), tf.sup_hess(lo, hi)
+    eps, area = omap.mesh_size(), omap.area()
     disc = 0.5 * (e_p + e_d) - integral
     return {
         "e_primal": e_p,

@@ -41,8 +41,9 @@ def seg_points_distance(a, b, pts) -> np.ndarray:
     denom = (d[..., None, :] @ d[..., :, None])[..., 0, 0]  # rounds as d @ d does
     # elementwise, not w @ d: a matrix product may round differently with
     # the number of rows, and a point must get one distance in any batch.
-    # A segment of length 0 has d = 0, so any t leaves the distance |w|
-    t = np.clip((wx * dx + wy * dy) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
+    # d = 0 leaves any t at distance |w|; fmin takes inf * 0 = NaN to 1, so inf stays inf
+    with np.errstate(invalid="ignore"):
+        t = np.fmax(np.fmin((wx * dx + wy * dy) / np.where(denom == 0.0, 1.0, denom), 1.0), 0.0)
     return np.hypot(wx - t * dx, wy - t * dy)
 
 

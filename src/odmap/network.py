@@ -28,16 +28,19 @@ from .errors import DisconnectedNetworkError, StructuralError
 class Network:
     """Weighted multigraph with positive conductances.
 
-    ``labels`` are caller-facing vertex names (e.g. map vertex indices);
-    internally vertices are dense 0..n-1.  Parallel edges are kept distinct.
-    Immutable after construction.
+    ``labels`` are caller-facing integer vertex names (every caller labels by
+    map vertex index); internally vertices are dense 0..n-1, found by one
+    gather from an index whose memory follows the span max - min of the
+    labels.  Parallel edges are kept distinct.  Immutable after construction.
     """
 
     def __init__(self, labels, tails, heads, conductances):
         self.labels = np.asarray(labels).reshape(-1)
-        self._by_label = np.argsort(self.labels, kind="stable")
-        self._sorted_labels = self.labels[self._by_label].astype(int)
-        if np.any(self._sorted_labels[1:] == self._sorted_labels[:-1]):
+        keys = self.labels.astype(int)  # label k at slot k - _lo; -1 in slot 0, the last and the gaps
+        self._lo = int(keys.min()) - 1 if keys.size else 0
+        self._index = np.full(int(keys.max(initial=0)) - self._lo + 2, -1)
+        self._index[keys - self._lo] = np.arange(keys.size)
+        if np.count_nonzero(self._index >= 0) < keys.size:
             raise StructuralError("duplicate vertex labels")
         self.tails = self.indices_of(np.asarray(tails).reshape(-1))
         self.heads = self.indices_of(np.asarray(heads).reshape(-1))
@@ -66,12 +69,10 @@ class Network:
     def indices_of(self, labels) -> np.ndarray:
         """Dense indices of an iterable of labels; KeyError on an unknown one."""
         want = np.asarray(labels if isinstance(labels, np.ndarray) else list(labels)).astype(int)
-        pos = np.searchsorted(self._sorted_labels, want)
-        found = pos < self.n_vertices
-        found[found] = self._sorted_labels[pos[found]] == want[found]
-        if not found.all():
-            raise KeyError(int(want[~found][0]))
-        return self._by_label[pos]
+        idx = self._index.take(want - self._lo, mode="clip")  # a label off the span clips to a -1 slot
+        if (idx < 0).any():
+            raise KeyError(int(want[np.argmax(idx < 0)]))
+        return idx
 
     @property
     def tails_labels(self) -> np.ndarray:

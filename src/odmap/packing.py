@@ -65,6 +65,7 @@ class Triangulation:
     n_vertices: int
     faces: np.ndarray  # (m, 3) CCW
     positions: np.ndarray | None = None
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)  # validate passed
 
     def __post_init__(self):
         self.faces = np.asarray(self.faces, int).reshape(-1, 3)
@@ -127,18 +128,20 @@ class Triangulation:
         return mask
 
     def validate(self):
-        """Raise StructuralError when not a simple triangulation with boundary."""
-        corners = np.sort(self.faces, axis=1)
-        repeats = np.flatnonzero(np.any(corners[:, 1:] == corners[:, :-1], axis=1))
+        """Raise StructuralError when not a simple triangulation with boundary (checked once)."""
+        if self._valid:
+            return self
+        repeats = np.flatnonzero((self.faces == np.roll(self.faces, 1, axis=1)).any(axis=1))
         if repeats.size:
             raise StructuralError(f"face {repeats[0]} repeats a vertex")
         _ = self.boundary_cycle  # after the incidence and orientation checks
         # with those, each boundary vertex's fan is one path: a bare vertex is all that is left
-        bare = np.setdiff1d(np.arange(self.n_vertices), self.faces)
-        if bare.size:
-            raise StructuralError(f"vertex {bare[0]} lies on no face")
+        on_faces = np.bincount(self.faces.ravel(), minlength=self.n_vertices)
+        if on_faces.min() == 0:
+            raise StructuralError(f"vertex {np.argmin(on_faces)} lies on no face")
         if csgraph.connected_components(self.graph, directed=False, return_labels=False) != 1:
             raise StructuralError("triangulation is not connected")
+        self._valid = True  # a flag, not self: a cached self would make a reference cycle
         return self
 
 
@@ -395,9 +398,7 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
     residual, exceeds tol (naming a circle too small for the disk's floats).
     """
     tri.validate()
-    n = tri.n_vertices
-    faces = tri.faces
-    boundary = tri.boundary_mask
+    n, faces, boundary = tri.n_vertices, tri.faces, tri.boundary_mask
     angle_tol = max(min(1e-12, 0.01 * tol), 1e-14)
     t, solve_stats = _solve_hyperbolic_radii(tri, angle_tol)
 
@@ -508,11 +509,12 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
 
 
 def _packing_residuals(tri: Triangulation, p: CirclePacking) -> dict:
+    """Tangency residuals on the edges, boundary residual, protrusion, and the
+    worst overlap: the least separation (or 0.0) of the ball-query pairs,
+    taken unsorted, that a search of the ascending edge keys finds no edge."""
     from scipy.spatial import cKDTree
 
-    c = p.centers
-    r = p.radii
-    n = len(r)
+    c, r, n = p.centers, p.radii, len(p.radii)
 
     def separation(i, j):
         return np.hypot(*(c[i] - c[j]).T) - (r[i] + r[j])
@@ -525,11 +527,11 @@ def _packing_residuals(tri: Triangulation, p: CirclePacking) -> dict:
     # non-adjacent overlap (most negative separation): circles i, j overlap
     # only if |c_i - c_j| < 2 max(r_i, r_j), so a ball of radius 2 r_i around
     # each center holds every overlap partner of the larger circle
-    near = cKDTree(c).query_ball_point(c, 2.0 * r)
+    near = cKDTree(c).query_ball_point(c, 2.0 * r, return_sorted=False)
     i = np.repeat(np.arange(n), [len(js) for js in near])
     j = np.fromiter(chain.from_iterable(near), int, len(i))
-    pair = np.minimum(i, j) * n + np.maximum(i, j)
-    keep = (i != j) & ~np.isin(pair, a * n + b)
+    pair, edge = np.minimum(i, j) * n + np.maximum(i, j), a * n + b  # edge keys ascend
+    keep = (i != j) & (edge[np.minimum(np.searchsorted(edge, pair), edge.size - 1)] != pair)
     overlap = min(float(separation(i[keep], j[keep]).min(initial=0.0)), 0.0)
     return {
         "max_tangency": float(gap.max(initial=0.0)),
@@ -552,10 +554,7 @@ def orthodiagonal_from_packing(tri: Triangulation, packing: CirclePacking,
     circle centers of the triangles plus one extension point per boundary
     edge, pushed a distance eta past the shared tangency point.
     """
-    c = packing.centers
-    r = packing.radii
-    n = tri.n_vertices
-    m = len(tri.faces)
+    c, r, n, m = packing.centers, packing.radii, tri.n_vertices, len(tri.faces)
 
     inc_centers, _ = incircle(*c[tri.faces].transpose(1, 0, 2))
 

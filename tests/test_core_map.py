@@ -14,7 +14,10 @@ from odmap.core_map import (
     orientation_residuals,
 )
 from odmap.errors import StructuralError
+from odmap.flows import argument_flow
 from odmap.geometry import signed_area
+
+from conftest import central_primal_vertex
 
 
 def test_diamond_validates(diamond):
@@ -140,6 +143,25 @@ def test_networks_built_once(grid16_square):
     expected = odmap.harmonic_extension(odmap.DirichletProblem(fresh, data)).values
     for _ in range(2):
         assert np.array_equal(odmap.solve_dirichlet(m, tf).values, expected)
+
+
+def test_solves_exit_measures_and_flows_build_no_dual_network(monkeypatch, grid32_centered):
+    built = []
+    network = core_map.OrthodiagonalMap._network
+    monkeypatch.setattr(core_map.OrthodiagonalMap, "_network", lambda m, k: built.append(k) or network(m, k))
+    m = odmap.OrthodiagonalMap(grid32_centered.positions, grid32_centered.primal_mask, grid32_centered.faces)
+    x = central_primal_vertex(m)
+    odmap.solve_dirichlet(m, odmap.get_test_function("exp_x_cos_y"))
+    odmap.exit_measure_vs_arcs(m, x, k=8)
+    argument_flow(m, x, 0.3)
+    assert built == [0]
+    # the dual network is built on first use, once, and matches one built afresh
+    dual = m.dual_network()
+    assert m.dual_network() is dual and built == [0, 1]
+    dp, dd = m.diagonal_lengths()
+    fresh = odmap.Network(m.dual_vertices, m.faces[:, 1], m.faces[:, 3], dp / dd)
+    for name in ("labels", "tails", "heads", "conductances"):
+        assert np.array_equal(getattr(dual, name), getattr(fresh, name))
 
 
 def test_boundary_vertices_diamond(diamond):

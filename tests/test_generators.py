@@ -791,12 +791,29 @@ def test_square_dist_to_boundary_is_the_least_edge_distance():
     odd = [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [-np.inf, 0.5], [0.5, np.inf], [np.inf, -np.inf]]
     pts = np.vstack([rng.uniform(0.0, 1.0, (200, 2)), beside, beside[:, ::-1], beyond, edges, edges[:, ::-1],
                      odd, odmap.unit_square().polygon, 1.0 - far, edges[:7], beyond[:7]])
-    with np.errstate(invalid="ignore"):  # inf * 0 in the projections onto the edges
-        got = odmap.unit_square().dist_to_boundary(pts)
-        want = np.min([seg_points_distance(a, b, pts) for a, b in _edges(odmap.unit_square())], axis=0)
+    got = odmap.unit_square().dist_to_boundary(pts)
+    want = np.min([seg_points_distance(a, b, pts) for a, b in _edges(odmap.unit_square())], axis=0)
     assert np.isnan(got[1200:1202]).all() and (got[:1200] >= 0).all()
+    assert (got[1202:1206] == np.inf).all()  # as on the disk, not the NaN of inf * 0
     # bit for bit off NaN (a NaN's sign depends on the order of the minimum)
     assert got.shape == (len(pts),) and np.array_equal(got, want, equal_nan=True)
+
+
+def test_polygon_dist_to_boundary_of_infinite_points_is_inf():
+    """Polygons with axis-parallel edges (an L) and without (a 40-gon), on
+    points with an infinite coordinate, a NaN one, and finite points."""
+    t = np.linspace(0.0, 2 * np.pi, 41)[:-1]
+    shapes = [[[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], np.column_stack([np.cos(t), np.sin(t)])]
+    odd = [[np.inf, 0.5], [-np.inf, 0.5], [0.5, np.inf], [0.5, -np.inf], [np.inf, -np.inf], [np.nan, 0.5],
+           [0.5, np.nan]]
+    finite = np.random.default_rng(3).uniform(-3.0, 3.0, (50, 2))
+    for corners in shapes:
+        dom = odmap.DomainSpec("polygon", polygon=corners)
+        got = dom.dist_to_boundary(np.vstack([odd, finite]))
+        assert (got[:5] == np.inf).all() and np.isnan(got[5:7]).all()
+        a = dom.polygon
+        want = np.min([seg_points_distance(a[k], a[(k + 1) % len(a)], finite) for k in range(len(a))], axis=0)
+        assert np.array_equal(got[7:], want)
 
 
 @given(seed=st.integers(0, 10_000), segments=st.integers(1, 40), points=st.integers(1, 60),

@@ -914,3 +914,55 @@ def test_label_lookup():
         net.indices_of([3, 12])
     with pytest.raises(odmap.StructuralError, match="duplicate"):
         odmap.Network([1, 2, 1], [1], [2], [1.0])
+
+
+def _sorted_lookup(labels, want):
+    """The lookup by argsort and searchsorted: dense indices, or None when a label is missing."""
+    by_label = np.argsort(labels, kind="stable")
+    ordered = labels[by_label]
+    pos = np.searchsorted(ordered, want)
+    found = pos < len(labels)
+    found[found] = ordered[pos[found]] == want[found]
+    return by_label[pos] if found.all() else None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_label_lookup_matches_sort_and_search(seed):
+    rng = np.random.default_rng(seed)
+    n = 60
+    perm = rng.permutation(n)
+    gapped = np.sort(rng.choice(10 * n, n, replace=False))
+    for labels in (perm, perm + 1000, 3 * perm + 7, rng.permutation(gapped), perm - 30):
+        tails, heads = labels[:-1], labels[1:]
+        net = odmap.Network(labels, tails, heads, np.ones(n - 1))
+        assert np.array_equal(net.tails, _sorted_lookup(labels, tails))
+        assert np.array_equal(net.heads, _sorted_lookup(labels, heads))
+        want = rng.choice(labels, 200)
+        assert np.array_equal(net.indices_of(want), _sorted_lookup(labels, want))
+        assert net.indices_of(want.tolist()).tolist() == net.indices_of(want).tolist()
+        assert net.indices_of([]).size == 0
+        lo, hi = int(labels.min()), int(labels.max())
+        gaps = np.setdiff1d(np.arange(lo, hi + 1), labels)
+        outside = [lo - 10 ** 6, hi + 10 ** 6, *range(lo - 5, lo), *range(hi + 1, hi + 6)]
+        for missing in [*outside, *gaps[:3].tolist()]:
+            with pytest.raises(KeyError) as err:
+                net.indices_of([int(labels[0]), missing, int(labels[1])])
+            assert err.value.args == (missing,)
+            with pytest.raises(KeyError):
+                net.index_of(missing)
+        with pytest.raises(odmap.StructuralError, match="duplicate"):
+            odmap.Network(np.append(labels, labels[n // 2]), tails, heads, np.ones(n - 1))
+
+
+def test_label_lookup_names_the_first_missing_label():
+    net = odmap.Network([4, 6, 8], [4], [8], [1.0])
+    for want, first in (([6, 5, 9], 5), ([6, 9, 5], 9), ([2, 4], 2)):
+        with pytest.raises(KeyError) as err:
+            net.indices_of(want)
+        assert err.value.args == (first,)
+    with pytest.raises(KeyError):
+        odmap.Network([4, 6, 8], [4], [7], [1.0])
+    empty = odmap.Network([], [], [], [])
+    assert empty.n_vertices == 0 and empty.indices_of([]).size == 0
+    with pytest.raises(KeyError):
+        empty.index_of(0)

@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +157,61 @@ def test_overlap_checked_above_2000_circles():
     centers[v] = centers[w]
     moved = _packing_residuals(tri, CirclePacking(centers, p.radii, p.boundary_mask))
     assert moved["worst_overlap"] == pytest.approx(-(p.radii[v] + p.radii[w]), rel=1e-12)
+
+
+def _worst_overlap_all_pairs(tri, p):
+    """The least separation over all pairs of circles that share no edge, or 0.0."""
+    c, r = p.centers, p.radii
+    i, j = np.triu_indices(len(r), 1)
+    edges = set(map(tuple, tri.edges.tolist()))
+    keep = np.array([e not in edges for e in zip(i.tolist(), j.tolist())], bool)
+    return min(float((np.hypot(*(c[i] - c[j]).T) - (r[i] + r[j]))[keep].min(initial=0.0)), 0.0)
+
+
+@pytest.mark.parametrize("kind, seed", [("polygon", 3), ("polygon", 8), ("delaunay", 1), ("delaunay", 2)])
+def test_worst_overlap_matches_all_pairs(kind, seed):
+    tri = polygon_triangulation(12, seed) if kind == "polygon" else random_delaunay_triangulation(150, seed)
+    p = odmap.pack_in_disk(tri)
+    assert p.residuals["worst_overlap"] == _worst_overlap_all_pairs(tri, p) == 0.0
+    # planted overlaps: the smallest non-neighbour of the largest circle moved
+    # half its radius onto it (only the larger one's ball query finds that
+    # pair), and on a Delaunay packing the largest interior circle grown
+    big = int(np.argmax(p.radii))
+    strangers = np.flatnonzero(tri.graph[big].toarray().ravel() == 0)
+    strangers = strangers[strangers != big]
+    small = int(strangers[np.argmin(p.radii[strangers])])
+    assert 3 * p.radii[small] < p.radii[big]
+    centers = p.centers.copy()
+    d = p.centers[small] - p.centers[big]
+    centers[small] = p.centers[big] + d / np.hypot(*d) * (p.radii[big] + 0.5 * p.radii[small])
+    planted = [CirclePacking(centers, p.radii, p.boundary_mask)]
+    if kind == "delaunay":
+        radii = p.radii.copy()
+        radii[np.argmax(np.where(tri.boundary_mask, 0.0, radii))] *= 1.8
+        planted.append(CirclePacking(p.centers, radii, p.boundary_mask))
+    for q in planted:
+        worst = _packing_residuals(tri, q)["worst_overlap"]
+        assert worst < 0.0 and worst == _worst_overlap_all_pairs(tri, q)
+
+
+def test_validated_triangulation_and_solved_map_are_freed_without_the_collector():
+    # a cached reference to itself would keep each one alive until a
+    # collection, and a benchmark's peak memory with it
+    gc.collect()
+    gc.disable()
+    try:
+        tri = random_delaunay_triangulation(200, seed=1)
+        assert tri.validate() is tri and tri.validate() is tri
+        p = odmap.pack_in_disk(tri)
+        m = odmap.orthodiagonal_from_packing(tri, p)
+        assert odmap.validate(m).passed
+        h = odmap.solve_dirichlet(m, odmap.get_test_function("exp_x_cos_y"))
+        refs = weakref.ref(tri), weakref.ref(m)
+        del tri, m
+        assert [r() for r in refs] == [None, None]
+        assert h.values.size  # the solution holds the network, not the map
+    finally:
+        gc.enable()
 
 
 def test_tighter_tolerance_tightens_residuals():
