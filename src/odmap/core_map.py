@@ -172,6 +172,7 @@ class OrthodiagonalMap:
     def boundary_vertex_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_vertices, bool)
         mask[self.boundary_walk] = True
+        mask.flags.writeable = False
         return mask
 
     @property
@@ -182,14 +183,22 @@ class OrthodiagonalMap:
     def dual_vertices(self) -> np.ndarray:
         return np.flatnonzero(~self.primal_mask)
 
+    @cached_property
+    def _vertex_classes(self) -> tuple:
+        """Boundary primal, boundary dual, interior primal, interior dual vertices: ascending, read-only."""
+        m, p = self.boundary_vertex_mask, self.primal_mask
+        classes = tuple(np.flatnonzero(c) for c in (m & p, m & ~p, ~m & p, ~m & ~p))
+        for c in classes:
+            c.flags.writeable = False
+        return classes
+
     def boundary_vertices(self):
-        """(boundary primal, boundary dual) index arrays."""
-        m = self.boundary_vertex_mask
-        return np.flatnonzero(m & self.primal_mask), np.flatnonzero(m & ~self.primal_mask)
+        """(boundary primal, boundary dual) index arrays, computed once per map and read-only."""
+        return self._vertex_classes[:2]
 
     def interior_vertices(self):
-        m = self.boundary_vertex_mask
-        return np.flatnonzero(~m & self.primal_mask), np.flatnonzero(~m & ~self.primal_mask)
+        """(interior primal, interior dual) index arrays, computed once per map and read-only."""
+        return self._vertex_classes[2:]
 
     # -- metric quantities -------------------------------------------------
 
@@ -438,15 +447,11 @@ def martingale_residuals(omap: OrthodiagonalMap) -> np.ndarray:
     so these vanish up to rounding; values are returned unnormalized (callers
     compare against tol * pi(v) * mesh).
     """
-    net = omap.primal_network()
     interior, _ = omap.interior_vertices()
-    pos = omap.positions
+    pos, f, c = omap.positions, omap.faces, omap.primal_network().conductances
     acc = np.zeros((omap.n_vertices, 2))
-    f = omap.faces
-    c = net.conductances
     for k in (0, 2):
-        v = f[:, k]
-        v_opp = f[:, 2 - k]
+        v, v_opp = f[:, k], f[:, 2 - k]
         np.add.at(acc, v, c[:, None] * (pos[v_opp] - pos[v]))
     return np.hypot(acc[interior, 0], acc[interior, 1])
 

@@ -26,8 +26,9 @@ from .geometry import interior_diagonal
 from .network import (
     DirichletProblem,
     VertexFunction,
+    _exact_exit,
+    _extend,
     energy_of_function,
-    harmonic_extension,
     random_walk_exit_measure,
 )
 
@@ -116,14 +117,15 @@ def solve_dirichlet(omap: OrthodiagonalMap, g) -> VertexFunction:
     """Discrete harmonic extension of g from the primal boundary vertices.
 
     g may be a TestFunction (evaluated at vertex positions) or a dict mapping
-    primal vertex index -> value covering the boundary.  All solves on one
-    map share one residual-checked factorisation (:func:`harmonic_extension`).
+    primal vertex index -> value covering the boundary.  Its values at the
+    map's cached boundary vertices go as an array to the solve behind
+    :func:`harmonic_extension` (same result; a non-finite value raises
+    ValueError); all solves on one map share one residual-checked factorisation.
     """
     net = omap.primal_network()
     bdry, _ = omap.boundary_vertices()
     vals = g(omap.positions[bdry]) if callable(g) else [g[v] for v in bdry.tolist()]
-    data = dict(zip(bdry.tolist(), np.asarray(vals, float).tolist()))
-    return harmonic_extension(DirichletProblem(net, data))
+    return _extend(net, net.indices_of(bdry), np.asarray(vals, float))
 
 
 def sup_error(omap: OrthodiagonalMap, domain: DomainSpec, tf: TestFunction,
@@ -136,8 +138,7 @@ def sup_error(omap: OrthodiagonalMap, domain: DomainSpec, tf: TestFunction,
     inside = domain.contains(pos)
     if not inside.any():
         raise GeometryError("no primal vertex lies in the domain")
-    exact = tf(pos)
-    return float(np.abs(h_d.values[inside] - exact[inside]).max())
+    return float(np.abs(h_d.values[inside] - tf(pos)[inside]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +200,8 @@ def energy_convergence_check(omap: OrthodiagonalMap, tf: TestFunction,
     if h_d is None:
         h_d = solve_dirichlet(omap, tf)
     net = h_d.network
-    diff = tf(omap.positions[net.labels]) - h_d.values
-    lhs = energy_of_function(net, diff)
-    lo, hi = _map_bbox(omap)
-    M = tf.sup_hess(lo, hi)
+    lhs = energy_of_function(net, tf(omap.positions[net.labels]) - h_d.values)
+    M = tf.sup_hess(*_map_bbox(omap))
     rhs = 32.0 * omap.area() * M**2 * omap.mesh_size() ** 2
     return lhs, rhs
 
@@ -249,10 +248,8 @@ def theorem_shape(omap: OrthodiagonalMap, domain: DomainSpec, tf: TestFunction,
     """diam(Omega) (C1 + C2 eps) / sqrt(log(diam(Omega)/(delta v eps)))."""
     lo_m, hi_m = _map_bbox(omap)
     lo_d, hi_d = domain.bounding_box()
-    lo = np.minimum(lo_m, lo_d)
-    hi = np.maximum(hi_m, hi_d)
-    c1 = tf.sup_grad(lo, hi)
-    c2 = tf.sup_hess(lo, hi)
+    lo, hi = np.minimum(lo_m, lo_d), np.maximum(hi_m, hi_d)
+    c1, c2 = tf.sup_grad(lo, hi), tf.sup_hess(lo, hi)
     diam = domain.diam()
     ratio = diam / max(delta, eps)
     if ratio <= 1.0:
@@ -332,24 +329,29 @@ def exit_measure_vs_arcs(omap: OrthodiagonalMap, start: int, k: int = 16,
 
     The reference is the Poisson kernel of the unit disk at the start
     position (uniform when the start vertex sits at the origin).  Returns
-    the total-variation distance and both histograms.
+    the total-variation distance, both histograms and the exit measure.  From
+    an interior start (the map's cached mask), exact mode reads the masses as
+    an array, in the order of the map's cached boundary primal vertices.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    net = omap.primal_network()
-    pos = omap.positions
-    c = np.asarray(center, float)
+    net, pos, c = omap.primal_network(), omap.positions, np.asarray(center, float)
     # the reference first: a start outside the disk raises before any walk
-    z = complex(*(pos[net.labels[net.index_of(start)]] - c))
+    s = net.index_of(start)
+    z = complex(*(pos[net.labels[s]] - c))
     ref = poisson_arc_masses(abs(z), float(np.angle(z)), k)
 
     bdry, _ = omap.boundary_vertices()
-    problem = DirichletProblem(net, dict.fromkeys(bdry.tolist(), 0.0))
-    mu = random_walk_exit_measure(problem, start, n_samples=n_samples, seed=seed)
-    d = pos[np.fromiter(mu, int, len(mu))] - c
+    if n_samples is None and not omap.boundary_vertex_mask[net.labels[s]]:
+        labels, mass = bdry, _exact_exit(net, net.indices_of(bdry), s)
+        mu = dict(zip(labels.tolist(), mass.tolist()))
+    else:  # sampled, or a start on the boundary, which exits where it stands
+        problem = DirichletProblem(net, dict.fromkeys(bdry.tolist(), 0.0))
+        mu = random_walk_exit_measure(problem, start, n_samples=n_samples, seed=seed)
+        labels, mass = np.fromiter(mu, int, len(mu)), np.fromiter(mu.values(), float, len(mu))
+    d = pos[labels] - c
     ang = np.arctan2(d[:, 1], d[:, 0]) % (2 * np.pi)
     # bincount adds the weights in mu's order, as the sum per arc did
-    arc = np.bincount((ang / (2 * np.pi / k)).astype(int) % k,
-                      weights=np.fromiter(mu.values(), float, len(mu)), minlength=k)
+    arc = np.bincount((ang / (2 * np.pi / k)).astype(int) % k, weights=mass, minlength=k)
     tv = 0.5 * float(np.abs(arc - ref).sum())
     return {"tv": tv, "arcs": arc, "reference": ref, "exit_measure": mu}

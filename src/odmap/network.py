@@ -14,6 +14,7 @@ f(tail)].
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -106,14 +107,15 @@ class Network:
         return sp.csr_matrix((np.concatenate([c, c, -c, -c]), (i, j)), shape=(self.n_vertices,) * 2)
 
     def grounded(self, boundary_idx) -> "_InteriorSolver":
-        """The solver for L[I][:, I], I the vertices not in ``boundary_idx``.
-        One solver is cached; another boundary set replaces it."""
-        is_boundary = np.zeros(self.n_vertices, bool)
-        is_boundary[boundary_idx] = True
-        if self._grounded is None or not np.array_equal(self._grounded.is_boundary, is_boundary):
+        """The solver for L[I][:, I], I the vertices not in ``boundary_idx``.  One solver is
+        cached, keyed by the sorted boundary indices (any order finds it); another set replaces it."""
+        boundary = np.asarray(boundary_idx)
+        if not (boundary[1:] > boundary[:-1]).all():
+            boundary = np.unique(boundary)
+        if self._grounded is None or not np.array_equal(self._grounded.boundary, boundary):
             if not self.is_connected:
                 raise DisconnectedNetworkError("interior solve requires a connected network")
-            self._grounded = _InteriorSolver(self, is_boundary)
+            self._grounded = _InteriorSolver(self, boundary)
         return self._grounded
 
     # -- fields ----------------------------------------------------------------
@@ -307,28 +309,26 @@ def definite_splu(A: sp.csc_matrix, permc_spec: str = "MMD_AT_PLUS_A"):
 
 class _InteriorSolver:
     """Sparse LU of the SPD L_II = L[I][:, I] by :func:`definite_splu`, for a
-    connected network and I the vertices off the boundary mask, with the rows
-    L[I] and, from first use, the boundary rows L[B][:, I] (B ascending).
+    connected network, B the ascending boundary indices and I the rest, with the
+    boundary columns L[I][:, B] and their transpose L[B][:, I] (L is symmetric).
     Each solve checks |L_II x - rhs|_i <= 1e-9 pi(i) ||x||_inf + 1e-305 (the
     floor admits subnormal data) or raises RuntimeError."""
 
-    def __init__(self, network: Network, is_boundary: np.ndarray):
-        self.is_boundary = is_boundary
-        self.boundary = np.flatnonzero(is_boundary)
-        self.interior = np.flatnonzero(~is_boundary)
-        self.rows = network.laplacian[self.interior]
-        self._matrix = self.rows[:, self.interior].tocsc()
-        self._pi = network.pi[self.interior]
-        self._lu = definite_splu(self._matrix)
-
-    @cached_property
-    def boundary_rows(self) -> sp.csc_matrix:
-        return self.rows[:, self.boundary].T  # L is symmetric
+    def __init__(self, network: Network, boundary: np.ndarray):
+        is_boundary = np.zeros(network.n_vertices, bool)
+        is_boundary[boundary] = True
+        self.boundary, self.interior = np.array(boundary), np.flatnonzero(~is_boundary)  # a copy: the cache key
+        rows = network.laplacian[self.interior]
+        self.boundary_cols, self._matrix = rows[:, boundary], rows[:, self.interior]  # CSR: a faster check
+        del rows  # not held through the factorisation
+        self.boundary_rows = self.boundary_cols.T
+        self._tol = 1e-9 * network.pi[self.interior]
+        self._lu = definite_splu(self._matrix.tocsc())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = self._lu.solve(rhs)
         resid = np.abs(self._matrix @ x - rhs)
-        bound = 1e-9 * self._pi * float(np.abs(x).max(initial=0.0)) + 1e-305
+        bound = self._tol * float(np.abs(x).max(initial=0.0)) + 1e-305
         if not np.all(resid <= bound):
             raise RuntimeError(f"interior solve missed its residual check; "
                                f"worst node residual {float(resid.max()):.3e}")
@@ -375,22 +375,25 @@ def harmonic_extension(problem: DirichletProblem) -> VertexFunction:
     Laplacian (:meth:`Network.grounded`; one boundary set factors once).  Its
     residual check bounds the node residual at each interior vertex by
     1e-9 pi(x) ||g||_inf, since ||h||_inf <= ||g||_inf, or raises RuntimeError.
+    Non-finite boundary data raises ValueError before any factorisation.
     """
     return _extend(problem.network, problem.boundary_idx, problem.boundary_vals)
 
 
 def _extend(net: Network, boundary_idx: np.ndarray, g: np.ndarray) -> VertexFunction:
+    if not np.isfinite(g).all():  # before any factorisation
+        i = int(np.argmin(np.isfinite(g)))
+        raise ValueError(f"boundary value {g[i]} at vertex {net.labels[boundary_idx[i]]} is not finite")
     h = np.zeros(net.n_vertices)
     h[boundary_idx] = g
     solver = net.grounded(boundary_idx)
-    h[solver.interior] = solver.solve(-(solver.rows @ h))
+    h[solver.interior] = solver.solve(-(solver.boundary_cols @ h[solver.boundary]))
     return VertexFunction(net, h)
 
 
 def harmonic_residuals(problem: DirichletProblem, h: VertexFunction) -> np.ndarray:
     """Node-law residuals of c dh at the interior vertices."""
-    theta = discrete_gradient(problem.network, h)
-    return theta.divergence()[problem.interior_idx]
+    return discrete_gradient(problem.network, h).divergence()[problem.interior_idx]
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +414,15 @@ def strength(network: Network, theta: EdgeField, A, B, check_tol: float | None =
     t, h, v = network.tails, network.heads, theta.values
     out_A = float(v[a_mask[t]].sum() - v[a_mask[h]].sum())
     in_B = float(v[b_mask[h]].sum() - v[b_mask[t]].sum())
-    if check_tol is not None:
-        scale = 1.0 + abs(out_A) + abs(in_B)
-        if abs(out_A - in_B) > check_tol * scale:
-            raise ValueError(
-                f"strength formulas disagree ({out_A} vs {in_B}); theta is not a flow off A u B"
-            )
+    if check_tol is not None and abs(out_A - in_B) > check_tol * (1.0 + abs(out_A) + abs(in_B)):
+        raise ValueError(f"strength formulas disagree ({out_A} vs {in_B}); theta is not a flow off A u B")
     return out_A
 
 
 def gap(network: Network, f, A, B) -> float:
     """gap_{A,B}(f) = min over B of f minus max over A of f."""
     vals = f.values if isinstance(f, VertexFunction) else np.asarray(f, float)
-    A_idx = network.indices_of(A)
-    B_idx = network.indices_of(B)
+    A_idx, B_idx = network.indices_of(A), network.indices_of(B)
     if set(A_idx.tolist()) & set(B_idx.tolist()):
         raise StructuralError("source and sink sets overlap")
     return float(vals[B_idx].min() - vals[A_idx].max())
@@ -438,8 +436,7 @@ def project_to_current(problem: DirichletProblem, f) -> EdgeField:
     """
     net = problem.network
     vals = f.values if isinstance(f, VertexFunction) else np.asarray(f, float)
-    h = _extend(net, problem.boundary_idx, vals[problem.boundary_idx])
-    return discrete_gradient(net, h)
+    return discrete_gradient(net, _extend(net, problem.boundary_idx, vals[problem.boundary_idx]))
 
 
 def sandwich_check(problem: DirichletProblem, f, theta: EdgeField):
@@ -456,27 +453,18 @@ def sandwich_check(problem: DirichletProblem, f, theta: EdgeField):
         raise ValueError("theta is not a flow on the interior set")
     if np.any(np.abs(vals[problem.boundary_idx] - problem.boundary_vals) > 1e-8 * (1 + np.abs(problem.boundary_vals))):
         raise ValueError("f does not match the boundary data")
-    h = harmonic_extension(problem)
-    cdh = discrete_gradient(net, h)
-    cdf = discrete_gradient(net, vals)
-    return (
-        energy(net, cdf - cdh),
-        energy(net, theta - cdh),
-        energy(net, cdf - theta),
-    )
+    cdh, cdf = discrete_gradient(net, harmonic_extension(problem)), discrete_gradient(net, vals)
+    return energy(net, cdf - cdh), energy(net, theta - cdh), energy(net, cdf - theta)
 
 
 def dirichlet_thomson_check(network: Network, theta: EdgeField, f, A, B):
     """(strength(theta) * gap(f), sqrt(E(theta) E(f))) of the two-sided bound."""
     g = gap(network, f, A, B)
     s = strength(network, theta, A, B)
-    lhs = s * g
     rhs = float(np.sqrt(energy(network, theta) * energy_of_function(network, f)))
     if g < 0:
-        import warnings
-
         warnings.warn("gap is negative; the strength-gap inequality is vacuous here")
-    return lhs, rhs
+    return s * g, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -606,23 +594,32 @@ def _leap_table(P: sp.csr_matrix, inner: np.ndarray, max_steps: int):
     return _AliasTable(Q), k
 
 
+def _exact_exit(net: Network, boundary_idx: np.ndarray, s: int) -> np.ndarray:
+    """Exit masses -L[B][:, I] y from interior s, L_II y = e_s, in boundary_idx's order."""
+    solver = net.grounded(boundary_idx)
+    e_s = np.zeros(solver.interior.size)
+    e_s[np.searchsorted(solver.interior, s)] = 1.0
+    return -(solver.boundary_rows @ solver.solve(e_s))[np.searchsorted(solver.boundary, boundary_idx)]
+
+
 def random_walk_exit_measure(problem: DirichletProblem, start,
                              n_samples: int | None = None, seed: int | None = None,
                              max_steps: int = 10_000_000) -> dict:
     """Distribution of the walk's exit position over the boundary set.
 
     Exact mode (default) is -L[B][:, I] y for L_II y = e_start, by the cached
-    interior factorisation.  Sampled mode simulates ``n_samples`` weighted
-    walks with the given seed and raises RuntimeError unless every walk
-    reaches the boundary within ``max_steps`` steps.  The walks leap k steps
-    at a time through the alias tables of P^k, P the transition matrix with
-    an absorbing boundary, so the exit law is that of single steps; k
-    doubles by squaring while 2k <= max_steps, walks may outlast k steps and
-    the square's size bound stays within a fixed multiple of nnz(P) (k = 4
-    on grids; a hub of high degree keeps k = 1).  A loop pass takes one draw
-    for up to 64 leaps, never past max_steps, then drops the exited walks,
-    which stay put meanwhile.  Steps after the last whole leap are taken on
-    P.  Returns {boundary label: probability}.
+    interior factorisation (the masses in B's order, as the arcs of
+    :func:`odmap.dirichlet.exit_measure_vs_arcs` read them).  Sampled mode
+    simulates ``n_samples`` weighted walks with the given seed and raises
+    RuntimeError unless every walk reaches the boundary within ``max_steps``
+    steps.  The walks leap k steps at a time through the alias tables of P^k,
+    P the transition matrix with an absorbing boundary, so the exit law is
+    that of single steps; k doubles by squaring while 2k <= max_steps, walks
+    may outlast k steps and the square's size bound stays within a fixed
+    multiple of nnz(P) (k = 4 on grids; a hub of high degree keeps k = 1).  A
+    loop pass takes one draw for up to 64 leaps, never past max_steps, then
+    drops the exited walks, which stay put meanwhile.  Steps after the last
+    whole leap are taken on P.  Returns {boundary label: probability}.
     """
     if n_samples is not None and n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -634,11 +631,7 @@ def random_walk_exit_measure(problem: DirichletProblem, start,
     if is_boundary[s]:
         return {int(net.labels[s]): 1.0}
     if n_samples is None:
-        solver = net.grounded(B)
-        e_s = (solver.interior == s).astype(float)
-        # the solver's boundary rows run in ascending order; gather B's order
-        mu = -(solver.boundary_rows @ solver.solve(e_s))[np.searchsorted(solver.boundary, B)]
-        return dict(zip(net.labels[B].tolist(), mu.tolist()))
+        return dict(zip(net.labels[B].tolist(), _exact_exit(net, B, s).tolist()))
 
     if not net.is_connected:
         raise DisconnectedNetworkError("exit measure requires a connected network")

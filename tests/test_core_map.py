@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import odmap
-from odmap import core_map
+from odmap import cli, core_map
 from odmap.core_map import (
     AugmentedDuals,
     _biconnected_components,
@@ -14,7 +14,7 @@ from odmap.core_map import (
     orientation_residuals,
 )
 from odmap.errors import StructuralError
-from odmap.flows import argument_flow
+from odmap.flows import argument_flow, equicontinuity_probe
 from odmap.geometry import signed_area
 
 from conftest import central_primal_vertex
@@ -171,6 +171,37 @@ def test_boundary_vertices_diamond(diamond):
     interior_p, interior_d = diamond.interior_vertices()
     assert list(interior_p) == [0]
     assert len(interior_d) == 0
+
+
+def test_vertex_classes_are_cached_read_only_index_arrays(packed500):
+    for m in (odmap.diamond_map(), odmap.rotated_grid("disk", 16), packed500[2]):
+        b, p = m.boundary_vertex_mask, m.primal_mask
+        classes = m.boundary_vertices() + m.interior_vertices()
+        assert all(x is y for x, y in zip(classes, m.boundary_vertices() + m.interior_vertices()))
+        for got, mask in zip(classes, (b & p, b & ~p, ~b & p, ~b & ~p)):
+            assert np.array_equal(got, np.flatnonzero(mask))
+            with pytest.raises(ValueError, match="read-only"):
+                got[:1] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            b[:1] = True
+
+
+def test_callers_only_read_the_vertex_classes(grid32_centered):
+    """Every caller of the cached vertex-class arrays and mask runs on them
+    (a write would raise) and leaves them as they were."""
+    m = odmap.OrthodiagonalMap(grid32_centered.positions, grid32_centered.primal_mask,
+                               grid32_centered.faces)
+    before = [c.copy() for c in m.boundary_vertices() + m.interior_vertices()]
+    x = cli._central_primal_vertex(m)
+    y = central_primal_vertex(m, target=(0.2, 0.0))
+    martingale_residuals(m)
+    argument_flow(m, x, 0.3)
+    h = odmap.solve_dirichlet(m, odmap.get_test_function("xy"))
+    equicontinuity_probe(m, h, x, y, 0.45)
+    odmap.exit_measure_vs_arcs(m, x, k=8)
+    odmap.exit_measure_vs_arcs(m, int(m.boundary_vertices()[0][0]), k=8, center=(-0.1, -0.1))
+    after = m.boundary_vertices() + m.interior_vertices()
+    assert all(np.array_equal(u, v) for u, v in zip(before, after))
 
 
 def test_boundary_walk_alternates(grid16_square):

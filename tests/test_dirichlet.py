@@ -555,6 +555,63 @@ def test_exit_measure_start_outside_disk_raises_before_walking(monkeypatch):
         exit_measure_vs_arcs(m, -1)  # not a primal vertex: the network's error
 
 
+def _map_case(request, name):
+    """(map, centre of its unit disk) for the array-path comparisons."""
+    if name == "disk64":
+        return odmap.rotated_grid("disk", 64), np.zeros(2)
+    if name == "perturbed32":
+        return odmap.perturbed(odmap.rotated_grid("square", 32), 0.3, seed=4), np.full(2, 0.5)
+    return request.getfixturevalue("packed500")[2], np.zeros(2)
+
+
+@pytest.mark.parametrize("name", ["disk64", "perturbed32", "packed500"])
+def test_array_path_matches_the_public_dict_api(request, name):
+    """solve_dirichlet and exact exit_measure_vs_arcs run on index arrays;
+    DirichletProblem with harmonic_extension or random_walk_exit_measure
+    gives the same values bit for bit, and the exit masses in the same order."""
+    m, center = _map_case(request, name)
+    net, (bdry, _), (interior, dual) = m.primal_network(), m.boundary_vertices(), m.interior_vertices()
+    for tf in CATALOG.values():
+        data = dict(zip(bdry.tolist(), tf(m.positions[bdry]).tolist()))
+        expected = odmap.harmonic_extension(DirichletProblem(net, data)).values
+        assert np.array_equal(solve_dirichlet(m, tf).values, expected)
+        assert np.array_equal(solve_dirichlet(m, dict(reversed(data.items()))).values, expected)
+
+    problem = DirichletProblem(net, dict.fromkeys(bdry.tolist(), 0.0))
+    for target in ((0.0, 0.0), (0.3, -0.2), (-0.4, 0.25)):
+        s = int(interior[np.argmin(np.hypot(*(m.positions[interior] - center - target).T))])
+        mu = exit_measure_vs_arcs(m, s, center=center)["exit_measure"]
+        assert list(mu.items()) == list(odmap.random_walk_exit_measure(problem, s).items())
+    # the boundary vertex nearest the centre exits where it stands
+    b = int(bdry[np.argmin(np.hypot(*(m.positions[bdry] - center).T))])
+    assert exit_measure_vs_arcs(m, b, center=center)["exit_measure"] == {b: 1.0}
+    w = int(dual[np.argmin(np.hypot(*(m.positions[dual] - center).T))])
+    with pytest.raises(KeyError):
+        exit_measure_vs_arcs(m, w, center=center)  # a dual vertex is not on the primal network
+
+
+def test_solve_dirichlet_rejects_non_finite_boundary_data():
+    """NaN or inf boundary data, given by a dict or by a function that
+    overflows, raises a ValueError naming the first such boundary vertex
+    before any factorisation, not a residual-check failure."""
+    m = odmap.rotated_grid("disk", 16)
+    bdry, _ = m.boundary_vertices()
+    for bad in (np.nan, np.inf):
+        g = dict.fromkeys(bdry.tolist(), 0.0)
+        g[int(bdry[9])] = g[int(bdry[5])] = bad
+        with pytest.raises(ValueError, match=f"boundary value {bad} at vertex {bdry[5]} is not finite"):
+            solve_dirichlet(m, g)
+    # exp(x) overflows at the right of a disk of radius 1000
+    big = odmap.OrthodiagonalMap(1000.0 * m.positions, m.primal_mask, m.faces)
+    tf = CATALOG["exp_x_cos_y"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(tf(big.positions[bdry]))
+        assert bad.any() and not bad.all()
+        with pytest.raises(ValueError, match=f"at vertex {bdry[np.argmax(bad)]} is not finite"):
+            solve_dirichlet(big, tf)
+    assert m.primal_network()._grounded is None and big.primal_network()._grounded is None
+
+
 @pytest.mark.parametrize("k", [3, 8, 16])
 def test_exit_measure_arcs_match_per_label_loop(k):
     m = odmap.rotated_grid("disk", 24)

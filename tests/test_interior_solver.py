@@ -174,6 +174,41 @@ def test_a_second_boundary_set_replaces_the_cached_factor(monkeypatch):
     assert np.array_equal(net._grounded.interior, first.interior_idx)
 
 
+def test_the_cached_factor_is_keyed_by_the_boundary_set_in_any_order(monkeypatch):
+    """grounded(B) finds the one cached solver for B given in any order,
+    repeats included, without factoring again; another set replaces it."""
+    rng = np.random.default_rng(5)
+    net = hub_network(rng, 80)
+    calls = _count_splu(monkeypatch)
+    B = rng.choice(80, size=12, replace=False)
+    solver = net.grounded(B)
+    assert np.array_equal(solver.boundary, np.sort(B))
+    assert np.array_equal(solver.interior, np.setdiff1d(np.arange(80), B))
+    for same in (B[::-1], np.sort(B), rng.permutation(B).tolist(), np.concatenate([B, B[:3]])):
+        assert net.grounded(same) is solver
+    assert len(calls) == 1
+    other = net.grounded(B[1:])
+    assert other is not solver and net._grounded is other and len(calls) == 2
+    assert np.array_equal(other.boundary, np.sort(B[1:]))
+    assert net.grounded(B[1:][::-1]) is other and len(calls) == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_boundary_data_is_rejected_before_any_factorisation(monkeypatch, bad):
+    """The one array-level solve names the first non-finite boundary value,
+    in the data's order, before it factors: the residual check is not blamed."""
+    net = hub_network(np.random.default_rng(4), 30)
+    calls = _count_splu(monkeypatch)
+    prob = DirichletProblem(net, {3: 1.0, 7: bad, 11: bad, 2: 0.5})
+    with pytest.raises(ValueError, match=f"boundary value {bad} at vertex 7 is not finite"):
+        harmonic_extension(prob)
+    f = np.zeros(net.n_vertices)
+    f[11] = bad
+    with pytest.raises(ValueError, match=f"boundary value {bad} at vertex 11 is not finite"):
+        project_to_current(DirichletProblem(net, {3: 1.0, 11: 0.0}), f)
+    assert calls == [] and net._grounded is None
+
+
 def test_a_solve_that_misses_its_residual_check_raises(monkeypatch):
     class Off:
         def __init__(self, lu):
