@@ -9,7 +9,10 @@ from the face list.
 Faces are the single source of truth, and :func:`side_table` (one stable sort
 of the face sides by edge) is the one derivation of edges and twins from a
 face list, for maps, triangulations and 3-connected maps alike; incidence,
-boundary and blocks are array operations on it.  Edge ``i`` of the
+boundary and blocks are array operations on it.  A packing's map, one quad
+per edge of its parent, is built with its table (:func:`paired_side_table`)
+and boundary cycle from the parent's, and, from a validated triangulation,
+with :func:`validate`'s structural checks passed.  Edge ``i`` of the
 primal network, edge ``i`` of the dual network and face ``i`` of the map
 always correspond: the primal edge joins ``v1, v2`` with conductance
 |w1 w2| / |v1 v2| and the dual edge joins ``w1, w2`` with the reciprocal
@@ -56,23 +59,27 @@ class SideTable(NamedTuple):
         return int(np.argmax(repeat)) if repeat.any() else -1
 
 
-def side_table(faces) -> SideTable:
-    """:class:`SideTable` of an (m, k) face array or a ragged list of faces.
-
-    One stable argsort of the undirected side keys groups the sides by edge,
-    in side order within each edge.
-    """
+def _face_cycles(faces):
+    """tail, head, face and nxt of :class:`SideTable` for an (m, k) face array or a ragged list."""
     if isinstance(faces, np.ndarray):
         lens = np.full(len(faces), faces.shape[1])
         tail = np.asarray(faces, int).ravel()
     else:
         lens = np.array([len(f) for f in faces], int)
         tail = np.fromiter(itertools.chain.from_iterable(faces), int, lens.sum())
-    face = np.repeat(np.arange(len(lens)), lens)
     ends = np.cumsum(lens)
     nxt = np.arange(1, tail.size + 1)
     nxt[ends - 1] = ends - lens
-    head = tail[nxt]
+    return tail, tail[nxt], np.repeat(np.arange(len(lens)), lens), nxt
+
+
+def side_table(faces) -> SideTable:
+    """:class:`SideTable` of an (m, k) face array or a ragged list of faces.
+
+    One stable argsort of the undirected side keys groups the sides by edge,
+    in side order within each edge.
+    """
+    tail, head, face, nxt = _face_cycles(faces)
     n = int(tail.max(initial=0)) + 1
     key = np.minimum(tail, head) * n + np.maximum(tail, head)
     order = np.argsort(key, kind="stable")
@@ -86,6 +93,23 @@ def side_table(faces) -> SideTable:
     twin[order[pair]], twin[order[pair + 1]] = order[pair + 1], order[pair]
     return SideTable(tail, head, face, nxt, edge, twin,
                      np.column_stack([key[start] // n, key[start] % n]), count, order[start])
+
+
+def paired_side_table(faces, a: np.ndarray, b: np.ndarray) -> SideTable:
+    """:func:`side_table` of faces whose every edge has one or two sides,
+    given as a[e] and b[e] (-1 for none) for each edge e in any order: one
+    argsort of the distinct edge keys in place of the sides'."""
+    tail, head, face, nxt = _face_cycles(faces)
+    lo, hi = np.minimum(tail[a], head[a]), np.maximum(tail[a], head[a])
+    order = np.argsort(lo * (int(hi.max(initial=0)) + 1) + hi)
+    a, b, both = a[order], b[order], b[order] >= 0
+    rows = np.arange(a.size)
+    edge = np.empty_like(tail)
+    edge[a], edge[b[both]] = rows, rows[both]
+    twin = np.full_like(tail, -1)
+    twin[a[both]], twin[b[both]] = b[both], a[both]
+    return SideTable(tail, head, face, nxt, edge, twin, np.column_stack([lo[order], hi[order]]),
+                     1 + both, np.where(both, np.minimum(a, b), a))
 
 
 class OrthodiagonalMap:
@@ -143,8 +167,10 @@ class OrthodiagonalMap:
         return self._sides.count
 
     @cached_property
-    def boundary_walk(self) -> np.ndarray:
-        """Cyclic vertex sequence of the outer face, oriented counterclockwise.
+    def _boundary_cycle(self) -> np.ndarray:
+        """The boundary edges' one cycle, from its least vertex toward the
+        smaller of its two neighbours: :attr:`boundary_walk` before it is
+        oriented, read from the faces alone.
 
         Raises StructuralError when the boundary is not a single simple
         closed walk.
@@ -164,9 +190,26 @@ class OrthodiagonalMap:
         walk = csgraph.depth_first_order(graph, a.min(), return_predecessors=False).astype(int)
         if len(walk) != len(a):
             raise StructuralError("boundary edges form more than one cycle")
-        if signed_area(self.positions[walk]) < 0:
-            walk = walk[::-1].copy()
         return walk
+
+    @staticmethod
+    def _least_first(cycle) -> np.ndarray:
+        """A simple cycle, given either way round, as :attr:`_boundary_cycle` gives it."""
+        cycle = np.roll(cycle, -int(np.argmin(cycle)))
+        return cycle if cycle[1] < cycle[-1] else np.roll(cycle[::-1], 1)
+
+    @cached_property
+    def boundary_walk(self) -> np.ndarray:
+        """Cyclic vertex sequence of the outer face, oriented counterclockwise.
+
+        Raises StructuralError when the boundary is not a single simple
+        closed walk.
+        """
+        walk = self._boundary_cycle
+        return walk[::-1].copy() if signed_area(self.positions[walk]) < 0 else walk
+
+    # validate's checks that read the faces and colours alone
+    _structure = cached_property(lambda self: _structural_checks(self))
 
     @cached_property
     def boundary_vertex_mask(self) -> np.ndarray:
@@ -232,10 +275,12 @@ class OrthodiagonalMap:
         """Area of the region covered by the map (sum of face areas)."""
         return float(self.face_areas().sum())
 
+    _diameter = cached_property(lambda self: max_distance(self.positions[self.boundary_walk]))
+
     def diameter(self) -> float:
-        """Largest distance between two vertices; on an embedded map the
-        extreme points of the convex hull lie on the boundary walk."""
-        return max_distance(self.positions[self.boundary_walk])
+        """Largest distance between two vertices (computed once per map); on an
+        embedded map the extreme points of the convex hull lie on the boundary walk."""
+        return self._diameter
 
     # -- networks ------------------------------------------------------------
 
@@ -357,35 +402,29 @@ def validate(omap: OrthodiagonalMap, tol: float = 1e-9) -> ValidationReport:
 
     Structural problems (dangling ids, non-simple boundary) and geometric
     failures (orthogonality, orientation) are reported under separate check
-    names; nothing is raised.
+    names; nothing is raised.  The structural checks read the faces and
+    colours alone, so a map runs them once and keeps them: a perturbed map
+    shares its base's (the same faces and colours), and a map from a
+    validated triangulation is built with them passed (each holds by
+    construction).  The geometric ones read the positions on every call.
     """
+    structure = omap._structure
     report = ValidationReport()
-    p = omap.positions
 
-    try:
-        omap._check_face_indices()
-        report.add("structure/face_ids", True)
-    except StructuralError as exc:
-        report.add("structure/face_ids", False, str(exc))
+    def take(*names):  # structural checks, as far as they went
+        report.checks.update((k, structure.checks[k]) for k in names if k in structure.checks)
+
+    take("structure/face_ids")
+    if not report.passed:
         return report
-
+    p, f = omap.positions, omap.faces
     if not np.all(np.isfinite(p)):
         report.add("structure/finite_positions", False, "NaN or infinite coordinate")
         return report
     report.add("structure/finite_positions", True)
-
-    corners = np.sort(omap.faces, axis=1)
-    distinct = not np.any(corners[:, 1:] == corners[:, :-1])
-    report.add("structure/distinct_corners", distinct)
-    if not distinct:
+    take("structure/distinct_corners", "faces/alternating_colors")
+    if not report.checks["structure/distinct_corners"][0]:
         return report
-
-    # colors alternate primal, dual, primal, dual
-    pm = omap.primal_mask
-    f = omap.faces
-    bad_color = np.flatnonzero(~(pm[f[:, 0]] & ~pm[f[:, 1]] & pm[f[:, 2]] & ~pm[f[:, 3]]))
-    report.add("faces/alternating_colors", bad_color.size == 0,
-               f"faces {bad_color[:8].tolist()}" if bad_color.size else "")
 
     # orthogonality of diagonals, relative to diagonal lengths
     dv, dw = p[f[:, 2]] - p[f[:, 0]], p[f[:, 3]] - p[f[:, 1]]
@@ -409,6 +448,35 @@ def validate(omap: OrthodiagonalMap, tol: float = 1e-9) -> ValidationReport:
     bad_orient = np.flatnonzero(areas <= 0)
     report.add("faces/ccw_orientation", bad_orient.size == 0, f"faces {bad_orient[:8].tolist()}")
 
+    take("edges/at_most_two_faces", "edges/bipartite", "boundary/single_simple_walk",
+         "boundary/alternating", "graph/connected")
+    report.offending_edges = list(structure.offending_edges)
+    return report
+
+
+def _structural_checks(omap: OrthodiagonalMap) -> ValidationReport:
+    """The checks of :func:`validate` that read the faces and colours alone,
+    in its order, up to the first failure that ends its report."""
+    report = ValidationReport()
+    try:
+        omap._check_face_indices()
+        report.add("structure/face_ids", True)
+    except StructuralError as exc:
+        report.add("structure/face_ids", False, str(exc))
+        return report
+
+    corners = np.sort(omap.faces, axis=1)
+    distinct = not np.any(corners[:, 1:] == corners[:, :-1])
+    report.add("structure/distinct_corners", distinct)
+    if not distinct:
+        return report
+
+    # colors alternate primal, dual, primal, dual
+    pm, f = omap.primal_mask, omap.faces
+    bad_color = np.flatnonzero(~(pm[f[:, 0]] & ~pm[f[:, 1]] & pm[f[:, 2]] & ~pm[f[:, 3]]))
+    report.add("faces/alternating_colors", bad_color.size == 0,
+               f"faces {bad_color[:8].tolist()}" if bad_color.size else "")
+
     # edge/face incidence and boundary structure
     over = np.flatnonzero(omap.edge_face_count > 2)
     # listed in the order their first sides come in the faces
@@ -420,7 +488,7 @@ def validate(omap: OrthodiagonalMap, tol: float = 1e-9) -> ValidationReport:
     report.add("edges/bipartite", bip.size == 0, f"edges {bip[:8].tolist()}")
 
     try:
-        walk = omap.boundary_walk
+        walk = omap._boundary_cycle
         report.add("boundary/single_simple_walk", True, f"length {len(walk)}")
         report.add("boundary/alternating", np.all(pm[walk] != pm[np.roll(walk, -1)]))
     except StructuralError as exc:
@@ -432,8 +500,17 @@ def validate(omap: OrthodiagonalMap, tol: float = 1e-9) -> ValidationReport:
     _, comp = csgraph.connected_components(edge_graph(n, e[:, 0], e[:, 1]), directed=False)
     unreachable = n - np.count_nonzero(comp == comp[0]) if n else 0
     report.add("graph/connected", unreachable == 0, f"{unreachable} unreachable vertices")
-
     return report
+
+
+def _sound_structure(walk_length: int) -> ValidationReport:
+    """:func:`_structural_checks` of a map built to pass them all."""
+    return ValidationReport({"structure/face_ids": (True, ""), "structure/distinct_corners": (True, ""),
+                             "faces/alternating_colors": (True, ""),
+                             "edges/at_most_two_faces": (True, "edges []"), "edges/bipartite": (True, "edges []"),
+                             "boundary/single_simple_walk": (True, f"length {walk_length}"),
+                             "boundary/alternating": (True, ""),
+                             "graph/connected": (True, "0 unreachable vertices")})
 
 
 # ---------------------------------------------------------------------------

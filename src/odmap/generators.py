@@ -158,7 +158,9 @@ def perturbed(base: OrthodiagonalMap, amplitude: float, seed: int = 0) -> Orthod
     every attempt: A A^T depends only on the primal diagonals, which do not
     move.  The projection is scaled so no dual vertex moves farther than
     amplitude * mesh, and halved until the map validates.  The result shares
-    the base map's faces and side table.  amplitude = 0 returns the base map.
+    the base map's faces, side table, boundary cycle and structural checks,
+    so each attempt runs only the geometric checks of
+    :func:`~odmap.core_map.validate`.  amplitude = 0 returns the base map.
     """
     if amplitude == 0:
         return base
@@ -178,6 +180,8 @@ def perturbed(base: OrthodiagonalMap, amplitude: float, seed: int = 0) -> Orthod
         raise GeometryError(f"the {len(f)} face constraints of the perturbation are "
                             f"rank-deficient: A A^T has no factor ({exc})") from exc
 
+    _ = base._structure  # computes the boundary cycle too, if there is one
+    shared = {k: v for k, v in vars(base).items() if k in ("_sides", "_boundary_cycle", "_structure")}
     rng = np.random.default_rng(seed)
     scale = float(amplitude)
     for _ in range(20):
@@ -195,7 +199,7 @@ def perturbed(base: OrthodiagonalMap, amplitude: float, seed: int = 0) -> Orthod
         new_pos[duals] += d.reshape(nd, 2) * (scale * eps / mx)
         cand = OrthodiagonalMap(new_pos, base.primal_mask.copy(), base.faces.copy(),
                                 ids=base.ids.copy())
-        cand._sides = base._sides  # the same faces: their side table is the base's
+        vars(cand).update(shared)  # the same faces and colours
         if validate(cand, tol=1e-9).passed:
             return cand
         scale *= 0.5

@@ -38,14 +38,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .core_map import OrthodiagonalMap, SideTable, side_table
+from .core_map import OrthodiagonalMap, SideTable, _sound_structure, paired_side_table, side_table
 from .errors import GeometryError, PackingError, StructuralError
 from .geometry import incircle, segments_intersect, signed_area
 from .network import definite_splu, edge_graph
@@ -191,7 +191,9 @@ class _FixedPattern:
 
     def renumbered(self, rank) -> "_FixedPattern":
         """The pattern of (rank[rows], rank[cols]) by one argsort of its
-        distinct keys, renumbered, in place of a second np.unique."""
+        distinct keys, renumbered, in place of a second np.unique.  rank may
+        be SuperLU's int32 perm_c: the keys run to size^2, so they are int64."""
+        rank = rank.astype(np.int64)
         cols = np.repeat(np.arange(self.size), np.diff(self.indptr))
         keys = rank[cols] * self.size + rank[self.indices]
         order = np.argsort(keys)
@@ -395,7 +397,8 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
     face in breadth-first order from one at that centre, one array pass per
     generation.  Raises PackingError when a circle comes out non-finite, or
     when a tangency residual relative to the smaller circle, or a boundary
-    residual, exceeds tol (naming a circle too small for the disk's floats).
+    residual, exceeds tol (naming the smaller circle on the worst edge, and
+    whether it is too small for the disk's floats).
     """
     tri.validate()
     n, faces, boundary = tri.n_vertices, tri.faces, tri.boundary_mask
@@ -500,18 +503,21 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
     if not (rel <= tol and rim <= tol):  # NaN fails too
         # positions hold about 1e-16 absolute, and the closed forms square that
         # near the rim: a circle of radius r is laid out to about 1e-16 / r^2
-        i = int(np.argmin(np.abs(radii)))
-        past = (f"; circle {i} of radius {radii[i]:.2e} is past the disk model's float precision"
-                if 1e-16 > tol * radii[i] ** 2 else "")
+        c, (a, b) = packing.centers, tri.edges.T  # the worst edge, as _packing_residuals finds it
+        gap = np.abs(np.hypot(*(c[a] - c[b]).T) - (radii[a] + radii[b])) / np.minimum(radii[a], radii[b])
+        i = int(np.where(radii[a] <= radii[b], a, b)[np.argmax(gap)])
+        past = " and is past the disk model's float precision" if 1e-16 > tol * radii[i] ** 2 else ""
         raise PackingError(f"packing residual exceeds tolerance {tol:.1e}: relative tangency "
-                           f"{rel:.3e}, boundary {rim:.3e}{past}")
+                           f"{rel:.3e}, boundary {rim:.3e}; the worst edge's smaller circle {i} "
+                           f"of radius {radii[i]:.2e} lies {steps[i]} placements from the seed{past}")
     return packing
 
 
 def _packing_residuals(tri: Triangulation, p: CirclePacking) -> dict:
     """Tangency residuals on the edges, boundary residual, protrusion, and the
-    worst overlap: the least separation (or 0.0) of the ball-query pairs,
-    taken unsorted, that a search of the ascending edge keys finds no edge."""
+    worst overlap: the least separation (or 0.0) of the pairs of circles i, j
+    with |c_i - c_j| <= 2 r_i that a search of the ascending edge keys finds
+    no edge."""
     from scipy.spatial import cKDTree
 
     c, r, n = p.centers, p.radii, len(p.radii)
@@ -526,10 +532,14 @@ def _packing_residuals(tri: Triangulation, p: CirclePacking) -> dict:
     inside = float((np.hypot(c[:, 0], c[:, 1]) + r).max() - 1.0)
     # non-adjacent overlap (most negative separation): circles i, j overlap
     # only if |c_i - c_j| < 2 max(r_i, r_j), so a ball of radius 2 r_i around
-    # each center holds every overlap partner of the larger circle
-    near = cKDTree(c).query_ball_point(c, 2.0 * r, return_sorted=False)
-    i = np.repeat(np.arange(n), [len(js) for js in near])
-    j = np.fromiter(chain.from_iterable(near), int, len(i))
+    # each center holds every overlap partner of the larger circle; one array
+    # query per class of radii in [2^(k-1), 2^k) finds them within 2^(k+1)
+    tree, k = cKDTree(c), np.frexp(r)[1]
+    near = [(cls, cKDTree(c[cls]).sparse_distance_matrix(tree, 2.0 ** (e + 1), output_type="ndarray"))
+            for e in np.unique(k) for cls in [np.flatnonzero(k == e)]]
+    i, j = (np.concatenate([cls[d["i"]] for cls, d in near]), np.concatenate([d["j"] for _, d in near]))
+    keep = np.concatenate([d["v"] for _, d in near]) <= 2.0 * r[i]
+    i, j = i[keep], j[keep]
     pair, edge = np.minimum(i, j) * n + np.maximum(i, j), a * n + b  # edge keys ascend
     keep = (i != j) & (edge[np.minimum(np.searchsorted(edge, pair), edge.size - 1)] != pair)
     overlap = min(float(separation(i[keep], j[keep]).min(initial=0.0)), 0.0)
@@ -546,14 +556,52 @@ def _packing_residuals(tri: Triangulation, p: CirclePacking) -> dict:
 # packing -> orthodiagonal map
 
 
+def _quad_map(positions, n, s: SideTable, s1, s2, dual, ext, outer) -> OrthodiagonalMap:
+    """The map of quads [e0, w(s1), e1, w(s2)], turned CCW where they are not,
+    one per edge (e0, e1) of a parent with side table s: w(k) = dual[face of
+    side k], or the edge's ext where s2 is -1; the first n vertices are
+    primal.  Quad edge (v, w(k)) at the tail v of side k lies on the quads
+    of k and of the side before it, so the map is given its side table and
+    boundary cycle from s, unless outer (the outer face's sides in order) is
+    None: a parent face that visits a vertex twice breaks that."""
+    quads = np.column_stack([s.edges[:, 0], dual[s.face[s1]], s.edges[:, 1],
+                             np.where(s2 < 0, ext, dual[s.face[s2]])])
+    cw = signed_area(positions[quads]) < 0
+    quads[cw] = quads[cw][:, [0, 3, 2, 1]]
+    m = OrthodiagonalMap(positions, np.arange(len(positions)) < n, quads)
+    if outer is not None:
+        # quad i's sides on (tail s1, w(s1)), (head s1, w(s1)), (head s1, w(s2))
+        # and (tail s1, w(s2)) are 4 i + 0, 1, 2, 3 if s1 runs e0 -> e1 and it
+        # is not turned; a and b hold each edge's sides, at the parent side
+        # whose tail and face it joins, or past them for extension points
+        f = (s.tail[s1] != quads[:, 0]).astype(int)
+        j = 4 * np.arange(len(quads))
+        j0, j1 = j + np.where(cw, 3 - f, f), j + np.where(cw, 2 + f, 1 - f)
+        j2, j3 = 2 * j + 3 - j1, 2 * j + 3 - j0
+        rim = s2 < 0
+        x = s.tail.size + 2 * np.arange(int(rim.sum()))
+        a, b = np.full((2, s.tail.size + 2 * x.size), -1)
+        a[s1], a[s2[~rim]], a[x], a[x + 1] = j0, j2[~rim], j2[rim], j3[rim]
+        b[s.nxt[s1]], b[s.nxt[s2[~rim]]] = j1, j3[~rim]
+        cycle = np.column_stack([s.tail[outer], ext[s.edge[outer]]]).ravel()
+        vars(m).update(_sides=paired_side_table(quads, a[a >= 0], b[a >= 0]),
+                       _boundary_cycle=m._least_first(cycle))
+    return m
+
+
 def orthodiagonal_from_packing(tri: Triangulation, packing: CirclePacking,
                                eta: float | None = None) -> OrthodiagonalMap:
     """Orthodiagonal representation induced by an in-disk packing.
 
     Primal vertices sit at circle centers, dual vertices at the inscribed
     circle centers of the triangles plus one extension point per boundary
-    edge, pushed a distance eta past the shared tangency point.
+    edge, pushed a distance eta past the shared tangency point.  Its quads
+    are one per triangulation edge, so it is built with its side table and
+    boundary cycle from the triangulation's (:func:`_quad_map`), and with
+    the structural checks of :func:`~odmap.core_map.validate` passed: a
+    valid triangulation makes each of them hold by construction.
     """
+    tri.validate()
     c, r, n, m = packing.centers, packing.radii, tri.n_vertices, len(tri.faces)
 
     inc_centers, _ = incircle(*c[tri.faces].transpose(1, 0, 2))
@@ -579,17 +627,15 @@ def orthodiagonal_from_packing(tri: Triangulation, packing: CirclePacking,
         warnings.warn("boundary extension overlaps; shrinking eta")
         etas = 0.5 * etas
     positions = np.vstack([c, inc_centers, q + etas[:, None] * u])
-    primal = np.zeros(len(positions), bool)
-    primal[:n] = True
 
     # one quad per edge: its two triangles' incenters, or (an edge without
     # a twin) its one triangle's incenter and its extension point
-    fourth = n + s.face[s.twin[s.first]]
-    fourth[bedge] = n + m + np.arange(len(a))
-    faces = np.column_stack([s.edges[:, 0], n + s.face[s.first], s.edges[:, 1], fourth])
-    cw = signed_area(positions[faces]) < 0
-    faces[cw] = faces[cw][:, [0, 3, 2, 1]]
-    return OrthodiagonalMap(positions, primal, faces)
+    ext = np.zeros(len(s.edges), int)
+    ext[bedge] = n + m + np.arange(len(a))
+    # lone runs against the sides' direction around the boundary
+    omap = _quad_map(positions, n, s, s.first, s.twin[s.first], n + np.arange(m), ext, lone[::-1])
+    omap._structure = _sound_structure(2 * len(a))
+    return omap
 
 
 def _extensions_cross(ca, cb, ext) -> bool:
@@ -971,31 +1017,30 @@ def orthodiagonal_from_double_packing(h: PlanarMap3C, dp: DoubleCirclePacking,
     """Orthodiagonal representation from a double packing (Cor 2.4 style).
 
     One quad per edge of the map; boundary edges (those on the outer face)
-    get an extension point past the tangency point on the unit circle.
+    get an extension point past the tangency point on the unit circle.  The
+    map is built with its side table and boundary cycle from the planar
+    map's (:func:`_quad_map`) when no face visits a vertex twice.
     """
-    n, nf = h.n_vertices, len(h.faces)
+    n, nf, s, vr = h.n_vertices, len(h.faces), h._sides, dp.vertex_radii
     a, b = h.edges.T
-    left, right = h._flanks.T
-    rim = (left == dp.outer_face) | (right == dp.outer_face)
-    inner = np.where(left == dp.outer_face, right, left)
-    vr = dp.vertex_radii
-    slot = n + np.arange(nf) - (np.arange(nf) > dp.outer_face)
+    s1 = np.where(s.tail[s.first] == a, s.first, s.twin[s.first])  # the side a -> b
+    s1 = np.where(s.face[s1] == dp.outer_face, s.twin[s1], s1)  # on an inner face
+    rim = s.face[s.twin[s1]] == dp.outer_face
+    outer = np.flatnonzero(s.face == dp.outer_face)  # the outer face's sides, in order
     # extension points: past each rim tangency point, away from the centre
     # of its inner face circle
     q = dp.tangency_point(a[rim], b[rim])
-    u = q - dp.face_centers[inner[rim]]
+    u = q - dp.face_centers[s.face[s1[rim]]]
     u = u / np.hypot(*u.T)[:, None]
-    delta_b = float(vr[h._sides.tail[h._sides.face == dp.outer_face]].max())
-    cap = 0.5 * np.minimum(np.minimum(vr[a[rim]], vr[b[rim]]), delta_b)
+    cap = 0.5 * np.minimum(np.minimum(vr[a[rim]], vr[b[rim]]), float(vr[s.tail[outer]].max()))
     e = cap if eta is None else np.minimum(eta, cap)
     positions = np.vstack([dp.vertex_centers, np.delete(dp.face_centers, dp.outer_face, axis=0),
                            q + e[:, None] * u])
-    fourth = slot[right]
-    fourth[rim] = n + nf - 1 + np.arange(rim.sum())
-    faces = np.column_stack([a, slot[inner], b, fourth])
-    cw = signed_area(positions[faces]) < 0
-    faces[cw] = faces[cw][:, [0, 3, 2, 1]]
-    return OrthodiagonalMap(positions, np.arange(len(positions)) < n, faces)
+    ext = np.zeros(len(a), int)
+    ext[rim] = n + nf - 1 + np.arange(rim.sum())
+    simple = np.unique(s.face * n + s.tail).size == s.tail.size
+    return _quad_map(positions, n, s, s1, np.where(rim, -1, s.twin[s1]),
+                     n + np.arange(nf) - (np.arange(nf) > dp.outer_face), ext, outer if simple else None)
 
 
 # ---------------------------------------------------------------------------

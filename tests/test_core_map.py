@@ -40,6 +40,14 @@ def test_face_areas_are_computed_once_per_map_and_read_only():
     assert not np.array_equal(p.face_areas(), areas)
 
 
+def test_diameter_is_computed_once_per_map(monkeypatch):
+    m = odmap.rotated_grid("disk", 16)
+    calls = []
+    monkeypatch.setattr(core_map, "max_distance", lambda p: calls.append(p) or 1.25)
+    assert m.diameter() == m.diameter() == 1.25 and len(calls) == 1
+    assert calls[0].tolist() == m.positions[m.boundary_walk].tolist()
+
+
 def test_moved_dual_vertex_fails_orthogonality(diamond):
     pos = diamond.positions.copy()
     pos[5] = [1.5, 1.0]  # dual vertex (1, 1) pushed sideways

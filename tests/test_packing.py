@@ -561,7 +561,9 @@ def test_fixed_pattern_jacobian_matches_plain_assembly(monkeypatch):
 
 
 def _unique_renumbered(pattern, rank):
-    """The renumbered pattern built afresh by np.unique, as the oracle."""
+    """The renumbered pattern built afresh by np.unique, as the oracle (in
+    int64: SuperLU's int32 perm_c would wrap the keys cols * size + rows)."""
+    rank = rank.astype(np.int64)
     return packing._FixedPattern(rank[pattern.rows], rank[pattern.cols], pattern.size)
 
 
@@ -579,6 +581,22 @@ def test_renumbered_pattern_matches_a_fresh_build(monkeypatch):
     for name in ("rows", "cols", "indices", "indptr", "slot"):
         got, want = (getattr(p, name) for p in seen[0])
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_renumbered_pattern_past_the_int32_keys():
+    # above 46,341 unknowns the keys cols * size + rows pass 2^31, so an
+    # int32 rank (SuperLU's perm_c is one) must not wrap them
+    size = 50_000
+    rng = np.random.default_rng(0)
+    rows, cols = rng.integers(0, size, (2, 3 * size))
+    rows, cols = np.concatenate([np.arange(size), rows]), np.concatenate([np.arange(size), cols])
+    pattern = packing._FixedPattern(rows, cols, size)
+    rank = rng.permutation(size).astype(np.int32)
+    got, want = pattern.renumbered(rank), _unique_renumbered(pattern, rank)
+    for name in ("rows", "cols", "indices", "indptr", "slot"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    data = rng.standard_normal(rows.size)
+    assert (got.matrix(data) != want.matrix(data)).nnz == 0
 
 
 @pytest.mark.parametrize("size, seed", [(n, seed) for seed in (1, 2, 3) for n in (1000, 3000)])
@@ -614,10 +632,21 @@ def test_zigzag_strip_too_fine_for_floats_raises():
 
 def test_zigzag_strip_past_float_precision_says_so():
     # at 30 vertices the smallest horocycles have radius 4.3e-12: their
-    # tangencies hold about 1e-16 / r = 2.3e-5 relative, far above tol
-    with pytest.raises(PackingError, match=r"relative tangency .*circle 15 of radius 4\.29e-12 "
-                                           r"is past the disk model's float precision"):
-        odmap.pack_in_disk(zigzag_strip(30))
+    # tangencies hold about 1e-16 / r = 2.3e-5 relative, far above tol.  The
+    # worst edge is (13, 14), and its smaller circle 14 (radius 1.1e-11) is
+    # past its own floor 1e-16 / r^2 too; the message names that circle
+    tri = zigzag_strip(30)
+    with pytest.raises(PackingError, match=r"relative tangency .*smaller circle 14 of radius "
+                                           r"1\.12e-11 lies 26 placements from the seed and is "
+                                           r"past the disk model's float precision"):
+        odmap.pack_in_disk(tri)
+    # the same layout, accepted at a loose tol: the worst edge, recomputed
+    p = odmap.pack_in_disk(tri, tol=1.0)
+    a, b = tri.edges.T
+    gap = np.abs(np.hypot(*(p.centers[a] - p.centers[b]).T) - (p.radii[a] + p.radii[b]))
+    worst = np.argmax(gap / np.minimum(p.radii[a], p.radii[b]))
+    assert tri.edges[worst].tolist() == [13, 14] and p.radii[14] < p.radii[13]
+    assert f"{p.radii[14]:.2e}" == "1.12e-11" and 1e-16 > 1e-8 * p.radii[14] ** 2
 
 
 def test_zigzag_strip_horocycles_hold_to_one_over_r():
