@@ -11,13 +11,15 @@ One sparse Newton solve in log t, where the Jacobian is symmetric, drives the
 angle sums to float precision; once its steps go through at full length, they
 are CG steps preconditioned by the last factor of the Jacobian.  The layout
 places Euclidean circles in the disk model (horocycles are circles internally
-tangent to the unit circle), tracking hyperbolic centres / ideal points, in
-breadth-first face order from the centre circle, one array pass per
-generation of circles.  Every placement is a closed form after one Moebius
-map: a disk automorphism that moves an interior pivot's centre to the origin,
-or, where both placed corners of a face are horocycles, the map to the upper
-half plane that sends one of them to a horizontal line.  A packing is accepted on its tangency residuals
-relative to the smaller circle of each edge.
+tangent to the unit circle), tracking hyperbolic centres / ideal points, one
+breadth-first ring per array pass from the centre circle: each interior
+circle of the last ring places its unplaced neighbours at the kite angles
+summed about it.  Every placement is a closed form after one Moebius map: a
+disk automorphism that moves an interior pivot's centre to the origin, or,
+for a circle no placed interior circle reaches, the map to the upper half
+plane that sends one of two placed horocycles to a horizontal line.  A
+packing is accepted on its tangency residuals relative to the smaller circle
+of each edge.
 
 Double packings are solved in Euclidean terms on the vertex-face incidence
 structure: the tangency point of two vertex circles is also the tangency
@@ -393,22 +395,29 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
     Boundary circles come out internally tangent to the unit circle; when an
     interior vertex exists, the most central one is centered at the origin,
     else the first face is three equal horocycles symmetric about it.  Each
-    circle is placed in closed form from the other two corners of its first
-    face in breadth-first order from one at that centre, one array pass per
-    generation.  Raises PackingError when a circle comes out non-finite, or
-    when a tangency residual relative to the smaller circle, or a boundary
-    residual, exceeds tol (naming the smaller circle on the worst edge, and
-    whether it is too small for the disk's floats).
+    array pass places every unplaced neighbour of the interior circles the
+    pass before placed, in closed form from one of them, at the kite angles
+    summed about it from the circle that one was placed from; so placements
+    chain only as deep as the graph, not around its rings.  A circle that no
+    placed interior circle reaches is placed from the two other corners of
+    its first face in breadth-first face order, both horocycles.  Raises
+    PackingError when a circle comes out non-finite, or when a tangency
+    residual relative to the smaller circle, or a boundary residual, exceeds
+    tol (naming the smaller circle on the worst edge, and whether it is too
+    small for the disk's floats).
     """
     tri.validate()
     n, faces, boundary = tri.n_vertices, tri.faces, tri.boundary_mask
     angle_tol = max(min(1e-12, 0.01 * tol), 1e-14)
     t, solve_stats = _solve_hyperbolic_radii(tri, angle_tol)
 
+    s = tri._sides
     centers = np.full(n, np.nan + 0j, complex)
     radii = np.full(n, np.nan)
     anchors = np.full(n, np.nan + 0j, complex)  # hyp center or ideal point
     steps = np.zeros(n, int)  # placements between the seed and each circle
+    ref = np.zeros(n, int)  # the side from each placed interior circle to its reference
+    new = np.zeros(n, bool)  # the newest interior layer
     interior_idx = np.flatnonzero(~boundary)
     if interior_idx.size:
         # seed: interior vertex furthest from the boundary (graph distance)
@@ -416,13 +425,14 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
                                 unweighted=True, min_only=True)
         seed = int(interior_idx[np.argmax(dist[interior_idx])])
         centers[seed], radii[seed], anchors[seed] = 0j, t[seed], 0j
-        # the first face at the seed, and the seed's successor q in it (the
-        # first petal of its flower) along the positive real axis
+        # the first side out of the seed (side 3 f + j runs from corner j of
+        # face f), to q, the first petal of its flower, on the positive real axis
         root, k = divmod(int(np.argmax(faces.ravel() == seed)), 3)
         q = int(faces[root, (k + 1) % 3])
         anchors[q] = (t[seed] + t[q]) / (1.0 + t[seed] * t[q])  # 1 when q is a horocycle
         centers[q], radii[q] = (_horo_from_tangency(anchors[q], 0j, t[seed]) if boundary[q]
                                 else _euclid_from_hyp(anchors[q], t[q]))
+        ref[[seed, q]], new[[seed, q]] = (3 * root + k, s.twin[3 * root + k]), (True, not boundary[q])
     else:
         # no interior vertex: the first face is three mutually tangent
         # horocycles, symmetric about the origin
@@ -431,60 +441,75 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
         anchors[faces[0]] = np.exp(1j * np.pi * np.array([-5 / 6, -1 / 6, 1 / 2]))
         centers[faces[0]] = (1.0 - radii[faces[0]]) * anchors[faces[0]]
 
-    # every face after the root shares an edge with one before it in
-    # breadth-first order, so circle r is placed at its first corner from the
-    # two after it, (p, q, r) CCW: each generation is every r with p, q placed
-    s = tri._sides
-    inner = s.first[s.twin[s.first] >= 0]  # one side of each edge with two faces
-    order = csgraph.breadth_first_order(edge_graph(len(faces), s.face[inner], s.face[s.twin[inner]]),
-                                        root, directed=False, return_predecessors=False)
-    if order.size < len(faces):
-        raise PackingError(f"layout reaches {order.size} of {len(faces)} faces")
-    _, first = np.unique(faces[order].ravel(), return_index=True)
-    rpq = faces[order[first // 3][:, None], (first[:, None] + np.arange(3)) % 3]
-    placed = ~np.isnan(radii)
-    rpq = rpq[~placed[rpq[:, 0]]]
-    while rpq.size:
-        now = placed[rpq[:, 1]] & placed[rpq[:, 2]]
-        (r, p, q), rpq = rpq[now].T, rpq[~now]
-        placed[r] = True
-        horo = boundary[p] & boundary[q]
-        # about an interior pivot p moved to the origin, r sits at angle alpha
-        # from q, counterclockwise when q follows p.  p's error passes to r
-        # magnified, so pivot on the corner fewer placements from the seed
-        # (else, around a high-degree vertex, error grows along the ring)
-        swap = ~horo & (boundary[p] | (~boundary[q] & (steps[q] < steps[p])))
-        p, q = np.where(swap, q, p), np.where(swap, p, q)
-        steps[r] = np.where(horo, np.maximum(steps[p], steps[q]), steps[p]) + 1
-        tp, tr, ap, aq = t[p], t[r], anchors[p], anchors[q]
-        with np.errstate(divide="ignore", invalid="ignore"):  # NaN is caught below
-            alpha = 2.0 * np.arctan(_half_tangent(tp, t[q], tr))
-            dr = (aq - ap) / (1.0 - ap.conjugate() * aq)
-            dr *= np.exp(1j * np.where(swap, -alpha, alpha)) / abs(dr)
-            dr *= (tp + tr) / (1.0 + tp * tr)  # tanh of half the distance p to r
-            z = (dr + ap) / (1.0 + ap.conjugate() * dr)
-            # p, q horocycles: w = i(zeta + z)/(zeta - z) sends p's ideal point
-            # zeta to infinity, p to the line Im w = H and q to a circle of
-            # diameter H on the real axis at X_q; r's hyperbolic centre (ideal
-            # point if t_r = 1) is X_q + H (2 sqrt(t_r) + i (1 - t_r)) / (1 + t_r)
-            zeta, th = ap[horo], tr[horo]
-            H = (1.0 - radii[p[horo]]) / radii[p[horo]]
-            w = ((1j * (zeta + aq[horo]) / (zeta - aq[horo])).real
-                 + H * (2.0 * np.sqrt(th) + 1j * (1.0 - th)) / (1.0 + th))
-            z[horo] = zeta * (w - 1j) / (w + 1j)
-            rim = boundary[r]
-            z[rim] /= abs(z[rim])
-            anchors[r] = z
-            # r a horocycle from two: w is real, |z - zeta|^2 = 4 / (w^2 + 1)
-            # and rho_r = (1 - rho_p) / (1 + rho_p w^2), where the tangency's
-            # terms of size 1 would cancel to one of size rho_p rho_r
-            pair, tang = rim & horo, rim & ~horo
-            rho_p = radii[p[pair]]
-            radii[r[pair]] = (1.0 - rho_p) / (1.0 + rho_p * w[rim[horo]].real ** 2)
-            centers[r[pair]] = (1.0 - radii[r[pair]]) * z[pair]
-            centers[r[tang]], radii[r[tang]] = _horo_from_tangency(z[tang], centers[p[tang]],
-                                                                   radii[p[tang]])
-            centers[r[~rim]], radii[r[~rim]] = _euclid_from_hyp(z[~rim], tr[~rim])
+    # the kite angle at the tail v of side k = (v -> a) of face (v, a, b) runs
+    # from a to b, the head of the next side about v, twin[nxt[nxt[k]]]; cum[k]
+    # sums them about v from v's lowest side (or where the rim cuts its fan)
+    # by pointer jumping, with a sentinel side past the last
+    alpha = np.append(2.0 * np.arctan(_half_tangent(t[s.tail], t[s.head], t[s.head[s.nxt]])), 0.0)
+    back, after, cut = np.full(alpha.size, alpha.size - 1), s.twin[s.nxt[s.nxt]], np.full(n, alpha.size - 1)
+    back[after[after >= 0]] = np.flatnonzero(after >= 0)
+    np.minimum.at(cut, s.tail, np.arange(s.tail.size))
+    back[cut] = alpha.size - 1
+    cum = alpha[back]
+    for _ in range(int(np.bincount(s.tail).max()).bit_length()):
+        cum, back = cum + cum[back], back[back]
+    placed, first_side = ~np.isnan(radii), None
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN is caught below
+        while not placed.all():
+            if new.any():
+                # each unplaced neighbour r of the newest layer, from its
+                # lowest side p -> r out of it: about p moved to the origin, r
+                # sits at the summed kite angle from p's reference neighbour
+                k = np.flatnonzero(new[s.tail] & ~placed[s.head])
+                k = k[np.unique(s.head[k], return_index=True)[1]]
+                p, r = s.tail[k], s.head[k]
+                tp, tr, ap, aq = t[p], t[r], anchors[p], anchors[s.head[ref[p]]]
+                dr = (aq - ap) / (1.0 - ap.conjugate() * aq)
+                dr *= np.exp(1j * (cum[k] - cum[ref[p]])) / abs(dr)
+                dr *= (tp + tr) / (1.0 + tp * tr)  # tanh of half the distance p to r
+                z = (dr + ap) / (1.0 + ap.conjugate() * dr)
+                steps[r], ref[r], rim = steps[p] + 1, s.twin[k], boundary[r]
+                z[rim] /= abs(z[rim])
+                centers[r[rim]], radii[r[rim]] = _horo_from_tangency(z[rim], centers[p[rim]],
+                                                                     radii[p[rim]])
+            else:
+                # a circle no placed interior circle reaches (its placed
+                # neighbours are all horocycles) waits for the other corners
+                # p, q of its first face (r, p, q) in breadth-first face order
+                if first_side is None:  # side r -> p of each circle's first face
+                    inner = s.first[s.twin[s.first] >= 0]  # one side of each edge with two faces
+                    order = csgraph.breadth_first_order(
+                        edge_graph(len(faces), s.face[inner], s.face[s.twin[inner]]), root,
+                        directed=False, return_predecessors=False)
+                    if order.size < len(faces):
+                        raise PackingError(f"layout reaches {order.size} of {len(faces)} faces")
+                    _, first = np.unique(faces[order].ravel(), return_index=True)
+                    first_side = 3 * order[first // 3] + first % 3
+                k = first_side[~placed[s.tail[first_side]]]
+                now = placed[s.head[k]] & placed[s.head[s.nxt[k]]]
+                if not now.any():
+                    break
+                k, first_side = k[now], k[~now]
+                r, p, q = s.tail[k], s.head[k], s.head[s.nxt[k]]
+                # w = i(zeta + z)/(zeta - z) sends p's ideal point zeta to
+                # infinity, p to the line Im w = H and q to a circle of
+                # diameter H on the real axis at X_q; r's hyperbolic centre
+                # (ideal point if t_r = 1) is X_q + H (2 sqrt(t_r) + i (1 - t_r)) / (1 + t_r)
+                zeta, th, H = anchors[p], t[r], (1.0 - radii[p]) / radii[p]
+                w = ((1j * (zeta + anchors[q]) / (zeta - anchors[q])).real
+                     + H * (2.0 * np.sqrt(th) + 1j * (1.0 - th)) / (1.0 + th))
+                z = zeta * (w - 1j) / (w + 1j)
+                steps[r], ref[r], rim = np.maximum(steps[p], steps[q]) + 1, k, boundary[r]
+                z[rim] /= abs(z[rim])
+                # r a horocycle: w is real, |z - zeta|^2 = 4 / (w^2 + 1) and
+                # rho_r = (1 - rho_p) / (1 + rho_p w^2), where the tangency's
+                # terms of size 1 would cancel to one of size rho_p rho_r
+                radii[r[rim]] = (1.0 - radii[p[rim]]) / (1.0 + radii[p[rim]] * w[rim].real ** 2)
+                centers[r[rim]] = (1.0 - radii[r[rim]]) * z[rim]
+            centers[r[~rim]], radii[r[~rim]] = _euclid_from_hyp(z[~rim], t[r[~rim]])
+            anchors[r], placed[r] = z, True
+            new[:] = False
+            new[r[~rim]] = True
 
     bad = ~(np.isfinite(centers) & np.isfinite(radii))
     if bad.any():
@@ -566,18 +591,20 @@ def _quad_map(positions, n, s: SideTable, s1, s2, dual, ext, outer) -> Orthodiag
     None: a parent face that visits a vertex twice breaks that."""
     quads = np.column_stack([s.edges[:, 0], dual[s.face[s1]], s.edges[:, 1],
                              np.where(s2 < 0, ext, dual[s.face[s2]])])
-    cw = signed_area(positions[quads]) < 0
+    # w(s1) lies left of s1 (inside its CCW face) and w(s2) right of it (an
+    # extension point lies outside its rim side), so a quad runs clockwise
+    # exactly when s1 runs e0 -> e1
+    cw = s.tail[s1] == quads[:, 0]
     quads[cw] = quads[cw][:, [0, 3, 2, 1]]
     m = OrthodiagonalMap(positions, np.arange(len(positions)) < n, quads)
     if outer is not None:
         # quad i's sides on (tail s1, w(s1)), (head s1, w(s1)), (head s1, w(s2))
-        # and (tail s1, w(s2)) are 4 i + 0, 1, 2, 3 if s1 runs e0 -> e1 and it
-        # is not turned; a and b hold each edge's sides, at the parent side
-        # whose tail and face it joins, or past them for extension points
-        f = (s.tail[s1] != quads[:, 0]).astype(int)
+        # and (tail s1, w(s2)) are 4 i + 1, 0, 3, 2, or 4 i + 3, 2, 1, 0 where it
+        # is turned; a and b hold each edge's sides, at the parent side whose
+        # tail and face it joins, or past them for extension points
         j = 4 * np.arange(len(quads))
-        j0, j1 = j + np.where(cw, 3 - f, f), j + np.where(cw, 2 + f, 1 - f)
-        j2, j3 = 2 * j + 3 - j1, 2 * j + 3 - j0
+        j1 = j + 2 * cw
+        j0, j2, j3 = j1 + 1, 2 * j + 3 - j1, 2 * j + 2 - j1
         rim = s2 < 0
         x = s.tail.size + 2 * np.arange(int(rim.sum()))
         a, b = np.full((2, s.tail.size + 2 * x.size), -1)
@@ -683,6 +710,7 @@ class PlanarMap3C:
 
     n_vertices: int
     faces: list  # list of vertex id lists
+    _3_connected: bool = field(default=False, init=False, repr=False, compare=False)  # check passed
 
     @cached_property
     def _sides(self) -> SideTable:
@@ -729,7 +757,7 @@ class PlanarMap3C:
 
     def check_3_connected(self):
         """Raise StructuralError naming the lexicographically first separating
-        vertex pair, if any.
+        vertex pair, if any (checked once).
 
         A map on the sphere whose faces are all cycles is 2-connected, and
         then 3-connected iff every two faces meet in nothing, one vertex or
@@ -739,6 +767,8 @@ class PlanarMap3C:
         face visits twice (a cut vertex), so only those candidate pairs are
         removed and tested for connectivity, in order.
         """
+        if self._3_connected:
+            return self
         n = self.n_vertices
         if n < 4:
             raise StructuralError("3-connected maps need at least 4 vertices")
@@ -754,6 +784,7 @@ class PlanarMap3C:
         ef = np.sort(self._flanks, axis=1)
         bad = (count > 2) | ~np.isin(f * nf + g, ef[:, 0] * nf + ef[:, 1])
         if not twice.size and not bad.any():
+            self._3_connected = True  # a flag, not self: a cached self would make a reference cycle
             return self
         faces_of = dict(zip(map(tuple, self.edges.tolist()), map(tuple, ef.tolist())))
         pairs = set()
@@ -767,6 +798,7 @@ class PlanarMap3C:
             if csgraph.connected_components(edge_graph(n, *rest.T), directed=False,
                                             return_labels=False) > 3:
                 raise StructuralError(f"removing vertices {{{pair[0]},{pair[1]}}} disconnects the map")
+        self._3_connected = True
         return self
 
 
@@ -1019,7 +1051,9 @@ def orthodiagonal_from_double_packing(h: PlanarMap3C, dp: DoubleCirclePacking,
     One quad per edge of the map; boundary edges (those on the outer face)
     get an extension point past the tangency point on the unit circle.  The
     map is built with its side table and boundary cycle from the planar
-    map's (:func:`_quad_map`) when no face visits a vertex twice.
+    map's (:func:`_quad_map`) when no face visits a vertex twice, and with
+    the structural checks of :func:`~odmap.core_map.validate` passed when
+    the planar map has passed :meth:`PlanarMap3C.check_3_connected` too.
     """
     n, nf, s, vr = h.n_vertices, len(h.faces), h._sides, dp.vertex_radii
     a, b = h.edges.T
@@ -1039,8 +1073,11 @@ def orthodiagonal_from_double_packing(h: PlanarMap3C, dp: DoubleCirclePacking,
     ext = np.zeros(len(a), int)
     ext[rim] = n + nf - 1 + np.arange(rim.sum())
     simple = np.unique(s.face * n + s.tail).size == s.tail.size
-    return _quad_map(positions, n, s, s1, np.where(rim, -1, s.twin[s1]),
-                     n + np.arange(nf) - (np.arange(nf) > dp.outer_face), ext, outer if simple else None)
+    m = _quad_map(positions, n, s, s1, np.where(rim, -1, s.twin[s1]),
+                  n + np.arange(nf) - (np.arange(nf) > dp.outer_face), ext, outer if simple else None)
+    if simple and h._3_connected:
+        m._structure = _sound_structure(2 * outer.size)
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -108,19 +108,40 @@ def _horo_from_tangency(zeta, c_p, rho_p):
 
 def layout_loop(tri, t):
     """Centres (complex) and radii of the packing with t = tanh(h / 2), one
-    circle at a time in breadth-first face order, with the seed, first
-    petal, closed forms and pivot rule of `pack_in_disk`."""
+    circle at a time, with the seed, first petal, closed forms, pivot and
+    reference rule of `pack_in_disk`.  Each generation places every unplaced
+    neighbour of the interior circles the one before placed, from its lowest
+    side p -> r out of them, at the kite angles about p summed one at a time
+    from p's lowest side to p -> r, less the same sum to the side from p to
+    the circle p was placed from.  When no such circle is left, a generation
+    places each circle whose first face in breadth-first face order has its
+    two other corners placed, from those two horocycles."""
     n, faces, boundary = tri.n_vertices, tri.faces, tri.boundary_mask
+    s = tri._sides
+    tail, head, nxt, twin = (x.tolist() for x in (s.tail, s.head, s.nxt, s.twin))
     t = [float(v) for v in t]
     centers = np.full(n, np.nan + 0j, complex)
     radii = np.full(n, np.nan)
     anchors = np.full(n, np.nan + 0j, complex)
     placed = np.zeros(n, bool)
-    steps = np.zeros(n, int)
+    ref = {}  # the side from each placed interior circle to the one it was placed from
+    out = [[] for _ in range(n)]  # the sides out of each vertex, ascending
+    for k, v in enumerate(tail):
+        out[v].append(k)
 
     def place(v, c, rho, anchor):
         centers[v], radii[v], anchors[v], placed[v] = c, rho, anchor, True
 
+    def summed(p):
+        """The kite angles about p summed counterclockwise from its lowest side, by side."""
+        cum, total, k = {}, 0.0, out[p][0]
+        while k not in cum:
+            cum[k] = total
+            total += _angle(t[p], t[head[k]], t[head[nxt[k]]])
+            k = twin[nxt[nxt[k]]]
+        return cum
+
+    layer = []
     interior_idx = np.flatnonzero(~boundary)
     if interior_idx.size:
         dist = csgraph.dijkstra(tri.graph, directed=False, indices=np.flatnonzero(boundary),
@@ -135,6 +156,8 @@ def layout_loop(tri, t):
         else:
             z = complex((t[seed] + t[q]) / (1.0 + t[seed] * t[q]))
             place(q, *_euclid_from_hyp(z, t[q]), z)
+        ref[seed], ref[q] = 3 * root + k, twin[3 * root + k]
+        layer = [seed] + ([] if boundary[q] else [q])
     else:
         root = 0
         rho = 2.0 * np.sqrt(3.0) - 3.0
@@ -142,44 +165,53 @@ def layout_loop(tri, t):
             zeta = np.exp(1j * np.pi * turn)
             place(v, (1.0 - rho) * zeta, rho, zeta)
 
-    s = tri._sides
-    inner = s.first[s.twin[s.first] >= 0]
-    order = csgraph.breadth_first_order(edge_graph(len(faces), s.face[inner], s.face[s.twin[inner]]),
+    s_inner = s.first[s.twin[s.first] >= 0]
+    order = csgraph.breadth_first_order(edge_graph(len(faces), s.face[s_inner], s.face[s.twin[s_inner]]),
                                         root, directed=False, return_predecessors=False)
     _, first = np.unique(faces[order].ravel(), return_index=True)
-    for i in np.sort(first).tolist():
-        f = faces[order[i // 3]]
-        r, p, q = (int(f[(i + j) % 3]) for j in range(3))
-        if placed[r]:
-            continue
-        if boundary[p] and boundary[q]:
-            zeta = anchors[p]
-            H = (1.0 - radii[p]) / radii[p]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                X_q = (1j * (zeta + anchors[q]) / (zeta - anchors[q])).real
-                w = X_q + H * 2.0 * np.sqrt(t[r]) / (1.0 + t[r]) + 1j * H * (1.0 - t[r]) / (1.0 + t[r])
-                z = zeta * (w - 1j) / (w + 1j)
+    first_side = sorted((3 * order[i // 3] + i % 3).item() for i in first)  # r -> p on r's first face
+    while not placed.all():
+        placed_now = []
+        if layer:
+            for k in sorted(k for p in layer for k in out[p]):
+                p, r = tail[k], head[k]
+                if placed[r]:
+                    continue
+                cum = summed(p)
+                ap, ac = anchors[p], anchors[head[ref[p]]]
+                dr = (ac - ap) / (1.0 - ap.conjugate() * ac)
+                dr *= np.exp(1j * (cum[k] - cum[ref[p]])) / abs(dr)
                 if boundary[r]:
-                    z /= abs(z)
-                    rho = (1.0 - radii[p]) / (1.0 + radii[p] * w.real**2)
-                    c = (1.0 - rho) * z
+                    zeta = (dr + ap) / (1.0 + ap.conjugate() * dr)
+                    zeta /= abs(zeta)
+                    place(r, *_horo_from_tangency(zeta, centers[p], radii[p]), zeta)
                 else:
-                    c, rho = _euclid_from_hyp(z, t[r])
-            place(r, c, rho, z)
-            steps[r] = max(steps[p], steps[q]) + 1
-            continue
-        sign = 1
-        if boundary[p] or (not boundary[q] and steps[q] < steps[p]):
-            p, q, sign = q, p, -1
-        steps[r] = steps[p] + 1
-        dr = (anchors[q] - anchors[p]) / (1.0 - anchors[p].conjugate() * anchors[q])
-        dr *= np.exp(1j * sign * _angle(t[p], t[q], t[r])) / abs(dr)
-        if boundary[r]:
-            zeta = (dr + anchors[p]) / (1.0 + anchors[p].conjugate() * dr)
-            zeta /= abs(zeta)
-            place(r, *_horo_from_tangency(zeta, centers[p], radii[p]), zeta)
+                    w = (t[p] + t[r]) / (1.0 + t[p] * t[r]) * dr
+                    z = (w + ap) / (1.0 + ap.conjugate() * w)
+                    place(r, *_euclid_from_hyp(z, t[r]), z)
+                ref[r] = twin[k]
+                placed_now.append(r)
         else:
-            w = (t[p] + t[r]) / (1.0 + t[p] * t[r]) * dr
-            z = (w + anchors[p]) / (1.0 + anchors[p].conjugate() * w)
-            place(r, *_euclid_from_hyp(z, t[r]), z)
+            ready = [k for k in first_side
+                     if not placed[tail[k]] and placed[head[k]] and placed[head[nxt[k]]]]
+            if not ready:
+                break
+            for k in ready:
+                r, p, q = tail[k], head[k], head[nxt[k]]
+                zeta = anchors[p]
+                H = (1.0 - radii[p]) / radii[p]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    X_q = (1j * (zeta + anchors[q]) / (zeta - anchors[q])).real
+                    w = X_q + H * 2.0 * np.sqrt(t[r]) / (1.0 + t[r]) + 1j * H * (1.0 - t[r]) / (1.0 + t[r])
+                    z = zeta * (w - 1j) / (w + 1j)
+                    if boundary[r]:
+                        z /= abs(z)
+                        rho = (1.0 - radii[p]) / (1.0 + radii[p] * w.real**2)
+                        c = (1.0 - rho) * z
+                    else:
+                        c, rho = _euclid_from_hyp(z, t[r])
+                place(r, c, rho, z)
+                ref[r] = k
+                placed_now.append(r)
+        layer = [r for r in placed_now if not boundary[r]]
     return centers, radii

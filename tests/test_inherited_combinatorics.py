@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 import odmap
 from odmap import generators
-from odmap.core_map import OrthodiagonalMap, SideTable, side_table, validate
+from odmap import packing
+from odmap.core_map import OrthodiagonalMap, SideTable, _structural_checks, side_table, validate
 from odmap.errors import PackingError
+from odmap.geometry import signed_area
 from odmap.packing import DoubleCirclePacking, PlanarMap3C
 
 from conftest import coned
@@ -55,7 +57,7 @@ def _inheriting_map(kind, seed, size):
         dp = odmap.double_pack(h, outer_face=seed % len(h.faces), max_iter=200)
     except PackingError:
         return None
-    return odmap.orthodiagonal_from_double_packing(h, dp), False
+    return odmap.orthodiagonal_from_double_packing(h, dp), True
 
 
 @given(kind=st.sampled_from(["delaunay", "hub", "polygon", "perturbed", "cube", "octahedron",
@@ -134,3 +136,52 @@ def test_non_finite_positions_end_validate_before_the_walk():
     report = validate(OrthodiagonalMap(p, m.primal_mask, m.faces))
     assert list(report.checks) == ["structure/face_ids", "structure/finite_positions"]
     assert not report.passed
+
+
+def _packed_map(name):
+    """A packed or double-packed map of a named input, and its parent (the
+    coned Delaunay maps at seed 4, which double-pack at N = 30, 60 and 120)."""
+    if name in generators.SHAPES or name.startswith("coned"):
+        h = (generators.SHAPES[name]() if name in generators.SHAPES
+             else coned(odmap.random_delaunay_triangulation(int(name[5:]), 4)))
+        return odmap.orthodiagonal_from_double_packing(h, odmap.double_pack(h, max_iter=200)), h
+    kind, size = name.split("-")
+    tri = {"delaunay": lambda n: odmap.random_delaunay_triangulation(n, seed=1),
+           "hub": lambda n: hub_triangulation(n, 3), "lattice": odmap.triangular_disk_triangulation,
+           "polygon": lambda n: polygon_triangulation(n, 5)}[kind](int(size))
+    return odmap.orthodiagonal_from_packing(tri, odmap.pack_in_disk(tri)), tri
+
+
+@pytest.mark.parametrize("name", ["delaunay-1000", "delaunay-3000", "hub-80", "lattice-12",
+                                  "polygon-12", "cube", "octahedron", "prism", "coned30",
+                                  "coned60", "coned120"])
+def test_quads_turn_where_their_shoelace_area_is_negative(monkeypatch, name):
+    # _quad_map turns quad [e0, w(s1), e1, w(s2)] where s1 runs e0 -> e1,
+    # without a shoelace pass; on a packing that is where the shoelace
+    # formula finds the quad clockwise
+    seen, quad_map = [], packing._quad_map
+
+    def spy(positions, n, s, s1, s2, dual, ext, outer):
+        seen.append((positions, s, s1, s2, dual, ext))
+        return quad_map(positions, n, s, s1, s2, dual, ext, outer)
+
+    monkeypatch.setattr(packing, "_quad_map", spy)
+    m, _ = _packed_map(name)
+    (positions, s, s1, s2, dual, ext), = seen
+    quads = np.column_stack([s.edges[:, 0], dual[s.face[s1]], s.edges[:, 1],
+                             np.where(s2 < 0, ext, dual[s.face[s2]])])
+    assert np.array_equal(signed_area(positions[quads]) < 0, s.tail[s1] == s.edges[:, 0])
+    assert (m.face_areas() > 0).all()
+
+
+@pytest.mark.parametrize("name", ["cube", "octahedron", "prism", "coned30", "coned60", "coned120"])
+def test_double_packed_map_takes_the_structural_checks_it_passes(name):
+    # double_pack leaves its planar map marked 3-connected, and the map built
+    # from it takes its structural checks as passed: each field is what the
+    # checks compute
+    m, h = _packed_map(name)
+    assert h._3_connected and h.check_3_connected() is h
+    assert "_structure" in vars(m)
+    want = _structural_checks(_fresh(m))
+    for part in ("checks", "worst_orthogonality", "offending_faces", "offending_edges"):
+        assert getattr(m._structure, part) == getattr(want, part), part

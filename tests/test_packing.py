@@ -22,7 +22,7 @@ from odmap.generators import (
     random_delaunay_triangulation,
     triangular_disk_triangulation,
 )
-from odmap.geometry import cross2, incircle, signed_area
+from odmap.geometry import cross2, incircle
 from odmap.packing import (
     CirclePacking,
     DoubleCirclePacking,
@@ -352,6 +352,14 @@ def test_pack_solve_n3000_seed1_validates():
     _assert_packing_sound(tri, odmap.pack_in_disk(tri))
 
 
+def test_100k_circles_pack_and_validate():
+    # each circle is placed from one circle of the layer before, at the kite
+    # angles summed about it, so no placement chains around a ring; a layout
+    # that chains them drifts here to relative tangency 1.5e-8, past tol
+    tri = random_delaunay_triangulation(100_000, seed=2)
+    _assert_packing_sound(tri, odmap.pack_in_disk(tri))
+
+
 def hub_triangulation(degree, rings):
     """Vertex 0 inside `rings` rings of `degree` vertices each, every ring
     joined to the next by a band of triangles; the last ring is the boundary."""
@@ -453,11 +461,12 @@ def _oracle_input(kind, seed, n, degree, rings, k, rows):
 @example(kind="polygon", seed=2557, n=10, degree=3, rings=2, k=10, rows=2)
 @settings(max_examples=16, deadline=None)
 def test_layout_matches_per_circle_loop(kind, seed, n, degree, rings, k, rows):
-    # each generation pass places its circles from the same two corners, by
-    # the same closed forms and pivot rule, as a loop over the circles; numpy
-    # rounds array and scalar complex arithmetic differently, so they agree
-    # to rounding, which near the rim grows like 1e-16 / r^2 relative for a
-    # circle of radius r (1.3e-10 on horocycles of radius 2e-3 in a 12-gon)
+    # each pass places its circles from the same pivots, at the same summed
+    # kite angles and by the same closed forms, as a loop over the circles;
+    # numpy rounds array and scalar complex arithmetic differently, and the
+    # loop sums the angles one at a time, so they agree to rounding, which
+    # near the rim grows like 1e-16 / r^2 relative for a circle of radius r
+    # (1.3e-10 on horocycles of radius 2e-3 in a 12-gon)
     tri = _oracle_input(kind, seed, n, degree, rings, k, rows)
     p = odmap.pack_in_disk(tri)
     centers, radii = layout_loop(tri, packing._solve_hyperbolic_radii(tri, 1e-12)[0])
@@ -890,7 +899,7 @@ def _orthodiagonal_from_double_packing_loop(h, dp, eta=None):
             e = cap if eta is None else min(eta, cap)
             positions.append(q + e * u)
             quad = [a, slot[inner], b, len(positions) - 1]
-        if signed_area(np.array([positions[i] for i in quad])) < 0:
+        if quad[1] == slot.get(fl):  # the face left of a -> b first: the quad runs clockwise
             quad = [quad[0], quad[3], quad[2], quad[1]]
         faces.append(quad)
     return np.array(positions), np.array(faces, int)
