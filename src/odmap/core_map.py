@@ -8,11 +8,13 @@ from the face list.
 
 Faces are the single source of truth, and :func:`side_table` (one stable sort
 of the face sides by edge) is the one derivation of edges and twins from a
-face list, for maps, triangulations and 3-connected maps alike; incidence,
-boundary and blocks are array operations on it.  A packing's map, one quad
-per edge of its parent, is built with its table (:func:`paired_side_table`)
-and boundary cycle from the parent's, and, from a validated triangulation,
-with :func:`validate`'s structural checks passed.  Edge ``i`` of the
+face list, for maps, triangulations and 3-connected maps alike; incidence
+and boundary are array operations on it, and blocks one Hopcroft-Tarjan
+search over its edges when the faces make more than one piece.  A
+packing's map, one quad per edge of its parent, is built with its table
+(:func:`paired_side_table`) and boundary cycle from the parent's, and, from
+a validated triangulation, with :func:`validate`'s structural checks
+passed.  Edge ``i`` of the
 primal network, edge ``i`` of the dual network and face ``i`` of the map
 always correspond: the primal edge joins ``v1, v2`` with conductance
 |w1 w2| / |v1 v2| and the dual edge joins ``w1, w2`` with the reciprocal
@@ -28,7 +30,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import DegenerateFaceError, StructuralError
@@ -617,16 +618,18 @@ def augmented_duals(omap: OrthodiagonalMap) -> AugmentedDuals:
 
 def _biconnected_components(n: int, edges: np.ndarray):
     """Iterative Hopcroft-Tarjan over the undirected edges (k, 2) of a graph
-    on n vertices: (biconnected component of each edge, component count)."""
+    on n vertices: (biconnected component of each edge, component count).
+    The search state lives in Python lists, which index faster than numpy
+    scalars one entry at a time."""
     adj: list = [[] for _ in range(n)]
-    for idx, (a, b) in enumerate(edges):
-        adj[a].append((int(b), idx))
-        adj[b].append((int(a), idx))
+    for idx, (a, b) in enumerate(edges.tolist()):
+        adj[a].append((b, idx))
+        adj[b].append((a, idx))
 
-    visited = np.zeros(n, bool)
-    depth = np.zeros(n, int)
-    low = np.zeros(n, int)
-    comp_of_edge = -np.ones(len(edges), int)
+    visited = [False] * n
+    depth = [0] * n
+    low = [0] * n
+    comp_of_edge = [-1] * len(edges)
     n_comps = 0
     edge_stack: list = []
 
@@ -635,8 +638,6 @@ def _biconnected_components(n: int, edges: np.ndarray):
             continue
         stack = [(root, -1, iter(adj[root]))]
         visited[root] = True
-        depth[root] = 0
-        low[root] = 0
         while stack:
             v, parent_edge, it = stack[-1]
             advanced = False
@@ -646,8 +647,7 @@ def _biconnected_components(n: int, edges: np.ndarray):
                 if not visited[u]:
                     edge_stack.append(eidx)
                     visited[u] = True
-                    depth[u] = depth[v] + 1
-                    low[u] = depth[u]
+                    depth[u] = low[u] = depth[v] + 1
                     stack.append((u, eidx, iter(adj[u])))
                     advanced = True
                     break
@@ -662,16 +662,13 @@ def _biconnected_components(n: int, edges: np.ndarray):
                 low[pv] = min(low[pv], low[v])
                 if low[v] >= depth[pv]:
                     # pv is a cut vertex (or root); pop one component
-                    comp = []
                     while edge_stack:
                         e = edge_stack.pop()
-                        comp.append(e)
+                        comp_of_edge[e] = n_comps
                         if e == parent_edge:
                             break
-                    for e in comp:
-                        comp_of_edge[e] = n_comps
                     n_comps += 1
-    return comp_of_edge, n_comps
+    return np.array(comp_of_edge, int), n_comps
 
 
 def blocks(omap: OrthodiagonalMap) -> list:
@@ -679,16 +676,15 @@ def blocks(omap: OrthodiagonalMap) -> list:
 
     Accepts quad meshes whose outer boundary is not simple (e.g. clipped
     maps with pinch points).  Faces are partitioned among the blocks; the
-    union of the returned face sets is the original face set.  Faces joined
-    across shared edges make 2-connected pieces (one ``connected_components``
-    pass), and the block search runs only on the small bipartite graph of
-    pieces and the vertices two or more pieces share: the pieces in one block
-    of it, or in two of its blocks that share a piece, make one block of the
-    map.  Blocks come largest first, then by least vertex id, then in the
-    order a block search of the whole map finds them.  A map whose faces make
-    one piece and whose vertices all lie on a face comes back as itself, with
-    its cached side table, before the block search; every other block is a
-    :meth:`~OrthodiagonalMap.submap`.
+    union of the returned face sets is the original face set.  A map whose
+    faces make one edge-connected piece (one ``connected_components`` pass
+    over faces joined across shared edges) and whose vertices all lie on a
+    face is one block, and comes back as itself, with its cached side table.
+    Any other map gets one Hopcroft-Tarjan search over its edges; each face
+    goes to the block of its first side (a face that repeats a corner is no
+    cycle, so its sides may lie in different blocks), and each block is a
+    :meth:`~OrthodiagonalMap.submap`.  Blocks come largest first, then by
+    least vertex id, then in the order the search finds them.
     """
     edges, side_edge = omap._sides.edges, omap._sides.edge.reshape(-1, 4)
     if not omap.n_faces:
@@ -697,48 +693,13 @@ def blocks(omap: OrthodiagonalMap) -> list:
     # a face that repeats a corner is no cycle: it joins its first side only
     cycle = (f[:, 0] != f[:, 2]) & (f[:, 1] != f[:, 3])
     link = np.where(cycle[:, None], side_edge, side_edge[:, :1])
-    n_p, piece = csgraph.connected_components(
+    n_p = csgraph.connected_components(
         edge_graph(n_f + len(edges), np.repeat(np.arange(n_f), 4), n_f + link.ravel()),
-        directed=False)
+        directed=False)[0]
     if n_p == 1 and np.bincount(f.ravel(), minlength=n).all():
         return [omap]  # one piece is one block; submap(all faces) would be a copy
-    piece = piece[n_f:]  # of each edge
-    inc = sp.csr_matrix((np.ones(edges.size), (edges.ravel(), np.repeat(piece, 2))), (n, n_p))
-    count = np.diff(inc.indptr)  # pieces at each vertex
-    shared = np.repeat(count > 1, count)
-    p_of, v_of = inc.indices[shared], n_p + np.repeat(np.cumsum(count > 1) - 1, count)[shared]
-    h_block, n_h = _biconnected_components(v_of.max(initial=n_p - 1) + 1,
-                                           np.column_stack([p_of, v_of]))
-    group = csgraph.connected_components(edge_graph(n_p + n_h, p_of, n_p + h_block),
-                                         directed=False)[1][piece]  # of each edge
-    face_block = group[side_edge[:, 0]]
+    face_block = _biconnected_components(n, edges)[0][side_edge[:, 0]]
     order = np.argsort(face_block, kind="stable")
-    parts = [(omap.submap(fidx), face_block[fidx[0]])
+    parts = [omap.submap(fidx)
              for fidx in np.split(order, np.flatnonzero(np.diff(face_block[order])) + 1)]
-
-    def size_and_least_id(part):
-        return -part[0].n_faces, int(part[0].ids.min())
-
-    out = []
-    for (_, least), tied in itertools.groupby(sorted(parts, key=size_and_least_id),
-                                              key=size_and_least_id):
-        tied = list(tied)
-        if len(tied) > 1:
-            tied.sort(key=_search_order(edges, group, int(np.argmax(omap.ids == least)), n))
-        out += [block for block, _ in tied]
-    return out
-
-
-def _search_order(edges, edge_block, m, n):
-    """Sort key for (block, group label) pairs of blocks that share vertex m,
-    in the order :func:`_biconnected_components` on all edges pops them: those
-    it enters from m by least neighbour of m, then the one it reached m by."""
-    cc = csgraph.connected_components(edge_graph(n, *edges.T), directed=False)[1]
-    root = np.argmax(cc == cc[m])  # where the search of m's component starts
-    at_m = (edges == m).any(1)
-    cc = csgraph.connected_components(edge_graph(n, *edges[~at_m].T), directed=False)[1]
-
-    def key(part):
-        nb = (edges[at_m & (edge_block == part[1])].sum(1) - m).min(initial=n - 1)
-        return root != m and cc[nb] == cc[root], nb
-    return key
+    return sorted(parts, key=lambda b: (-b.n_faces, int(b.ids.min())))

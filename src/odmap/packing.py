@@ -357,9 +357,11 @@ def _euclid_from_hyp(z, t):
 
 
 def _horo_from_tangency(zeta, c_p, rho_p):
-    """Horocycle at ideal point zeta externally tangent to circle (c_p, rho_p)."""
-    beta = (zeta.conjugate() * c_p).real
-    rho = (1.0 - 2.0 * beta + abs(c_p) ** 2 - rho_p**2) / (2.0 * (1.0 + rho_p - beta))
+    """Horocycle at ideal point zeta externally tangent to circle (c_p, rho_p),
+    solved from d = zeta - c_p: |d - rho zeta| = rho + rho_p, with no term of
+    size 1 that cancels."""
+    d = zeta - c_p
+    rho = (d.real**2 + d.imag**2 - rho_p**2) / (2.0 * ((zeta.conjugate() * d).real + rho_p))
     return (1.0 - rho) * zeta, rho
 
 

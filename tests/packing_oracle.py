@@ -101,8 +101,8 @@ def _euclid_from_hyp(z, t):
 
 
 def _horo_from_tangency(zeta, c_p, rho_p):
-    beta = (zeta.conjugate() * c_p).real
-    rho = (1.0 - 2.0 * beta + abs(c_p) ** 2 - rho_p**2) / (2.0 * (1.0 + rho_p - beta))
+    d = zeta - c_p
+    rho = (d.real**2 + d.imag**2 - rho_p**2) / (2.0 * ((zeta.conjugate() * d).real + rho_p))
     return (1.0 - rho) * zeta, rho
 
 

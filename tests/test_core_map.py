@@ -316,7 +316,7 @@ def test_blocks_identity(grid16_square):
 
 
 @pytest.mark.parametrize("domain", ["square", "disk"])
-@pytest.mark.parametrize("n", [4, 16, 33])
+@pytest.mark.parametrize("n", [4, 16, 32, 33, 64, 128])  # 16/32/64 and 128: the benchmark grids
 def test_blocks_of_one_piece_return_the_map_without_a_block_search(domain, n, monkeypatch):
     m = odmap.rotated_grid(domain, n)
 
@@ -353,27 +353,30 @@ def test_blocks_two_diamonds():
 
 def test_blocks_match_networkx_oracle():
     nx = pytest.importorskip("networkx")
+
+    def id_edges(pairs):
+        return frozenset(tuple(sorted(e)) for e in pairs)
+
+    def assert_edge_partition_matches(m):
+        G = nx.Graph()
+        G.add_edges_from(m.ids[m.edges].tolist())
+        ref = [id_edges(comp) for comp in nx.biconnected_component_edges(G)]
+        ours = odmap.blocks(m)
+        got = [id_edges(b.ids[b.edges].tolist()) for b in ours]
+        assert sorted(ref, key=sorted) == sorted(got, key=sorted)
+        assert sum(b.n_faces for b in ours) == m.n_faces
+
     rng = np.random.default_rng(17)
     g = odmap.rotated_grid("square", 10)
     for _ in range(8):
         keep = np.flatnonzero(rng.random(g.n_faces) < 0.6)
-        if keep.size == 0:
-            continue
-        sub = g.submap(keep)
-        ours = odmap.blocks(sub)
-        G = nx.Graph()
-        sid = sub.ids
-        G.add_edges_from((int(sid[a]), int(sid[b])) for a, b in sub.edges)
-        ref = [frozenset((min(a, b), max(a, b)) for a, b in comp)
-               for comp in nx.biconnected_component_edges(G)]
-        got = []
-        for block in ours:
-            ids = block.ids
-            got.append(frozenset((min(int(ids[a]), int(ids[b])),
-                                  max(int(ids[a]), int(ids[b])))
-                       for a, b in block.edges))
-        assert sorted(ref, key=sorted) == sorted(got, key=sorted)
-        assert sum(b.n_faces for b in ours) == sub.n_faces
+        if keep.size:
+            assert_edge_partition_matches(g.submap(keep))
+    for centres, _ in PINCHES.values():
+        m = _grid_faces_at(8, centres)
+        assert_edge_partition_matches(m)
+        for seed in range(3):
+            assert_edge_partition_matches(_relabelled(m, seed))
 
 
 def test_blocks_of_clipped_pinch():
@@ -435,22 +438,35 @@ def _relabelled(omap, seed):
 
 
 RING = [(2, 2), (4, 2), (4, 4), (2, 4)]  # four faces pinched around a hole
+PINCHES = {  # face centres on rotated_grid("square", 8), and the block sizes
+    "ring": (RING, [4]),
+    # two rings of pinches share face (4, 4)
+    "rings_share_a_face": (RING + [(6, 4), (6, 6), (4, 6)], [7]),
+    "path_into_ring": (RING[:3] + [(6, 4), (6, 6), (4, 6)], [4, 1, 1]),
+    # (3, 3) has an edge on (2, 2) and (4, 2)
+    "path_and_edge": ([(2, 2), (4, 2), (6, 2), (3, 3)], [3, 1]),
+    "ring_and_tails": ([(3, 3), (5, 3), (3, 5), (5, 5), (1, 3), (3, 1)], [4, 1, 1]),
+    "bowtie": ([(2, 2), (4, 2)], [1, 1]),
+}
 
 
-@pytest.mark.parametrize("centres, sizes", [
-    (RING, [4]),
-    (RING + [(6, 4), (6, 6), (4, 6)], [7]),  # two rings of pinches share face (4, 4)
-    (RING[:3] + [(6, 4), (6, 6), (4, 6)], [4, 1, 1]),
-    ([(2, 2), (4, 2), (6, 2), (3, 3)], [3, 1]),  # (3, 3) has an edge on (2, 2) and (4, 2)
-    ([(3, 3), (5, 3), (3, 5), (5, 5), (1, 3), (3, 1)], [4, 1, 1]),
-    ([(2, 2), (4, 2)], [1, 1]),
-], ids=["ring", "rings_share_a_face", "path_into_ring", "path_and_edge", "ring_and_tails",
-        "bowtie"])
+@pytest.mark.parametrize("centres, sizes", list(PINCHES.values()), ids=list(PINCHES))
 def test_blocks_of_pinch_structures_match_oracle(centres, sizes):
     m = _grid_faces_at(8, centres)
     assert [b.n_faces for b in _assert_blocks_match_oracle(m)] == sizes
     for seed in range(20):
         _assert_blocks_match_oracle(_relabelled(m, seed))
+
+
+def test_blocks_of_faces_that_repeat_a_corner_come_in_search_order():
+    # each face repeats corner 1 (id 4), so its sides span two of the three
+    # bridges at 1; each face goes with its first side, and the two one-face
+    # blocks, tied on size and least id, come in the order the search pops them
+    g = odmap.rotated_grid("square", 4)
+    v = [1, 4, 5, 7]
+    m = odmap.OrthodiagonalMap(g.positions[v], g.primal_mask[v],
+                               [[1, 2, 1, 0], [1, 0, 1, 3]], ids=v)
+    assert [b.ids.tolist() for b in _assert_blocks_match_oracle(m)] == [[1, 4, 5], [1, 4, 7]]
 
 
 def test_blocks_of_glued_diamonds_match_oracle():

@@ -389,6 +389,18 @@ def test_hub_layout_sound(degree, rings):
     _assert_packing_sound(tri, odmap.pack_in_disk(tri))
 
 
+def test_rim_horocycles_are_tangent_to_their_pivots_to_rounding():
+    # a rim horocycle is solved from d = zeta - c_p, its ideal point less its
+    # pivot's centre; formed from terms of size 1, its radius cancels to a
+    # median relative tangency of 5e-13 on the boundary-interior edges here
+    tri = hub_triangulation(297, 6)
+    p = odmap.pack_in_disk(tri)
+    a, b = tri.edges.T
+    rim = tri.boundary_mask[a] != tri.boundary_mask[b]
+    gap = np.abs(np.hypot(*(p.centers[a] - p.centers[b]).T) - (p.radii[a] + p.radii[b]))
+    assert np.median((gap / np.minimum(p.radii[a], p.radii[b]))[rim]) <= 2e-14
+
+
 def _assert_tight(tri, p):
     _assert_packing_sound(tri, p)
     assert p.residuals["max_relative_tangency"] <= 1e-12
