@@ -120,6 +120,11 @@ def _load_triangulation(path) -> packing.Triangulation:
     return tri.validate()
 
 
+def _write_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True)
+
+
 def _run(args) -> int:
     if getattr(args, "tol", 1.0) <= 0:
         raise StructuralError("tolerances must be positive")
@@ -163,8 +168,7 @@ def _run(args) -> int:
     if args.command == "pack":
         tri = _load_triangulation(args.input)
         pk = packing.pack_in_disk(tri)
-        with open(args.output, "w") as fh:
-            json.dump(pk.to_json_dict(), fh, sort_keys=True)
+        _write_json(args.output, pk.to_json_dict())
         omap = None
         if args.emit_map or args.emit_svg:
             omap = packing.orthodiagonal_from_packing(tri, pk, eta=args.eta)
@@ -185,8 +189,7 @@ def _run(args) -> int:
         else:
             raise StructuralError("doublepack needs --shape or --in")
         dp = packing.double_pack(h, outer_face=args.outer_face)
-        with open(args.output, "w") as fh:
-            json.dump(dp.to_json_dict(), fh, sort_keys=True)
+        _write_json(args.output, dp.to_json_dict())
         omap = None
         if args.emit_map or args.emit_svg:
             omap = packing.orthodiagonal_from_double_packing(h, dp)
@@ -207,8 +210,7 @@ def _run(args) -> int:
             with open(args.g_name) as fh:
                 g = {int(k): float(v) for k, v in json.load(fh).items()}
         h = dirichlet.solve_dirichlet(omap, g)
-        with open(args.output, "w") as fh:
-            json.dump(h.to_json_dict(), fh, sort_keys=True)
+        _write_json(args.output, h.to_json_dict())
         print(f"solved Dirichlet problem on {omap.n_faces} faces -> {args.output}")
         return 0
 
@@ -223,8 +225,7 @@ def _run(args) -> int:
             x, y = omap.positions[pv].T
             report = flows.random_path_flow(omap, pv[x <= -abs(y)].tolist(),
                                             pv[x >= abs(y)].tolist(), args.r1, args.r2, m=args.m)
-        with open(args.output, "w") as fh:
-            json.dump(report.to_json_dict(), fh, sort_keys=True)
+        _write_json(args.output, report.to_json_dict())
         print(f"flow strength {report.strength:.12g}, energy {report.energy:.12g}, "
               f"ratio {report.ratio:.6g}")
         return 0
@@ -236,8 +237,7 @@ def _run(args) -> int:
         tf = dirichlet.get_test_function(args.g_name)
         records = dirichlet.convergence_sweep(spec, levels, tf, csv_path=args.output)
         if args.json_out:
-            with open(args.json_out, "w") as fh:
-                json.dump([r.to_json_dict() for r in records], fh, sort_keys=True)
+            _write_json(args.json_out, [r.to_json_dict() for r in records])
         bad = [r for r in records if r.error]
         for r in records:
             line = (f"n={r.n} eps={r.eps:.4g} sup={r.sup_error:.4g} "
@@ -257,8 +257,7 @@ def _run(args) -> int:
             "reference": out["reference"].tolist(),
             "start": int(start),
         }
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+        _write_json(args.output, payload)
         print(f"total variation vs harmonic measure: {out['tv']:.6g}")
         return 0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csgraph
 
-from .core_map import AugmentedDuals, OrthodiagonalMap, augmented_duals
+from .core_map import AugmentedDuals, OrthodiagonalMap
 from .errors import GeometryError, RhoPathError
 from .geometry import cross2, seg_points_distance
 from .network import (EdgeField, VertexFunction, edge_graph, energy, energy_of_function,
@@ -38,14 +38,8 @@ class FlowReport:
     meta: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "strength": self.strength,
-            "energy": self.energy,
-            "bound_shape": self.bound_shape,
-            "ratio": self.ratio,
-            "edges": [{"id": int(i), "value": float(v)}
-                      for i, v in enumerate(self.flow.values)],
-        }
+        return {"strength": self.strength, "energy": self.energy, "bound_shape": self.bound_shape,
+                "ratio": self.ratio, **self.flow.to_json_dict()}
 
 
 @dataclass
@@ -164,20 +158,12 @@ def argument_field(omap: OrthodiagonalMap, x: int) -> EdgeField:
 
 
 def _dual_endpoint_norms(source, center):
-    """Per-edge (min, max) distance of the dual endpoints from the center."""
-    center = np.asarray(center, float)
-    if isinstance(source, AugmentedDuals):
-        omap = source.omap
-        pairs = source.dual_pairs
-        norms = np.hypot(*(omap.positions - center).T)
-        ends = np.where(pairs == AugmentedDuals.APEX, np.inf, norms[pairs])
-        return ends.min(axis=1), ends.max(axis=1)
-    omap = source
-    f = omap.faces
-    norms = np.hypot(*(omap.positions - center).T)
-    a = norms[f[:, 1]]
-    b = norms[f[:, 3]]
-    return np.minimum(a, b), np.maximum(a, b)
+    """Per-edge (min, max) distance of the dual endpoints from the center; an
+    augmented pair's APEX (-1) reads the inf appended to the norms."""
+    omap, pairs = ((source.omap, source.dual_pairs) if isinstance(source, AugmentedDuals)
+                   else (source, source.faces[:, [1, 3]]))
+    ends = np.append(np.hypot(*(omap.positions - np.asarray(center, float)).T), np.inf)[pairs]
+    return ends.min(axis=1), ends.max(axis=1)
 
 
 def rho_edges(source, center, rho: float) -> RhoEdgeSet:
@@ -189,93 +175,103 @@ def rho_edges(source, center, rho: float) -> RhoEdgeSet:
                       augmented=isinstance(source, AugmentedDuals))
 
 
+class _RhoPaths:
+    """The radius-independent part of :func:`rho_path`, run once per (map, A,
+    B', center): A and B' as sorted index arrays and masks, their checks, the
+    most central A-vertex x and its most central dual neighbour u.  Calling
+    it with a radius runs the search for that radius."""
+
+    def __init__(self, omap: OrthodiagonalMap, A, B_prime, center):
+        n, f = omap.n_vertices, omap.faces
+        A, B = (np.unique(np.fromiter(p, int)) for p in (A, B_prime))
+        if not A.size or not B.size:
+            raise RhoPathError("A and B' must be nonempty")
+        if np.intersect1d(A, B).size:
+            raise RhoPathError("A and B' must be disjoint")
+        self.in_A, self.in_B = np.zeros(n, bool), np.zeros(n, bool)
+        self.in_A[A] = self.in_B[B] = True
+
+        # connectivity-to-boundary hypotheses: every vertex of the set has a path
+        # to the map boundary inside the set, i.e. every component of the primal
+        # graph induced on the set meets the boundary
+        v1, v2 = f[:, 0], f[:, 2]
+        for name, part, inside in (("A", A, self.in_A), ("B'", B, self.in_B)):
+            keep = inside[v1] & inside[v2]
+            _, comp = csgraph.connected_components(edge_graph(n, v1[keep], v2[keep]), directed=False)
+            if not np.isin(comp[part], comp[omap.boundary_vertex_mask & inside]).all():
+                raise RhoPathError(f"no path from {name} to the map boundary stays inside {name}")
+
+        # x: most central A-vertex; u: its most central dual neighbour (ties to
+        # the lower index)
+        self.norms = np.hypot(*(omap.positions - np.asarray(center, float)).T)
+        x = A[np.lexsort((A, self.norms[A]))[0]]
+        e = omap.edges
+        nbs = np.concatenate([e[e[:, 0] == x, 1], e[e[:, 1] == x, 0]])
+        self.u = int(nbs[np.lexsort((nbs, self.norms[nbs]))[0]]) if nbs.size else None
+        self.omap, self.A, self.B = omap, A, B
+
+    def __call__(self, rho: float) -> dict:
+        n, f = self.omap.n_vertices, self.omap.faces
+        if self.u is None or self.norms[self.u] >= rho:
+            raise RhoPathError(
+                f"no dual vertex within radius {rho} next to the central A-vertex; "
+                "the construction degenerates")
+
+        # S_rho: the dual vertices reachable from u inside the open rho-disk
+        inside = self.norms < rho
+        w1, w2 = f[:, 1], f[:, 3]
+        near = inside[w1] & inside[w2]
+        S = csgraph.breadth_first_order(edge_graph(n, w1[near], w2[near]), self.u,
+                                        directed=False, return_predecessors=False)
+        in_S = np.zeros(n, bool)
+        in_S[S] = True
+
+        # cut edges: exactly one dual endpoint in S_rho; all are rho-edges
+        cut = np.flatnonzero(in_S[w1] != in_S[w2])
+        t, h = f[cut, 0], f[cut, 2]
+
+        # multi-source BFS from A (a hub vertex n feeds the sources in order)
+        # that never re-enters A; the path ends at the first B' vertex reached
+        in_A = self.in_A
+        sources = np.intersect1d(self.A, np.concatenate([t, h]))
+        if not sources.size:
+            raise RhoPathError(
+                f"no A-vertex touches the rho-cut (rho={rho}, |S_rho|={S.size}, "
+                f"cut size {cut.size})")
+        tails = np.concatenate([t[~in_A[h]], h[~in_A[t]], np.full(sources.size, n)])
+        heads = np.concatenate([h[~in_A[h]], t[~in_A[t]], sources])
+        order, parent = csgraph.breadth_first_order(edge_graph(n + 1, tails, heads), n)
+        reached = order[1:][self.in_B[order[1:]]]  # order[0] is the hub
+        if not reached.size:
+            raise RhoPathError(
+                f"no rho-edge path from A to B' (rho={rho}, |S_rho|={S.size}, "
+                f"A-contacts {sources.size})")
+        verts = [int(reached[0])]
+        while parent[verts[-1]] != n:
+            verts.append(int(parent[verts[-1]]))
+
+        # each step uses the lowest-numbered cut edge joining its two vertices:
+        # the first match in the cut sorted by (pair key, edge index)
+        key = np.minimum(t, h) * n + np.maximum(t, h)
+        by_key = np.lexsort((cut, key))
+        a, b = np.array(verts[:-1]), np.array(verts[1:])
+        steps = by_key[np.searchsorted(key[by_key], np.minimum(a, b) * n + np.maximum(a, b))]
+        return {"vertices": verts[::-1], "edges": cut[steps[::-1]].tolist(), "rho": float(rho),
+                "S_size": int(S.size)}
+
+
 def rho_path(aug: AugmentedDuals, rho: float, A, B_prime, center=(0.0, 0.0)) -> dict:
     """Simple path of rho-edges from A to B' inside the original primal graph.
 
     Follows the boundary-of-f_out construction: grow the set S_rho of dual
     vertices reachable inside the open rho-disk from a dual vertex next to
     the most central A-vertex, take the edges with exactly one dual endpoint
-    in S_rho (all of them rho-edges), and breadth-first search that cut for
-    the shortest A -> B' path that avoids the augmented edges.
-    Returns {"vertices": [...], "edges": [...]}.
+    in S_rho (all of them rho-edges, none augmented), and breadth-first
+    search that cut for the shortest A -> B' path.  Core edges and dual pairs
+    come from ``aug.omap.faces``.
+    Returns {"vertices": [...], "edges": [...], "rho": rho, "S_size": |S_rho|}.
     """
-    omap = aug.omap
-    center = np.asarray(center, float)
-    A = set(int(v) for v in A)
-    Bp = set(int(v) for v in B_prime)
-    if not A or not Bp:
-        raise RhoPathError("A and B' must be nonempty")
-    if A & Bp:
-        raise RhoPathError("A and B' must be disjoint")
-
-    pos = omap.positions
-    n = omap.n_vertices
-    bdry = omap.boundary_vertex_mask
-
-    # connectivity-to-boundary hypotheses: every vertex of the set has a path
-    # to the map boundary inside the set, i.e. every component of the primal
-    # graph induced on the set meets the boundary
-    v1, v2 = omap.faces[:, 0], omap.faces[:, 2]
-    for name, part in (("A", A), ("B'", Bp)):
-        inside_part = np.zeros(n, bool)
-        inside_part[list(part)] = True
-        keep = inside_part[v1] & inside_part[v2]
-        _, comp = csgraph.connected_components(edge_graph(n, v1[keep], v2[keep]), directed=False)
-        if not np.isin(comp[list(part)], comp[bdry & inside_part]).all():
-            raise RhoPathError(f"no path from {name} to the map boundary stays inside {name}")
-
-    # x: most central A-vertex; u: its most central dual neighbor
-    x = min(A, key=lambda v: (np.hypot(*(pos[v] - center)), v))
-    e = omap.edges
-    dual_nbs = np.concatenate([e[e[:, 0] == x, 1], e[e[:, 1] == x, 0]])
-    dual_nbs = sorted(dual_nbs.tolist(), key=lambda w: (np.hypot(*(pos[w] - center)), w))
-    if not dual_nbs or np.hypot(*(pos[dual_nbs[0]] - center)) >= rho:
-        raise RhoPathError(
-            f"no dual vertex within radius {rho} next to the central A-vertex; "
-            "the construction degenerates")
-    u = dual_nbs[0]
-
-    # S_rho: the dual vertices reachable from u inside the open rho-disk
-    inside = np.hypot(*(pos - center).T) < rho
-    w1, w2 = aug.dual_pairs[: aug.n_core_edges].T
-    near = inside[w1] & inside[w2]
-    S = csgraph.breadth_first_order(edge_graph(n, w1[near], w2[near]), u, directed=False,
-                                    return_predecessors=False)
-    in_S = np.zeros(n, bool)
-    in_S[S] = True
-
-    # cut edges: exactly one dual endpoint in S_rho; all are rho-edges, and
-    # none is augmented
-    net = aug.primal
-    cut = np.flatnonzero(in_S[w1] != in_S[w2])
-    t, h = net.tails_labels[cut], net.heads_labels[cut]
-
-    # multi-source BFS from A (a hub vertex n feeds the sources in order)
-    # that never re-enters A; the path ends at the first B' vertex reached
-    in_A = np.zeros(n, bool)
-    in_A[list(A)] = True
-    sources = np.intersect1d(list(A), np.concatenate([t, h]))
-    if not sources.size:
-        raise RhoPathError(
-            f"no A-vertex touches the rho-cut (rho={rho}, |S_rho|={S.size}, "
-            f"cut size {cut.size})")
-    tails = np.concatenate([t[~in_A[h]], h[~in_A[t]], np.full(sources.size, n)])
-    heads = np.concatenate([h[~in_A[h]], t[~in_A[t]], sources])
-    order, parent = csgraph.breadth_first_order(edge_graph(n + 1, tails, heads), n)
-    reached = order[np.isin(order, list(Bp))]
-    if not reached.size:
-        raise RhoPathError(
-            f"no rho-edge path from A to B' (rho={rho}, |S_rho|={S.size}, "
-            f"A-contacts {sources.size})")
-    verts = [int(reached[0])]
-    while parent[verts[-1]] != n:
-        verts.append(int(parent[verts[-1]]))
-    # each step uses the lowest-numbered cut edge joining its two vertices
-    edges = [int(cut[((t == a) & (h == b)) | ((t == b) & (h == a))].min())
-             for a, b in zip(verts, verts[1:])]
-    verts.reverse()
-    edges.reverse()
-    return {"vertices": verts, "edges": edges, "rho": float(rho), "S_size": int(S.size)}
+    return _RhoPaths(aug.omap, A, B_prime, center)(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +286,11 @@ def random_path_flow(omap: OrthodiagonalMap, S, T, r1: float, r2: float,
     rho runs over a deterministic midpoint quadrature of the 1/t density on
     [r1, r2] in log t (m cells of equal mass); passing a seed replaces the
     grid by m independent samples of the same density for cross-validation.
+
+    The radius-independent hypotheses of :func:`rho_path` (S and T nonempty
+    and disjoint, each with a path to the map boundary inside itself) are
+    checked once, and a failure raises its own RhoPathError.  Radii whose
+    search fails are collected, and one RhoPathError then lists them.
     """
     eps = omap.mesh_size()
     if r1 < eps or r2 < 2 * r1:
@@ -300,35 +301,32 @@ def random_path_flow(omap: OrthodiagonalMap, S, T, r1: float, r2: float,
         warnings.warn(msg)
     if m < 1:
         raise GeometryError("need at least one quadrature point")
-    aug = augmented_duals(omap)
+    search = _RhoPaths(omap, S, T, center)
     net = omap.primal_network()
 
     if seed is None:
         grid = r1 * (r2 / r1) ** ((np.arange(m) + 0.5) / m)
     else:
-        rng = np.random.default_rng(seed)
-        grid = r1 * (r2 / r1) ** rng.random(m)
+        grid = r1 * (r2 / r1) ** np.random.default_rng(seed).random(m)
 
     values = np.zeros(net.n_edges)
-    failures = []
-    paths = []
+    failures, paths = [], []
     for rho in grid:
         try:
-            res = rho_path(aug, float(rho), S, T, center=center)
-        except RhoPathError as exc:
-            failures.append((float(rho), str(exc)))
+            res = search(float(rho))
+        except RhoPathError:
+            failures.append(float(rho))
             continue
         paths.append(res)
-        for v, e in zip(res["vertices"][:-1], res["edges"]):
-            sign = 1.0 if int(net.tails_labels[e]) == v else -1.0
-            values[e] += sign / m
+        e = np.array(res["edges"])
+        np.add.at(values, e, np.where(omap.faces[e, 0] == res["vertices"][:-1], 1.0, -1.0) / m)
     if failures:
         raise RhoPathError(
             f"{len(failures)} of {m} quadrature radii have no rho-edge path: "
-            + ", ".join(f"rho={r:.5g}" for r, _ in failures[:6]))
+            + ", ".join(f"rho={r:.5g}" for r in failures[:6]))
 
     theta = EdgeField(net, values)
-    s = strength(net, theta, sorted(set(int(v) for v in S)), sorted(set(int(v) for v in T)))
+    s = strength(net, theta, search.A, search.B)
     en = energy(net, theta)
     shape = 1.0 / float(np.log(r2 / r1))
     return FlowReport(

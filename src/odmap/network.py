@@ -406,9 +406,9 @@ def strength(network: Network, theta: EdgeField, A, B, check_tol: float | None =
     Returns the out-of-A value; when ``check_tol`` is set, verifies it agrees
     with the into-B value.
     """
-    vertices = np.arange(network.n_vertices)
-    a_mask = np.isin(vertices, network.indices_of(A))
-    b_mask = np.isin(vertices, network.indices_of(B))
+    a_mask, b_mask = np.zeros((2, network.n_vertices), bool)
+    a_mask[network.indices_of(A)] = True
+    b_mask[network.indices_of(B)] = True
     if np.any(a_mask & b_mask):
         raise StructuralError("source and sink sets overlap")
     t, h, v = network.tails, network.heads, theta.values
@@ -423,7 +423,7 @@ def gap(network: Network, f, A, B) -> float:
     """gap_{A,B}(f) = min over B of f minus max over A of f."""
     vals = f.values if isinstance(f, VertexFunction) else np.asarray(f, float)
     A_idx, B_idx = network.indices_of(A), network.indices_of(B)
-    if set(A_idx.tolist()) & set(B_idx.tolist()):
+    if np.intersect1d(A_idx, B_idx).size:
         raise StructuralError("source and sink sets overlap")
     return float(vals[B_idx].min() - vals[A_idx].max())
 

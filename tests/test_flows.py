@@ -375,6 +375,34 @@ def test_random_path_flow_radius_preconditions(grid32_centered):
         random_path_flow(grid32_centered, S, T, 0.2, 0.3)
 
 
+def _centred_perturbed_square():
+    g = odmap.perturbed(odmap.rotated_grid("square", 16), 0.3, seed=2)
+    return odmap.OrthodiagonalMap(g.positions - 0.5, g.primal_mask, g.faces)
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("family, r1, r2", [
+    ("disk", 0.1, 0.3), ("perturbed", 0.15, 0.4), ("packed", 0.2, 0.6)])
+def test_random_path_flow_paths_are_rho_paths(packed500, family, r1, r2, seed):
+    # the flow's one S/T setup per call gives, radius by radius, the paths of
+    # independent rho_path calls
+    g = {"disk": lambda: odmap.rotated_grid("disk", 24), "perturbed": _centred_perturbed_square,
+         "packed": lambda: packed500[2]}[family]()
+    S, T = left_right_cones(g)
+    rep = random_path_flow(g, S, T, r1, r2, m=12, seed=seed)
+    aug = odmap.augmented_duals(g)
+    assert rep.meta["paths"] == [odmap.rho_path(aug, rho, S, T) for rho in rep.meta["rhos"]]
+
+
+def test_random_path_flow_checks_each_part_reaches_the_boundary_once(grid32_centered):
+    S, T = left_right_cones(grid32_centered)
+    lone = central_primal_vertex(grid32_centered, (0.0, 0.3))
+    with pytest.raises(RhoPathError, match="inside A$"):
+        random_path_flow(grid32_centered, S + [lone], T, 0.1, 0.3)
+    with pytest.raises(RhoPathError, match="inside B'$"):
+        random_path_flow(grid32_centered, S, T + [lone], 0.1, 0.3)
+
+
 def test_random_path_flow_sampled_mode(grid32_centered):
     S, T = left_right_cones(grid32_centered)
     rep = random_path_flow(grid32_centered, S, T, 0.1, 0.3, m=16, seed=11)
