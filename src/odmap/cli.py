@@ -74,8 +74,8 @@ def _build_parser() -> _Parser:
     s.add_argument("-o", "--output", required=True)
 
     fl = add_parser("flow", help="build an explicit flow and report its energy "
-                    "(random_path uses the left/right cones about the origin "
-                    "as source and sink)")
+                    "(random_path uses the left/right cones about the centre of "
+                    "the map's bounding box as source and sink)")
     fl.add_argument("--map", dest="map_path", required=True)
     fl.add_argument("--kind", choices=["argument", "random_path"], default="argument")
     fl.add_argument("--x", type=int, default=None, help="center vertex (default: nearest origin)")
@@ -83,7 +83,8 @@ def _build_parser() -> _Parser:
     fl.add_argument("--r1", type=float, default=0.1)
     fl.add_argument("--r2", type=float, default=0.3)
     fl.add_argument("--m", type=int, default=32)
-    fl.add_argument("--relax", action="store_true", help="allow r below 3*mesh")
+    fl.add_argument("--relax", action="store_true",
+                    help="allow r below 3*mesh (argument), or r1 below mesh or r2 below 2*r1 (random_path)")
     fl.add_argument("-o", "--output", required=True)
 
     sw = add_parser("sweep", help="convergence sweep over refinement levels")
@@ -221,10 +222,13 @@ def _run(args) -> int:
             report = flows.argument_flow(omap, x, args.r,
                                          relax_radius_hypothesis=args.relax)
         else:
-            pv = omap.primal_vertices
-            x, y = omap.positions[pv].T
-            report = flows.random_path_flow(omap, pv[x <= -abs(y)].tolist(),
-                                            pv[x >= abs(y)].tolist(), args.r1, args.r2, m=args.m)
+            # the cones and circles about the centre of the map's bounding box
+            pv, p = omap.primal_vertices, omap.positions
+            center = (p.min(axis=0) + p.max(axis=0)) / 2
+            x, y = (p[pv] - center).T
+            report = flows.random_path_flow(omap, pv[x <= -abs(y)].tolist(), pv[x >= abs(y)].tolist(),
+                                            args.r1, args.r2, m=args.m, center=center,
+                                            relax_radius_hypothesis=args.relax)
         _write_json(args.output, report.to_json_dict())
         print(f"flow strength {report.strength:.12g}, energy {report.energy:.12g}, "
               f"ratio {report.ratio:.6g}")

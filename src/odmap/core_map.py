@@ -113,6 +113,31 @@ def paired_side_table(faces, a: np.ndarray, b: np.ndarray) -> SideTable:
                      1 + both, np.where(both, np.minimum(a, b), a))
 
 
+def boundary_cycle(s: SideTable, n: int) -> np.ndarray:
+    """The one cycle of the edges with a single side, from its least vertex
+    toward the smaller of its two neighbours, read from the side table of
+    faces on n vertices.
+
+    Raises StructuralError when those edges are not a single simple cycle.
+    """
+    bedges = s.edges[s.count == 1]
+    if not bedges.size:
+        raise StructuralError("map has no boundary edges")
+    ends = bedges.ravel()
+    odd = np.bincount(ends)[ends] != 2
+    if odd.any():  # name the first one in boundary-edge order
+        raise StructuralError(f"boundary is not simple at vertex {ends[np.argmax(odd)]}")
+    a, b = bedges.T
+    # every vertex has two boundary neighbours, so a depth-first search
+    # from the smallest one, taking the smaller neighbour first, walks
+    # its cycle
+    graph = edge_graph(n, np.concatenate([a, b]), np.concatenate([b, a]))
+    walk = csgraph.depth_first_order(graph, a.min(), return_predecessors=False).astype(int)
+    if len(walk) != len(a):
+        raise StructuralError("boundary edges form more than one cycle")
+    return walk
+
+
 class OrthodiagonalMap:
     """Finite plane quad mesh with orthogonal diagonals.
 
@@ -169,29 +194,9 @@ class OrthodiagonalMap:
 
     @cached_property
     def _boundary_cycle(self) -> np.ndarray:
-        """The boundary edges' one cycle, from its least vertex toward the
-        smaller of its two neighbours: :attr:`boundary_walk` before it is
-        oriented, read from the faces alone.
-
-        Raises StructuralError when the boundary is not a single simple
-        closed walk.
-        """
-        bedges = self.edges[self.edge_face_count == 1]
-        if not bedges.size:
-            raise StructuralError("map has no boundary edges")
-        ends = bedges.ravel()
-        odd = np.bincount(ends)[ends] != 2
-        if odd.any():  # name the first one in boundary-edge order
-            raise StructuralError(f"boundary is not simple at vertex {ends[np.argmax(odd)]}")
-        a, b = bedges.T
-        # every vertex has two boundary neighbours, so a depth-first search
-        # from the smallest one, taking the smaller neighbour first, walks
-        # its cycle
-        graph = edge_graph(self.n_vertices, np.concatenate([a, b]), np.concatenate([b, a]))
-        walk = csgraph.depth_first_order(graph, a.min(), return_predecessors=False).astype(int)
-        if len(walk) != len(a):
-            raise StructuralError("boundary edges form more than one cycle")
-        return walk
+        """:func:`boundary_cycle` of the faces: :attr:`boundary_walk` before
+        it is oriented."""
+        return boundary_cycle(self._sides, self.n_vertices)
 
     @staticmethod
     def _least_first(cycle) -> np.ndarray:

@@ -17,7 +17,8 @@ circle of the last ring places its unplaced neighbours at the kite angles
 summed about it.  Every placement is a closed form after one Moebius map: a
 disk automorphism that moves an interior pivot's centre to the origin, or,
 for a circle no placed interior circle reaches, the map to the upper half
-plane that sends one of two placed horocycles to a horizontal line.  A
+plane that sends one of two placed horocycles to a horizontal line (from
+that circle's lowest side whose face has its two other corners placed).  A
 packing is accepted on its tangency residuals relative to the smaller circle
 of each edge.
 
@@ -47,7 +48,8 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .core_map import OrthodiagonalMap, SideTable, _sound_structure, paired_side_table, side_table
+from .core_map import (OrthodiagonalMap, SideTable, _sound_structure, boundary_cycle, paired_side_table,
+                       side_table)
 from .errors import GeometryError, PackingError, StructuralError
 from .geometry import incircle, segments_intersect, signed_area
 from .network import definite_splu, edge_graph
@@ -102,21 +104,17 @@ class Triangulation:
     @cached_property
     def _boundary_sides(self) -> np.ndarray:
         """The sides no other face shares (those without a twin), in CCW
-        order of their heads around the boundary."""
+        order of their heads around the boundary: the faces'
+        :func:`~odmap.core_map.boundary_cycle`, turned the way they run."""
         s = self._sides
-        lone = np.flatnonzero(s.twin < 0)
-        a, b = s.tail[lone], s.head[lone]
-        if np.unique(b).size < b.size:
-            raise StructuralError("boundary is not a simple cycle")
-        if not b.size:
-            raise StructuralError("triangulation has no boundary")
-        # a lone side a -> b runs clockwise around the outside, so following
-        # the sides backwards (every vertex has one successor) walks CCW
-        graph = sp.csr_matrix((lone + 1, (b, a)), shape=(self.n_vertices,) * 2)
-        cyc = csgraph.depth_first_order(graph, b.min(), return_predecessors=False)
-        if cyc.size != b.size:
-            raise StructuralError("boundary has more than one cycle")
-        return np.asarray(graph[cyc, np.roll(cyc, -1)]).ravel() - 1
+        cyc = boundary_cycle(s, self.n_vertices)
+        lone, into = np.flatnonzero(s.twin < 0), np.empty(self.n_vertices, int)
+        into[s.head[lone]] = lone  # the one lone side into each boundary vertex
+        # a lone side a -> b runs clockwise around the outside, so CCW the
+        # cycle steps from each head to its side's tail
+        if s.tail[into[cyc[0]]] != cyc[1]:
+            cyc = np.roll(cyc[::-1], 1)
+        return into[cyc]
 
     @cached_property
     def boundary_cycle(self) -> list:
@@ -351,7 +349,7 @@ def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> tuple[np.nd
 
 def _euclid_from_hyp(z, t):
     """Euclidean centre and radius of the circle at hyperbolic centre z with t."""
-    s2 = abs(z) ** 2
+    s2 = np.hypot(z.real, z.imag) ** 2
     den = 1.0 - s2 * t * t
     return z * (1.0 - t * t) / den, t * (1.0 - s2) / den
 
@@ -400,13 +398,13 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
     array pass places every unplaced neighbour of the interior circles the
     pass before placed, in closed form from one of them, at the kite angles
     summed about it from the circle that one was placed from; so placements
-    chain only as deep as the graph, not around its rings.  A circle that no
-    placed interior circle reaches is placed from the two other corners of
-    its first face in breadth-first face order, both horocycles.  Raises
-    PackingError when a circle comes out non-finite, or when a tangency
-    residual relative to the smaller circle, or a boundary residual, exceeds
-    tol (naming the smaller circle on the worst edge, and whether it is too
-    small for the disk's floats).
+    chain only as deep as the graph, not around its rings.  A circle r that
+    no placed interior circle reaches is placed from the horocycles p and q
+    of the face (r, p, q) of its lowest side r -> p whose p and q are
+    placed.  Raises PackingError when a circle comes out non-finite, or when
+    a tangency residual relative to the smaller circle, or a boundary
+    residual, exceeds tol (naming the smaller circle on the worst edge, and
+    whether it is too small for the disk's floats).
     """
     tri.validate()
     n, faces, boundary = tri.n_vertices, tri.faces, tri.boundary_mask
@@ -427,18 +425,17 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
                                 unweighted=True, min_only=True)
         seed = int(interior_idx[np.argmax(dist[interior_idx])])
         centers[seed], radii[seed], anchors[seed] = 0j, t[seed], 0j
-        # the first side out of the seed (side 3 f + j runs from corner j of
-        # face f), to q, the first petal of its flower, on the positive real axis
-        root, k = divmod(int(np.argmax(faces.ravel() == seed)), 3)
-        q = int(faces[root, (k + 1) % 3])
+        # the seed's lowest side, to q, the first petal of its flower, on
+        # the positive real axis
+        k = int(np.argmax(s.tail == seed))
+        q = int(s.head[k])
         anchors[q] = (t[seed] + t[q]) / (1.0 + t[seed] * t[q])  # 1 when q is a horocycle
         centers[q], radii[q] = (_horo_from_tangency(anchors[q], 0j, t[seed]) if boundary[q]
                                 else _euclid_from_hyp(anchors[q], t[q]))
-        ref[[seed, q]], new[[seed, q]] = (3 * root + k, s.twin[3 * root + k]), (True, not boundary[q])
+        ref[[seed, q]], new[[seed, q]] = (k, s.twin[k]), (True, not boundary[q])
     else:
         # no interior vertex: the first face is three mutually tangent
         # horocycles, symmetric about the origin
-        root = 0
         radii[faces[0]] = 2.0 * np.sqrt(3.0) - 3.0
         anchors[faces[0]] = np.exp(1j * np.pi * np.array([-5 / 6, -1 / 6, 1 / 2]))
         centers[faces[0]] = (1.0 - radii[faces[0]]) * anchors[faces[0]]
@@ -455,7 +452,7 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
     cum = alpha[back]
     for _ in range(int(np.bincount(s.tail).max()).bit_length()):
         cum, back = cum + cum[back], back[back]
-    placed, first_side = ~np.isnan(radii), None
+    placed = ~np.isnan(radii)
     with np.errstate(divide="ignore", invalid="ignore"):  # NaN is caught below
         while not placed.all():
             if new.any():
@@ -467,31 +464,21 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
                 p, r = s.tail[k], s.head[k]
                 tp, tr, ap, aq = t[p], t[r], anchors[p], anchors[s.head[ref[p]]]
                 dr = (aq - ap) / (1.0 - ap.conjugate() * aq)
-                dr *= np.exp(1j * (cum[k] - cum[ref[p]])) / abs(dr)
+                dr *= np.exp(1j * (cum[k] - cum[ref[p]])) / np.hypot(dr.real, dr.imag)
                 dr *= (tp + tr) / (1.0 + tp * tr)  # tanh of half the distance p to r
                 z = (dr + ap) / (1.0 + ap.conjugate() * dr)
                 steps[r], ref[r], rim = steps[p] + 1, s.twin[k], boundary[r]
-                z[rim] /= abs(z[rim])
+                z[rim] /= np.hypot(z[rim].real, z[rim].imag)
                 centers[r[rim]], radii[r[rim]] = _horo_from_tangency(z[rim], centers[p[rim]],
                                                                      radii[p[rim]])
             else:
                 # a circle no placed interior circle reaches (its placed
-                # neighbours are all horocycles) waits for the other corners
-                # p, q of its first face (r, p, q) in breadth-first face order
-                if first_side is None:  # side r -> p of each circle's first face
-                    inner = s.first[s.twin[s.first] >= 0]  # one side of each edge with two faces
-                    order = csgraph.breadth_first_order(
-                        edge_graph(len(faces), s.face[inner], s.face[s.twin[inner]]), root,
-                        directed=False, return_predecessors=False)
-                    if order.size < len(faces):
-                        raise PackingError(f"layout reaches {order.size} of {len(faces)} faces")
-                    _, first = np.unique(faces[order].ravel(), return_index=True)
-                    first_side = 3 * order[first // 3] + first % 3
-                k = first_side[~placed[s.tail[first_side]]]
-                now = placed[s.head[k]] & placed[s.head[s.nxt[k]]]
-                if not now.any():
+                # neighbours are all horocycles), from its lowest side r -> p
+                # whose face (r, p, q) has p and q placed
+                k = np.flatnonzero(~placed[s.tail] & placed[s.head] & placed[s.head[s.nxt]])
+                if not k.size:
                     break
-                k, first_side = k[now], k[~now]
+                k = k[np.unique(s.tail[k], return_index=True)[1]]
                 r, p, q = s.tail[k], s.head[k], s.head[s.nxt[k]]
                 # w = i(zeta + z)/(zeta - z) sends p's ideal point zeta to
                 # infinity, p to the line Im w = H and q to a circle of
@@ -502,7 +489,7 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
                      + H * (2.0 * np.sqrt(th) + 1j * (1.0 - th)) / (1.0 + th))
                 z = zeta * (w - 1j) / (w + 1j)
                 steps[r], ref[r], rim = np.maximum(steps[p], steps[q]) + 1, k, boundary[r]
-                z[rim] /= abs(z[rim])
+                z[rim] /= np.hypot(z[rim].real, z[rim].imag)
                 # r a horocycle: w is real, |z - zeta|^2 = 4 / (w^2 + 1) and
                 # rho_r = (1 - rho_p) / (1 + rho_p w^2), where the tangency's
                 # terms of size 1 would cancel to one of size rho_p rho_r

@@ -212,3 +212,19 @@ def test_flow_cli_random_path_runs_between_the_cones(tmp_path):
     T = [int(v) for v, p in zip(m.primal_vertices, pos) if p[0] >= abs(p[1])]
     want = odmap.flows.random_path_flow(m, S, T, 0.1, 0.3, m=32).to_json_dict()
     assert json.loads(flow_path.read_text()) == json.loads(json.dumps(want))
+
+
+def test_flow_cli_random_path_cones_about_the_box_centre(tmp_path):
+    # a generated square grid lies in [0, 1]^2: cones about the origin
+    # would leave the left one empty
+    map_path, flow_path = tmp_path / "sq.json", tmp_path / "flow.json"
+    assert run(["generate", "--family", "rotated_grid", "--n", 16, "--domain", "square",
+                "-o", map_path]) == 0
+    assert run(["flow", "--map", map_path, "--kind", "random_path", "-o", flow_path]) == 0
+    assert json.loads(flow_path.read_text())["strength"] == pytest.approx(1.0, abs=1e-12)
+    # r2 < 2 r1 breaks the radius hypothesis, which --relax lets through
+    narrow = ["flow", "--map", map_path, "--kind", "random_path", "--r1", 0.15, "--r2", 0.25,
+              "-o", flow_path]
+    assert run(narrow) == 1
+    with pytest.warns(UserWarning, match="the energy bound may fail"):
+        assert run(narrow + ["--relax"]) == 0

@@ -12,6 +12,7 @@ from odmap.geometry import signed_area
 from odmap.packing import Triangulation
 
 from conftest import closed, coned
+from test_packing import hub_triangulation, polygon_triangulation, zigzag_strip
 
 # -- reference derivations, one face side at a time ---------------------------
 
@@ -96,7 +97,11 @@ def _assert_map_matches_oracle(m):
 def _assert_triangulation_matches_oracle(tri):
     _assert_table_matches_oracle(tri.faces, tri._sides)
     assert [tuple(e) for e in tri.edges.tolist()] == sorted(_edge_faces_oracle(tri.faces))
-    assert tri.boundary_cycle == _boundary_cycle_oracle(tri)
+    cyc = _boundary_cycle_oracle(tri)
+    assert tri.boundary_cycle == cyc
+    # the lone side into each boundary vertex, from the next one CCW
+    s, k = tri._sides, tri._boundary_sides
+    assert (s.twin[k] < 0).all() and s.head[k].tolist() == cyc and s.tail[k].tolist() == cyc[1:] + cyc[:1]
 
 
 @given(kind=st.sampled_from(["grid", "perturbed", "packed", "coned", "closed", *SHAPES]),
@@ -126,6 +131,15 @@ def test_triangular_disk_table_matches_oracle(rows):
     _assert_triangulation_matches_oracle(odmap.triangular_disk_triangulation(rows))
 
 
+@given(kind=st.sampled_from(["polygon", "zigzag", "hub"]), seed=st.integers(0, 10_000),
+       size=st.integers(3, 40))
+@settings(max_examples=30, deadline=None)
+def test_triangulation_families_match_oracle(kind, seed, size):
+    tri = {"polygon": lambda: polygon_triangulation(size, seed), "zigzag": lambda: zigzag_strip(size),
+           "hub": lambda: hub_triangulation(size, 2 + seed % 5)}[kind]()
+    _assert_triangulation_matches_oracle(tri)
+
+
 def test_face_sides_of_mixed_orientation_quads():
     faces = np.array([[0, 1, 2, 3], [2, 1, 4, 5]])
     s = side_table(faces)
@@ -147,6 +161,20 @@ def test_malformed_triangulations_name_the_first_bad_edge():
         Triangulation(5, np.array([[0, 1, 2], [2, 3, 4], [0, 1, 3]])).validate()
     with pytest.raises(StructuralError, match=r"edge \(0, 1\) borders 3 faces"):
         Triangulation(5, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])).validate()
+    # the boundary checks, in the words a map's validation reports them
+    octahedron = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1], [5, 2, 1], [5, 3, 2], [5, 4, 3], [5, 1, 4]]
+    with pytest.raises(StructuralError, match=r"^map has no boundary edges$"):
+        Triangulation(6, np.array(octahedron)).validate()
+    with pytest.raises(StructuralError, match=r"^boundary is not simple at vertex 0$"):
+        Triangulation(5, np.array([[0, 1, 2], [0, 3, 4]])).validate()  # pinched at 0
+    annulus = [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4], [2, 0, 3], [2, 3, 5]]
+    with pytest.raises(StructuralError, match=r"^boundary edges form more than one cycle$"):
+        Triangulation(6, np.array(annulus)).validate()
+    # two quads pinched at 0
+    bowtie = odmap.OrthodiagonalMap(np.random.default_rng(0).random((7, 2)), [1, 0, 1, 0, 0, 1, 0],
+                                    [[0, 1, 2, 3], [0, 4, 5, 6]])
+    assert odmap.validate(bowtie).checks["boundary/single_simple_walk"] == \
+        (False, "boundary is not simple at vertex 0")
 
 
 def test_offending_edges_in_face_order(diamond):

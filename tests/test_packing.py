@@ -454,7 +454,9 @@ def test_polygon_triangulations_pack(k, seed):
     _assert_packing_sound(tri, odmap.pack_in_disk(tri))
 
 
-def _oracle_input(kind, seed, n, degree, rings, k, rows):
+def _oracle_input(kind, seed, n, degree, rings, k, rows, strip=3):
+    if kind == "zigzag":
+        return zigzag_strip(strip)
     if kind == "delaunay":
         return random_delaunay_triangulation(n, seed=seed)
     if kind == "hub":
@@ -464,22 +466,26 @@ def _oracle_input(kind, seed, n, degree, rings, k, rows):
     return triangular_disk_triangulation(rows)
 
 
-@given(kind=st.sampled_from(["delaunay", "hub", "polygon", "lattice"]),
+@given(kind=st.sampled_from(["delaunay", "hub", "polygon", "lattice", "zigzag"]),
        seed=st.integers(0, 10_000), n=st.integers(10, 3000), degree=st.integers(3, 300),
-       rings=st.integers(2, 10), k=st.integers(3, 12), rows=st.integers(2, 25))
-@example(kind="delaunay", seed=3, n=3000, degree=3, rings=2, k=3, rows=2)
-@example(kind="hub", seed=0, n=10, degree=3, rings=10, k=3, rows=2)
-@example(kind="polygon", seed=1, n=10, degree=3, rings=2, k=12, rows=2)
-@example(kind="polygon", seed=2557, n=10, degree=3, rings=2, k=10, rows=2)
+       rings=st.integers(2, 10), k=st.integers(3, 12), rows=st.integers(2, 25),
+       strip=st.integers(3, 22))
+@example(kind="delaunay", seed=3, n=3000, degree=3, rings=2, k=3, rows=2, strip=3)
+@example(kind="hub", seed=0, n=10, degree=3, rings=10, k=3, rows=2, strip=3)
+@example(kind="polygon", seed=1, n=10, degree=3, rings=2, k=12, rows=2, strip=3)
+@example(kind="polygon", seed=2557, n=10, degree=3, rings=2, k=10, rows=2, strip=3)
+@example(kind="zigzag", seed=0, n=10, degree=3, rings=2, k=3, rows=2, strip=22)
 @settings(max_examples=16, deadline=None)
-def test_layout_matches_per_circle_loop(kind, seed, n, degree, rings, k, rows):
+def test_layout_matches_per_circle_loop(kind, seed, n, degree, rings, k, rows, strip):
     # each pass places its circles from the same pivots, at the same summed
     # kite angles and by the same closed forms, as a loop over the circles;
     # numpy rounds array and scalar complex arithmetic differently, and the
     # loop sums the angles one at a time, so they agree to rounding, which
     # near the rim grows like 1e-16 / r^2 relative for a circle of radius r
-    # (1.3e-10 on horocycles of radius 2e-3 in a 12-gon)
-    tri = _oracle_input(kind, seed, n, degree, rings, k, rows)
+    # (1.3e-10 on horocycles of radius 2e-3 in a 12-gon).  A zigzag strip
+    # places every circle after its first face by the fallback rule, which
+    # the loop takes from the first breadth-first face instead
+    tri = _oracle_input(kind, seed, n, degree, rings, k, rows, strip)
     p = odmap.pack_in_disk(tri)
     centers, radii = layout_loop(tri, packing._solve_hyperbolic_radii(tri, 1e-12)[0])
     assert np.abs(p.centers[:, 0] + 1j * p.centers[:, 1] - centers).max() <= 1e-13
