@@ -15,6 +15,7 @@ import numpy as np
 
 from . import dirichlet, flows, generators, packing
 from .core_map import OrthodiagonalMap, validate
+from .domains import hausdorff_delta, unit_disk
 from .errors import StructuralError
 
 
@@ -78,7 +79,7 @@ def _build_parser() -> _Parser:
                     "the map's bounding box as source and sink)")
     fl.add_argument("--map", dest="map_path", required=True)
     fl.add_argument("--kind", choices=["argument", "random_path"], default="argument")
-    fl.add_argument("--x", type=int, default=None, help="center vertex (default: nearest origin)")
+    fl.add_argument("--x", type=int, default=None, help="center vertex (default: nearest the box centre)")
     fl.add_argument("--r", type=float, default=0.2)
     fl.add_argument("--r1", type=float, default=0.1)
     fl.add_argument("--r2", type=float, default=0.3)
@@ -95,20 +96,29 @@ def _build_parser() -> _Parser:
     sw.add_argument("-o", "--output", required=True, help="CSV output path")
     sw.add_argument("--json", dest="json_out", help="also mirror records to JSON")
 
-    em = add_parser("exitmeasure", help="exit measure vs harmonic measure arcs")
+    em = add_parser("exitmeasure", help="exit measure vs the unit disk's harmonic measure arcs, on maps of it")
     em.add_argument("--map", dest="map_path", required=True)
-    em.add_argument("--start", type=int, default=None, help="start vertex (default: nearest origin)")
+    em.add_argument("--start", type=int, default=None, help="start vertex (default: nearest the box centre)")
     em.add_argument("--arcs", type=int, default=16)
     em.add_argument("--samples", type=int, default=None, help="sampled mode walk count")
     em.add_argument("-o", "--output", required=True)
     return p
 
 
-def _central_primal_vertex(omap: OrthodiagonalMap) -> int:
+def _box_center(omap: OrthodiagonalMap) -> np.ndarray:
+    return (omap.positions.min(axis=0) + omap.positions.max(axis=0)) / 2
+
+
+def _central_primal_vertex(omap: OrthodiagonalMap, v=None) -> int:
+    """The interior (else any) primal vertex nearest the box centre, or a vertex argument v range-checked."""
+    if v is not None:
+        if not 0 <= v < omap.n_vertices:
+            raise StructuralError(f"vertex {v} is not one of the map's {omap.n_vertices} (0 to {omap.n_vertices - 1})")
+        return v
     interior, _ = omap.interior_vertices()
     pool = interior if interior.size else omap.primal_vertices
-    pos = omap.positions[pool]
-    return int(pool[np.argmin(np.hypot(pos[:, 0], pos[:, 1]))])
+    d = omap.positions[pool] - _box_center(omap)
+    return int(pool[np.argmin(np.hypot(d[:, 0], d[:, 1]))])
 
 
 def _load_triangulation(path) -> packing.Triangulation:
@@ -218,14 +228,12 @@ def _run(args) -> int:
     if args.command == "flow":
         omap = OrthodiagonalMap.from_json(args.map_path)
         if args.kind == "argument":
-            x = args.x if args.x is not None else _central_primal_vertex(omap)
-            report = flows.argument_flow(omap, x, args.r,
+            report = flows.argument_flow(omap, _central_primal_vertex(omap, args.x), args.r,
                                          relax_radius_hypothesis=args.relax)
         else:
             # the cones and circles about the centre of the map's bounding box
-            pv, p = omap.primal_vertices, omap.positions
-            center = (p.min(axis=0) + p.max(axis=0)) / 2
-            x, y = (p[pv] - center).T
+            pv, center = omap.primal_vertices, _box_center(omap)
+            x, y = (omap.positions[pv] - center).T
             report = flows.random_path_flow(omap, pv[x <= -abs(y)].tolist(), pv[x >= abs(y)].tolist(),
                                             args.r1, args.r2, m=args.m, center=center,
                                             relax_radius_hypothesis=args.relax)
@@ -252,17 +260,15 @@ def _run(args) -> int:
 
     if args.command == "exitmeasure":
         omap = OrthodiagonalMap.from_json(args.map_path)
-        start = args.start if args.start is not None else _central_primal_vertex(omap)
+        start = _central_primal_vertex(omap, args.start)
         out = dirichlet.exit_measure_vs_arcs(omap, start, k=args.arcs,
                                              n_samples=args.samples, seed=args.seed)
-        payload = {
-            "tv": out["tv"],
-            "arcs": out["arcs"].tolist(),
-            "reference": out["reference"].tolist(),
-            "start": int(start),
-        }
-        _write_json(args.output, payload)
-        print(f"total variation vs harmonic measure: {out['tv']:.6g}")
+        # the unit disk's Poisson kernel describes maps of the unit disk only
+        disk = hausdorff_delta(omap, unit_disk()) <= 2.0 * omap.mesh_size()
+        _write_json(args.output, {"arcs": out["arcs"].tolist(), "start": start, **(
+            {"tv": out["tv"], "reference": out["reference"].tolist()} if disk else {"reference": None})})
+        print(f"total variation vs harmonic measure: {out['tv']:.6g}" if disk else
+              "no reference: the map's boundary lies more than twice its mesh size from the unit circle")
         return 0
 
     raise StructuralError(f"unknown command {args.command!r}")

@@ -147,6 +147,8 @@ class OrthodiagonalMap:
     Instances are immutable once built.
     """
 
+    _elimination = None  # a packed map's interior, as primal-network indices, in its radius factor's order
+
     def __init__(self, positions, primal_mask, faces, ids=None):
         self.positions = np.asarray(positions, float).reshape(-1, 2)
         self.primal_mask = np.asarray(primal_mask, bool).reshape(-1)
@@ -295,8 +297,10 @@ class OrthodiagonalMap:
         lengths = self.diagonal_lengths()
         if np.any(lengths[0] <= 0) or np.any(lengths[1] <= 0):
             raise DegenerateFaceError("face with zero-length diagonal")
-        return Network(self.dual_vertices if k else self.primal_vertices, self.faces[:, k],
-                       self.faces[:, k + 2], lengths[1 - k] / lengths[k])
+        net = Network(self.dual_vertices if k else self.primal_vertices, self.faces[:, k],
+                      self.faces[:, k + 2], lengths[1 - k] / lengths[k])
+        net._elimination = None if k else self._elimination  # the primal one inherits the map's
+        return net
 
     _primal_network = cached_property(lambda self: self._network(0))
     _dual_network = cached_property(lambda self: self._network(1))

@@ -52,7 +52,8 @@ class Network:
             raise StructuralError("conductances must be positive and finite")
         if np.any(self.tails == self.heads):
             raise StructuralError("self-loops are not supported")
-        self._grounded = None  # the one cached interior solver
+        # the one cached interior solver, and the interior in an inherited factor's order (_InteriorSolver)
+        self._grounded = self._elimination = None
 
     # -- basics -------------------------------------------------------------
 
@@ -311,19 +312,24 @@ class _InteriorSolver:
     """Sparse LU of the SPD L_II = L[I][:, I] by :func:`definite_splu`, for a
     connected network, B the ascending boundary indices and I the rest, with the
     boundary columns L[I][:, B] and their transpose L[B][:, I] (L is symmetric).
-    Each solve checks |L_II x - rhs|_i <= 1e-9 pi(i) ||x||_inf + 1e-305 (the
-    floor admits subnormal data) or raises RuntimeError."""
+    I ascends and L_II factors in MMD order, unless I is the set of the inherited
+    ``_elimination`` (a packed map's interior in its radius factor's order): then
+    I runs and factors in that order, as NATURAL.  Each solve checks |L_II x - rhs|_i
+    <= 1e-9 pi(i) ||x||_inf + 1e-305 (the floor admits subnormal data) or raises RuntimeError."""
 
     def __init__(self, network: Network, boundary: np.ndarray):
         is_boundary = np.zeros(network.n_vertices, bool)
         is_boundary[boundary] = True
         self.boundary, self.interior = np.array(boundary), np.flatnonzero(~is_boundary)  # a copy: the cache key
+        order, permc = network._elimination, "MMD_AT_PLUS_A"
+        if order is not None and order.size == self.interior.size and not is_boundary[order].any():
+            self.interior, permc = order, "NATURAL"
         rows = network.laplacian[self.interior]
         self.boundary_cols, self._matrix = rows[:, boundary], rows[:, self.interior]  # CSR: a faster check
         del rows  # not held through the factorisation
         self.boundary_rows = self.boundary_cols.T
         self._tol = 1e-9 * network.pi[self.interior]
-        self._lu = definite_splu(self._matrix.tocsc())
+        self._lu = definite_splu(self._matrix.tocsc(), permc)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = self._lu.solve(rhs)
@@ -335,23 +341,22 @@ class _InteriorSolver:
         return x
 
 
-def _pcg(A: sp.csr_matrix, b: np.ndarray, inv_diag: np.ndarray, tol_abs: float,
-         maxiter: int, x0=None) -> np.ndarray:
-    # solve at unit scale so tiny right-hand sides cannot underflow the
-    # inner products
-    scale = float(np.abs(b).max())
+def _pcg(A, b: np.ndarray, precondition, tol_abs: float, maxiter: int) -> np.ndarray:
+    """x ~ A^-1 b for an SPD A by CG from 0, preconditioned by precondition(r)
+    ~ A^-1 r once in each of at most maxiter iterations, until the recursive
+    residual ||b - A x||_2 is at most tol_abs (the caller judges the true one)."""
+    # at unit scale, so tiny right-hand sides cannot underflow the inner products
+    scale = float(np.abs(b).max(initial=0.0))
+    x = np.zeros(b.shape)
     if scale == 0.0:
-        return np.zeros_like(b)
-    b = b / scale
-    tol_abs = tol_abs / scale
-    x = np.zeros_like(b) if x0 is None else x0.astype(float) / scale
-    r = b - A @ x
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    norm_r = float(np.linalg.norm(r))
-    it = 0
-    while norm_r > tol_abs and it < maxiter:
+        return x
+    r, tol_abs, p, rz = b / scale, tol_abs / scale, x.copy(), 1.0
+    for _ in range(maxiter):
+        if np.linalg.norm(r) <= tol_abs:
+            break
+        z = precondition(r)
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
         Ap = A @ p
         denom = float(p @ Ap)
         if denom <= 0:
@@ -359,12 +364,6 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, inv_diag: np.ndarray, tol_abs: float,
         alpha = rz / denom
         x += alpha * p
         r -= alpha * Ap
-        norm_r = float(np.linalg.norm(r))
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-        it += 1
     return scale * x
 
 
@@ -597,8 +596,7 @@ def _leap_table(P: sp.csr_matrix, inner: np.ndarray, max_steps: int):
 def _exact_exit(net: Network, boundary_idx: np.ndarray, s: int) -> np.ndarray:
     """Exit masses -L[B][:, I] y from interior s, L_II y = e_s, in boundary_idx's order."""
     solver = net.grounded(boundary_idx)
-    e_s = np.zeros(solver.interior.size)
-    e_s[np.searchsorted(solver.interior, s)] = 1.0
+    e_s = (solver.interior == s).astype(float)
     return -(solver.boundary_rows @ solver.solve(e_s))[np.searchsorted(solver.boundary, boundary_idx)]
 
 

@@ -7,9 +7,10 @@ angle at circle p inside a tangent triple (p, a, b) is
 
     alpha = 2 asin sqrt( (1-t_p^2)^2 t_a t_b / ((t_p+t_a)(t_p+t_b)(1+t_p t_a)(1+t_p t_b)) ).
 
-One sparse Newton solve in log t, where the Jacobian is symmetric, drives the
+One sparse Newton solve in log t, where minus the Jacobian is SPD, drives the
 angle sums to float precision; once its steps go through at full length, they
-are CG steps preconditioned by the last factor of the Jacobian.  The layout
+are CG steps preconditioned by the last factor.  Every factor, the packed map's
+interior solve's too, takes the first one's fill-reducing order.  The layout
 places Euclidean circles in the disk model (horocycles are circles internally
 tangent to the unit circle), tracking hyperbolic centres / ideal points, one
 breadth-first ring per array pass from the centre circle: each interior
@@ -46,13 +47,12 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .core_map import (OrthodiagonalMap, SideTable, _sound_structure, boundary_cycle, paired_side_table,
                        side_table)
 from .errors import GeometryError, PackingError, StructuralError
 from .geometry import incircle, segments_intersect, signed_area
-from .network import definite_splu, edge_graph
+from .network import _pcg, definite_splu, edge_graph
 
 # ---------------------------------------------------------------------------
 # combinatorial triangulations with boundary
@@ -201,9 +201,12 @@ class _FixedPattern:
         where[order] = np.arange(order.size)
         return _FixedPattern(rank[self.rows], rank[self.cols], self.size, keys[order], where[self.slot])
 
+    def fill(self, data) -> np.ndarray:
+        """The CSC data of the entries ``data``, duplicates summed."""
+        return np.bincount(self.slot, data, self.indices.size)
+
     def matrix(self, data) -> sp.csc_matrix:
-        return sp.csc_matrix((np.bincount(self.slot, data, self.indices.size), self.indices,
-                              self.indptr), shape=(self.size, self.size))
+        return sp.csc_matrix((self.fill(data), self.indices, self.indptr), shape=(self.size, self.size))
 
 
 _NEWTON_STEPS = 100  # Newton steps before the radius solve gives up
@@ -212,84 +215,74 @@ _CG_ITERATIONS = 10  # CG iterations on a kept factor before a Newton step facto
 _CG_RTOL = 1e-4      # CG stops at this fraction of ||F||_2 (the inexact-Newton forcing term)
 
 
-def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> tuple[np.ndarray, dict]:
+def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> tuple[np.ndarray, dict, np.ndarray | None]:
     """t = tanh(h / 2) of every circle with angle sum 2 pi at every interior
-    vertex, and t = 1 (a horocycle) on the boundary, with what the solve did.
+    vertex, and t = 1 (a horocycle) on the boundary; what the solve did; and
+    the interior vertices in its factors' elimination order (None if none).
 
     Newton's method in u = log t on the angle-sum defects F, from t =
-    1/sqrt(n), about the radius of n equal circles filling the disk.  In u
-    the Jacobian J is symmetric negative definite (F is the gradient of Colin
-    de Verdiere's convex functional).  A step factors J by
-    :func:`~odmap.network.definite_splu`, in the fill-reducing order the
-    first factor picks, unless a factor is kept: then it is CG on -J du = F
-    preconditioned by that factor, to _CG_RTOL ||F||_2 (an inexact Newton
-    step), and factors J afresh only when CG misses that in _CG_ITERATIONS
-    iterations.  A factor is kept while its own step and each one after it go
-    through at full length; where Newton's model holds over a step, J moves
-    little along it.  A step longer than 2 in any component is scaled down as
-    a whole, then halved until ||F||_2 falls.  Below angle_tol, one more step
-    on the last factor, kept if it lowers ||F||_2, takes t nearer float
+    1/sqrt(n), about the radius of n equal circles filling the disk.  In u,
+    K = -dF/du is symmetric positive definite (F is the gradient of Colin de
+    Verdiere's convex functional); each step refills it on one fixed pattern
+    and factors it by :func:`~odmap.network.definite_splu`, unless a factor
+    is kept: then the step is :func:`~odmap.network._pcg` on K du = F
+    preconditioned by that factor, taken if ||F - K du||_2 <= _CG_RTOL ||F||_2
+    (an inexact Newton step) within _CG_ITERATIONS iterations, else K factors
+    afresh.  The unknowns, the corner rows and the pattern are renumbered once
+    into the first factor's fill-reducing order, which later factors take as
+    NATURAL.  A factor is kept while its own step and each one after it go
+    through at full length; where Newton's model holds over a step, K moves
+    little along it.  A step longer than 2 in any component is scaled down
+    as a whole, then halved until ||F||_2 falls.  Below angle_tol, one more
+    step on the last factor, kept if it lowers ||F||_2, takes t nearer float
     precision.  Raises PackingError when halving bottoms out or after
-    _NEWTON_STEPS steps.
-
-    The stats count the Newton steps, factorizations and CG iterations, and
-    give the final angle residual max |F|.
+    _NEWTON_STEPS steps.  The stats count the Newton steps, factorizations
+    and CG iterations, and give the final angle residual max |F|.
     """
     boundary = tri.boundary_mask
     t = np.where(boundary, 1.0, 1.0 / np.sqrt(tri.n_vertices))
     stats = {"steps": 0, "factorizations": 0, "cg_iterations": 0, "angle_residual": 0.0}
     if boundary.all():
-        return t, stats
+        return t, stats, None
     # the angle fans: corner v of face (v, a, b) for every interior v
     corners = np.concatenate([tri.faces, tri.faces[:, [1, 2, 0]], tri.faces[:, [2, 0, 1]]])
     v, a, b = corners[~boundary[corners[:, 0]]].T
-    inner = np.flatnonzero(~boundary)
+    inner = np.flatnonzero(~boundary)  # the vertex of each unknown
     m = inner.size
-    slot = np.cumsum(~boundary) - 1  # row of each interior vertex in F
-    # dF/du: the diagonal, then an entry per corner and interior neighbour
+    slot = np.cumsum(~boundary) - 1  # the unknown of each interior vertex
+    row = diag_row = slot[v]  # the row of each corner in F, and in K's diagonal entries
+    # K: the diagonal, then an entry per corner and interior neighbour; its
+    # entries keep this numbering, which a renumbered pattern maps
     keep_a, keep_b = ~boundary[a], ~boundary[b]
-    pattern = _FixedPattern(np.concatenate([np.arange(m), slot[v[keep_a]], slot[v[keep_b]]]),
+    pattern = _FixedPattern(np.concatenate([np.arange(m), row[keep_a], row[keep_b]]),
                             np.concatenate([np.arange(m), slot[a[keep_a]], slot[b[keep_b]]]), m)
-    order, permc = np.arange(m), "MMD_AT_PLUS_A"
 
     def defects(t):
         """F, and tan(alpha / 2) at every corner."""
         k = _half_tangent(t[v], t[a], t[b])
-        return np.bincount(slot[v], 2.0 * np.arctan(k), m) - 2.0 * np.pi, k
+        return np.bincount(row, 2.0 * np.arctan(k), m) - 2.0 * np.pi, k
 
-    def jacobian_data(t, k):
-        """d alpha / d u at every corner: -k (4 tp^2 / (1 - tp^2) + sum over
+    def stiffness(t, k):
+        """-d alpha / d u at every corner: k (4 tp^2 / (1 - tp^2) + sum over
         w = a, b of tp / (tp + tw) + tp tw / (1 + tp tw)) on the diagonal and
-        k tp (1 - tw^2) / ((tp + tw)(1 + tp tw)) for w, k = tan(alpha / 2)."""
+        -k tp (1 - tw^2) / ((tp + tw)(1 + tp tw)) for w, k = tan(alpha / 2)."""
         tp, ta, tb = t[v], t[a], t[b]
         pa, pb = (tp + ta) * (1.0 + tp * ta), (tp + tb) * (1.0 + tp * tb)
         diag = 4.0 * tp * tp / (1.0 - tp * tp) + tp * ((1.0 + 2.0 * tp * ta + ta * ta) / pa
                                                        + (1.0 + 2.0 * tp * tb + tb * tb) / pb)
         ka, kb = k * tp * (1.0 - ta * ta) / pa, k * tp * (1.0 - tb * tb) / pb
-        return np.concatenate([np.bincount(slot[v], -k * diag, m), ka[keep_a], kb[keep_b]])
+        return np.concatenate([np.bincount(diag_row, k * diag, m), -ka[keep_a], -kb[keep_b]])
 
-    def newton_step(lu, order, F):
-        """The step in u for F on lu, a factor of J[order][:, order]."""
-        du = np.empty(m)
-        du[order] = lu.solve(-F[order])
-        return du
+    def precondition(r):
+        stats["cg_iterations"] += 1
+        return kept(r)
 
-    def cg_step(J, F):
-        """The step in u for F by CG on -J, J held in `order`, preconditioned
-        by the kept factor; None when CG misses _CG_RTOL ||F||_2 (scipy
-        reports success with du = 0 when _CG_ITERATIONS is 0)."""
-        def minus_j(x):
-            y = np.empty(m)
-            y[order] = J @ x[order]
-            return -y
-
-        def counted(_):
-            stats["cg_iterations"] += 1
-
-        du, info = cg(LinearOperator((m, m), minus_j), F, rtol=_CG_RTOL, atol=0.0,
-                      maxiter=_CG_ITERATIONS, callback=counted,
-                      M=LinearOperator((m, m), lambda r: newton_step(*kept, r)))
-        return du if info == 0 and du.any() and np.isfinite(du).all() else None
+    def cg_step(F):
+        """The step in u for F by CG on K preconditioned by the kept factor,
+        or None when its true residual misses _CG_RTOL ||F||_2."""
+        tol = _CG_RTOL * np.linalg.norm(F)
+        du = _pcg(K, F, precondition, tol, _CG_ITERATIONS)
+        return du if np.linalg.norm(F - K @ du) <= tol else None  # NaN misses too
 
     def moved(t, du):
         trial = t.copy()
@@ -297,29 +290,31 @@ def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> tuple[np.nd
         return trial
 
     F, k = defects(t)
-    kept = None
+    K, kept, permc = pattern.matrix(np.zeros(pattern.slot.size)), None, "MMD_AT_PLUS_A"
     while (err := float(np.abs(F).max())) >= angle_tol:
         if stats["steps"] == _NEWTON_STEPS:
             raise PackingError(f"radius solve stopped after {_NEWTON_STEPS} Newton steps "
                                f"(angle residual {err:.3e})")
         stats["steps"] += 1
-        J = pattern.matrix(jacobian_data(t, k))
-        du = None if kept is None else cg_step(J, F)
+        K.data = pattern.fill(data := stiffness(t, k))
+        du = None if kept is None else cg_step(F)
         if du is None:
-            factor = kept = None  # one factor alive at a time
+            solve = kept = None  # one factor alive at a time
             stats["factorizations"] += 1
             try:
-                factor = definite_splu(J, permc), order
-                du = newton_step(*factor, F)
+                lu = definite_splu(K, permc)
+                solve, du = lu.solve, lu.solve(F)
             except RuntimeError:  # exactly singular factor
                 du = np.full(m, np.nan)
             if not np.isfinite(du).all():
                 raise PackingError("singular Jacobian in the radius solve "
                                    f"(angle residual {err:.3e})")
-            kept = factor
-            if permc != "NATURAL":  # later steps factor J[order][:, order]
-                rank, order, permc = factor[0].perm_c, np.argsort(factor[0].perm_c), "NATURAL"
-                pattern = pattern.renumbered(rank)
+            if permc != "NATURAL":  # unknown i becomes rank[i]; only this factor sees the old order
+                rank, order, permc = lu.perm_c, np.argsort(lu.perm_c), "NATURAL"
+                pattern, row, inner = pattern.renumbered(rank), rank[row], inner[order]
+                K, F, du = pattern.matrix(data), F[order], du[order]
+                solve = lambda r, first=solve: first(r[rank])[order]
+            kept = solve
         norm = np.linalg.norm(F)
         scale = min(1.0, 2.0 / np.abs(du).max())  # scaled, not clipped: same direction
         for _ in range(_HALVINGS):
@@ -331,16 +326,16 @@ def _solve_hyperbolic_radii(tri: Triangulation, angle_tol: float) -> tuple[np.nd
         else:
             raise PackingError(f"radius solve stalled: no Newton step lowers the angle "
                                f"residual {err:.3e}")
-        if scale < 1.0:  # Newton's model failed over the step, so J moved along it
+        if scale < 1.0:  # Newton's model failed over the step, so K moved along it
             kept = None
         t, F, k = trial, F_trial, k_trial
     if stats["steps"]:  # a chord step on the last factor, kept if it lowers ||F||
-        trial = moved(t, newton_step(*factor, F))
+        trial = moved(t, solve(F))
         F_trial = defects(trial)[0]
         if np.linalg.norm(F_trial) < np.linalg.norm(F):
             t, F = trial, F_trial
     stats["angle_residual"] = float(np.abs(F).max())
-    return t, stats
+    return t, stats, (inner if permc == "NATURAL" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +364,8 @@ class CirclePacking:
     radii: np.ndarray
     boundary_mask: np.ndarray
     residuals: dict = field(default_factory=dict)
+    # the interior circles in the radius solve's elimination order, for the packed map's solve
+    _elimination: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def max_radius(self) -> float:
@@ -409,7 +406,7 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
     tri.validate()
     n, faces, boundary = tri.n_vertices, tri.faces, tri.boundary_mask
     angle_tol = max(min(1e-12, 0.01 * tol), 1e-14)
-    t, solve_stats = _solve_hyperbolic_radii(tri, angle_tol)
+    t, solve_stats, elimination = _solve_hyperbolic_radii(tri, angle_tol)
 
     s = tri._sides
     centers = np.full(n, np.nan + 0j, complex)
@@ -506,7 +503,7 @@ def pack_in_disk(tri: Triangulation, tol: float = 1e-8) -> CirclePacking:
 
     packing = CirclePacking(np.column_stack([centers.real, centers.imag]), radii, boundary.copy())
     packing.residuals = _packing_residuals(tri, packing)
-    packing.residuals["radius_solve"] = solve_stats
+    packing.residuals["radius_solve"], packing._elimination = solve_stats, elimination
     # report which disk-approximation normalization hypothesis holds: a
     # circle centered at the origin, or at least one center well inside
     dist0 = np.hypot(packing.centers[:, 0], packing.centers[:, 1])
@@ -650,7 +647,7 @@ def orthodiagonal_from_packing(tri: Triangulation, packing: CirclePacking,
     ext[bedge] = n + m + np.arange(len(a))
     # lone runs against the sides' direction around the boundary
     omap = _quad_map(positions, n, s, s.first, s.twin[s.first], n + np.arange(m), ext, lone[::-1])
-    omap._structure = _sound_structure(2 * len(a))
+    omap._structure, omap._elimination = _sound_structure(2 * len(a)), packing._elimination
     return omap
 
 

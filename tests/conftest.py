@@ -120,3 +120,41 @@ def closed(tri):
     """The triangulation with its boundary cycle as the outer face."""
     return odmap.PlanarMap3C(tri.n_vertices,
                              [list(map(int, f)) for f in tri.faces] + [tri.boundary_cycle])
+
+
+def flip_chain(tri, flips, seed):
+    """The triangulation after `flips` proposals of a random edge-flip chain.
+
+    Each proposal draws a side k = a -> b of face (a, b, c) from the side
+    table; where its twin b -> a lies on face (b, a, d), the edge ab becomes
+    cd, in faces (c, a, d) and (d, b, c) in the same two rows.  A proposal is
+    refused on a boundary side, where c and d are adjacent already, and where
+    a or b has degree 3.  The faces and twins are updated in place, side
+    3 f + j running from faces[f, j] to faces[f, (j + 1) % 3]; positions are
+    dropped, since they mean nothing after a flip.
+    """
+    faces, twin = tri.faces.copy(), tri._sides.twin.copy()
+    tail = faces.reshape(-1)  # a view: the side table's tails as the faces change
+    degree = np.bincount(tri.edges.ravel(), minlength=tri.n_vertices)
+    for k in np.random.default_rng(seed).integers(twin.size, size=flips).tolist():
+        k2 = int(twin[k])
+        if k2 < 0:
+            continue
+        f1, j1, f2, j2 = k // 3, k % 3, k2 // 3, k2 % 3
+        a, b, c = faces[f1, j1], faces[f1, (j1 + 1) % 3], faces[f1, (j1 + 2) % 3]
+        d = faces[f2, (j2 + 2) % 3]
+        # every edge at c lies on a face with a side out of c
+        if min(degree[a], degree[b]) <= 3 or (faces[np.flatnonzero(tail == c) // 3] == d).any():
+            continue
+        # the quad's sides b -> c, c -> a, a -> d, d -> b keep their twins
+        outer = twin[[3 * f1 + (j1 + 1) % 3, 3 * f1 + (j1 + 2) % 3, 3 * f2 + (j2 + 1) % 3, 3 * f2 + (j2 + 2) % 3]]
+        faces[f1], faces[f2] = (c, a, d), (d, b, c)
+        new = np.array([3 * f2 + 1, 3 * f1, 3 * f1 + 1, 3 * f2])  # b -> c, c -> a, a -> d, d -> b now
+        twin[new] = outer
+        twin[outer[outer >= 0]] = new[outer >= 0]
+        twin[3 * f1 + 2], twin[3 * f2 + 2] = 3 * f2 + 2, 3 * f1 + 2  # d -> c and c -> d
+        degree[[a, b]] -= 1
+        degree[[c, d]] += 1
+    flipped = odmap.packing.Triangulation(tri.n_vertices, faces)
+    assert np.array_equal(flipped._sides.twin, twin)  # the table the flips kept is the faces' own
+    return flipped

@@ -228,3 +228,60 @@ def test_flow_cli_random_path_cones_about_the_box_centre(tmp_path):
     assert run(narrow) == 1
     with pytest.warns(UserWarning, match="the energy bound may fail"):
         assert run(narrow + ["--relax"]) == 0
+
+
+def _square_grid(tmp_path):
+    """The 144-vertex rotated grid on [0, 1]^2, as `odmap generate` writes it."""
+    path = tmp_path / "sq.json"
+    assert run(["generate", "--family", "rotated_grid", "--n", 16, "--domain", "square", "-o", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command, option", [("flow", "--x"), ("exitmeasure", "--start")])
+@pytest.mark.parametrize("vertex", [144, 150, -1])
+def test_vertex_arguments_out_of_range_exit_1(tmp_path, capsys, command, option, vertex):
+    path = _square_grid(tmp_path)
+    assert run([command, "--map", path, option, vertex, "-o", tmp_path / "out.json"]) == 1
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag == {"error": "StructuralError", "detail": f"vertex {vertex} is not one of the map's 144 (0 to 143)"}
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_flow_and_exitmeasure_default_to_the_vertex_nearest_the_box_centre(tmp_path):
+    # the vertex nearest the origin is a corner of [0, 1]^2, where a disk of
+    # radius 0.2 reaches the boundary
+    path, flow_path, exit_path = _square_grid(tmp_path), tmp_path / "a.json", tmp_path / "e.json"
+    with pytest.warns(UserWarning, match="radius below 3\\*mesh"):
+        assert run(["flow", "--map", path, "--kind", "argument", "--r", 0.2, "--relax", "-o", flow_path]) == 0
+    m = odmap.OrthodiagonalMap.from_json(path)
+    x = central_primal_vertex(m, target=(0.5, 0.5))
+    with pytest.warns(UserWarning):
+        want = odmap.flows.argument_flow(m, x, 0.2, relax_radius_hypothesis=True).to_json_dict()
+    data = json.loads(flow_path.read_text())
+    assert data == json.loads(json.dumps(want)) and data["strength"] == pytest.approx(1.0, abs=1e-9)
+    assert run(["exitmeasure", "--map", path, "-o", exit_path]) == 0
+    assert json.loads(exit_path.read_text())["start"] == x
+    # a disk grid's box centre is the origin
+    odmap.rotated_grid("disk", 16).to_json(path)
+    assert run(["exitmeasure", "--map", path, "-o", exit_path]) == 0
+    assert json.loads(exit_path.read_text())["start"] == central_primal_vertex(odmap.OrthodiagonalMap.from_json(path))
+
+
+@pytest.mark.parametrize("family, domain, compared", [
+    ("rotated_grid", "square", False), ("perturbed", "square", False), ("rect_nonuniform", "square", False),
+    ("rotated_grid", "disk", True), ("perturbed", "disk", True), ("packed_triangulation", "disk", True),
+    ("packed_lattice", "disk", True),
+])
+def test_exitmeasure_compares_with_the_unit_disk_only_on_maps_of_it(tmp_path, family, domain, compared):
+    # the reference is the unit disk's Poisson kernel: on a map whose boundary
+    # lies far from the unit circle it is null, and no tv is given
+    path, out = tmp_path / "map.json", tmp_path / "e.json"
+    assert run(["generate", "--family", family, "--n", 16, "--domain", domain, "-o", path]) == 0
+    assert run(["exitmeasure", "--map", path, "-o", out]) == 0
+    data = json.loads(out.read_text())
+    assert sum(data["arcs"]) == pytest.approx(1.0, abs=1e-9)
+    if not compared:
+        assert data["reference"] is None and "tv" not in data
+        return
+    want = odmap.dirichlet.exit_measure_vs_arcs(odmap.OrthodiagonalMap.from_json(path), data["start"])
+    assert data["tv"] == want["tv"] and data["reference"] == want["reference"].tolist()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import odmap
-from odmap import generators
+from odmap import dirichlet, generators, network
 from odmap import packing
 from odmap.core_map import OrthodiagonalMap, SideTable, _structural_checks, side_table, validate
 from odmap.errors import PackingError
@@ -185,3 +185,45 @@ def test_double_packed_map_takes_the_structural_checks_it_passes(name):
     want = _structural_checks(_fresh(m))
     for part in ("checks", "worst_orthogonality", "offending_faces", "offending_edges"):
         assert getattr(m._structure, part) == getattr(want, part), part
+
+
+@pytest.mark.parametrize("size, seed", [(1000, 1), (3000, 2)])
+def test_a_pack_map_solve_pipeline_picks_one_fill_reducing_order(monkeypatch, size, seed):
+    # the radius solve's first factor picks its order by MMD; its later
+    # factors and the packed map's interior solve factor in that order
+    specs, factor = [], network.definite_splu
+
+    def recording(A, permc_spec="MMD_AT_PLUS_A"):
+        specs.append(permc_spec)
+        return factor(A, permc_spec)
+
+    monkeypatch.setattr(network, "definite_splu", recording)
+    monkeypatch.setattr(packing, "definite_splu", recording)
+    tri = generators.random_delaunay_triangulation(size, seed)
+    p = packing.pack_in_disk(tri)
+    m = packing.orthodiagonal_from_packing(tri, p)
+    tf = dirichlet.get_test_function("exp_x_cos_y")
+    h = dirichlet.solve_dirichlet(m, tf)
+    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * p.residuals["radius_solve"]["factorizations"]
+    solver = m.primal_network()._grounded
+    assert np.array_equal(solver.interior, p._elimination)
+    assert np.array_equal(np.sort(p._elimination), np.flatnonzero(~tri.boundary_mask))
+
+    # the same map without the inherited order factors by MMD, with the same fill
+    fresh = _fresh(m)
+    want = dirichlet.solve_dirichlet(fresh, tf)
+    assert specs[-1] == "MMD_AT_PLUS_A"
+    lu, mmd = solver._lu, fresh.primal_network()._grounded._lu
+    assert lu.L.nnz + lu.U.nnz == mmd.L.nnz + mmd.U.nnz
+    assert np.abs(h.values - want.values).max() <= 1e-12
+
+
+def test_an_inherited_order_serves_only_its_own_interior():
+    # another boundary set factors by MMD, in ascending order
+    tri = generators.random_delaunay_triangulation(300, 1)
+    m = packing.orthodiagonal_from_packing(tri, packing.pack_in_disk(tri))
+    net = m.primal_network()
+    assert net._elimination is not None and m.dual_network()._elimination is None
+    boundary = np.union1d(np.flatnonzero(tri.boundary_mask), net._elimination[:1])
+    solver = net.grounded(boundary)
+    assert np.array_equal(solver.interior, np.setdiff1d(np.arange(net.n_vertices), boundary))

@@ -52,7 +52,8 @@ def assert_agrees_with_references(A, b, x):
     """
     Ad = A.toarray()
     dense = np.linalg.solve(Ad, b)
-    pcg = _pcg(A.tocsr(), b, 1.0 / A.diagonal(), 1e-14 * float(np.linalg.norm(b)),
+    inv_diag = 1.0 / A.diagonal()  # Jacobi
+    pcg = _pcg(A.tocsr(), b, lambda r: inv_diag * r, 1e-14 * float(np.linalg.norm(b)),
                max(1000, 40 * b.size))
     for y in (pcg, dense):
         slack = 8 * EPS * (np.abs(Ad) @ (np.abs(x) + np.abs(y)) + 2 * np.abs(b))
