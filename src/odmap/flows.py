@@ -73,11 +73,13 @@ def _argument_increments(omap: OrthodiagonalMap, xp: np.ndarray) -> np.ndarray:
     edge, which bends through the midpoint of the primal diagonal when the
     quad's reflex corner is a primal one (so |increment| may pass pi)."""
     quad = omap.positions[omap.faces]
-    bend = np.isin(_face_corner_reflex(quad), (0, 2))
     rel = quad - xp
     w1, w2 = rel[:, 1], rel[:, 3]
-    mid = 0.5 * (rel[:, 0] + rel[:, 2])
-    return np.where(bend, _delta_arg(w1, mid) + _delta_arg(mid, w2), _delta_arg(w1, w2))
+    phi = _delta_arg(w1, w2)
+    bend = np.flatnonzero(np.isin(_face_corner_reflex(quad), (0, 2)))
+    mid = 0.5 * (rel[bend, 0] + rel[bend, 2])
+    phi[bend] = _delta_arg(w1[bend], mid) + _delta_arg(mid, w2[bend])
+    return phi
 
 
 def argument_flow(omap: OrthodiagonalMap, x: int, r: float,

@@ -135,11 +135,14 @@ def rect_nonuniform(x_cuts, y_cuts) -> OrthodiagonalMap:
 
 
 def _first_appearance(keys):
-    """For a 1-d int array: the index of the first appearance of each distinct
-    value, in order of first appearance, and each entry's rank in that order."""
-    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inv]
+    """For a 1-d array of small nonnegative ints: the index of the first
+    appearance of each distinct value, in order of first appearance, and each
+    entry's rank in that order, by direct addressing: no sort."""
+    at = np.full(keys.max(initial=-1) + 1, keys.size)
+    np.minimum.at(at, keys, np.arange(keys.size))
+    at = at[keys]
+    is_first = at == np.arange(keys.size)
+    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[at]
 
 
 # ---------------------------------------------------------------------------

@@ -581,16 +581,24 @@ class _AliasTable:
         return self.col[np.where(x < self.cut[slot], slot, self.alias[slot])]
 
 
-def _leap_table(P: sp.csr_matrix, inner: np.ndarray, max_steps: int):
-    """(alias table of P^k, k), k doubled by squaring while 2k <= max_steps,
-    some ``inner`` row of P^k keeps more than float eps of its mass on the
-    inner vertices, and the square's structural nnz bound (the summed lengths
-    of the rows that the slots point to) is at most ``_LEAP_CAP`` nnz(P)."""
-    Q, k = P, 1
+def _leap_table(P: sp.csr_matrix, inner: np.ndarray, start: int, max_steps: int):
+    """(alias table of P^k, k, its states), k doubled by squaring while 2k <=
+    max_steps, some ``inner`` row of P^k keeps more than float eps of its mass
+    on the inner vertices, and the square's structural nnz bound (the summed
+    lengths of the rows that the slots point to) is at most ``_LEAP_CAP``
+    nnz(P).  The states are those that P^2 reaches from ``start``, the only
+    ones a walk from it holds at leap times (on a bipartite network, start's
+    colour class and the boundary it stops on), in ascending order: the table
+    renumbers them 0, 1, ..., and each of their rows of P^k keeps its entries,
+    their order and its alias slots."""
+    Q, k, states = P, 1, np.arange(P.shape[0])
     while (2 * k <= max_steps and (Q @ inner)[inner].max() > np.finfo(float).eps
            and np.diff(Q.indptr)[Q.indices].sum() <= _LEAP_CAP * P.nnz):
         Q, k = Q @ Q, 2 * k
-    return _AliasTable(Q), k
+        if k == 2:
+            states = np.sort(csgraph.breadth_first_order(Q, start, return_predecessors=False))
+            Q, inner = Q[states][:, states], inner[states]
+    return _AliasTable(Q), k, states
 
 
 def _exact_exit(net: Network, boundary_idx: np.ndarray, s: int) -> np.ndarray:
@@ -614,11 +622,13 @@ def random_walk_exit_measure(problem: DirichletProblem, start,
     P the transition matrix with an absorbing boundary, so the exit law is
     that of single steps; k doubles by squaring while 2k <= max_steps, walks
     may outlast k steps and the square's size bound stays within a fixed
-    multiple of nnz(P) (k = 4 on grids; a hub of high degree keeps k = 1).  A
-    loop pass takes one draw for up to 64 leaps, never past max_steps, then
-    drops the exited walks, which stay put meanwhile.  Steps after the last
-    whole leap are taken on P.  Returns {boundary label: probability}.
-    """
+    multiple of nnz(P) (k = 4 on grids; a hub of high degree keeps k = 1).
+    The walks leap only on the states they can reach at leap times, those P^2
+    reaches from start: on a bipartite network (every lattice map) its colour
+    class and the boundary, about half the states.  A loop pass takes one draw
+    for up to 64 leaps, never past max_steps, then drops the exited walks,
+    which stay put meanwhile.  Steps after the last whole leap are taken on
+    P.  Returns {boundary label: probability}."""
     if n_samples is not None and n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if max_steps < 0:
@@ -634,21 +644,21 @@ def random_walk_exit_measure(problem: DirichletProblem, start,
     if not net.is_connected:
         raise DisconnectedNetworkError("exit measure requires a connected network")
     P = _stopped_chain(net, is_boundary)
-    table, k = _leap_table(P, ~is_boundary, max_steps)
+    table, k, states = _leap_table(P, ~is_boundary, s, max_steps)
     rng = np.random.default_rng(seed)
     exits = [np.empty(0, int)]
-    at = np.full(n_samples, s)
+    at = np.full(n_samples, np.searchsorted(states, s))
     steps = 0
     while at.size and steps < max_steps:
         if steps + k > max_steps:  # only when k > 1, so P is still whole
-            table, k = _AliasTable(P), 1
+            table, k, at, states = _AliasTable(P), 1, states[at], np.arange(net.n_vertices)
         # at most 2^14 draws a pass; exited walks stay put on the absorbing boundary
         r = min(64, max(1, 2 ** 14 // at.size), (max_steps - steps) // k)
         for u in rng.random((r, at.size)):
             at = table.step(at, u)
-        done = is_boundary[at]
+        done = is_boundary[states[at]]
         if np.count_nonzero(done):
-            exits.append(at[done])
+            exits.append(states[at[done]])
             at = at[~done]
         steps += r * k
     counts = np.bincount(np.concatenate(exits), minlength=net.n_vertices)

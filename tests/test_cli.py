@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -285,3 +286,36 @@ def test_exitmeasure_compares_with_the_unit_disk_only_on_maps_of_it(tmp_path, fa
         return
     want = odmap.dirichlet.exit_measure_vs_arcs(odmap.OrthodiagonalMap.from_json(path), data["start"])
     assert data["tv"] == want["tv"] and data["reference"] == want["reference"].tolist()
+
+
+# the paper's hypotheses a command may name when it declines a generated map:
+# the argument flow's r >= 3 mesh and its disk off the boundary, the
+# random-path flow's r1 >= mesh and r2 >= 2 r1, and a start inside the unit disk
+HYPOTHESES = r"below 3\*mesh|r1 >= mesh|reaches the boundary|inside the disk"
+
+
+@pytest.mark.parametrize("family, domain", [
+    ("rotated_grid", "square"), ("rotated_grid", "disk"), ("perturbed", "square"), ("perturbed", "disk"),
+    ("rect_nonuniform", "square"), ("packed_triangulation", "disk"), ("packed_lattice", "disk"),
+    ("double_packed", "disk"),
+])
+def test_every_generated_map_gets_an_answer_or_a_hypothesis(tmp_path, capsys, family, domain):
+    # every command on every generated map exits 0, or exits 1 with a
+    # GeometryError that names the hypothesis of the paper it would break
+    path = tmp_path / "map.json"
+    assert run(["generate", "--family", family, "--n", 16, "--domain", domain, "-o", path]) == 0
+    commands = [["validate", path], ["solve", "--map", path, "--g", "x2_minus_y2"],
+                ["flow", "--map", path, "--kind", "argument"], ["flow", "--map", path, "--kind", "random_path"],
+                ["exitmeasure", "--map", path], ["exitmeasure", "--map", path, "--samples", 500]]
+    for i, command in enumerate(commands):
+        out = tmp_path / f"out{i}.json"
+        code = run(command + ["-o", out])
+        err = capsys.readouterr().err
+        if code == 1:
+            diag = json.loads(err.strip().splitlines()[-1])
+            assert diag["error"] == "GeometryError" and re.search(HYPOTHESES, diag["detail"]), (command, diag)
+            assert not out.exists()
+            continue
+        assert code == 0, (command, err)
+        if command[0] == "exitmeasure":
+            assert sum(json.loads(out.read_text())["arcs"]) == pytest.approx(1.0, abs=1e-9)

@@ -128,6 +128,23 @@ def test_argument_field_matches_face_loop(concave_fan):
                                        _argument_field_loop(m, int(x)), rtol=0, atol=1e-14)
 
 
+def test_argument_increments_bend_only_where_the_reflex_corner_is_primal(concave_fan):
+    """Taking the two-piece increment on the bent faces alone gives the
+    increments of both forms on every face, picked face by face, bit for bit."""
+    from odmap.flows import _argument_increments, _delta_arg, _face_corner_reflex
+
+    grid = odmap.perturbed(odmap.rotated_grid("disk", 16), 0.3, seed=3)
+    rng = np.random.default_rng(0)
+    for m in (concave_fan, grid):
+        quad = m.positions[m.faces]
+        bend = np.isin(_face_corner_reflex(quad), (0, 2))
+        for xp in np.vstack([m.positions[m.primal_vertices[:5]], rng.normal(size=(5, 2))]):
+            rel = quad - xp
+            w1, w2, mid = rel[:, 1], rel[:, 3], 0.5 * (rel[:, 0] + rel[:, 2])
+            want = np.where(bend, _delta_arg(w1, mid) + _delta_arg(mid, w2), _delta_arg(w1, w2))
+            assert np.array_equal(_argument_increments(m, xp), want)
+
+
 def test_winding_identity_with_concave_face(concave_fan):
     m = concave_fan
     report = odmap.validate(m, tol=1e-12)

@@ -11,6 +11,7 @@ from odmap.core_map import martingale_residuals, side_table
 from odmap.domains import DomainSpec
 from odmap.generators import (
     GeneratorSpec,
+    _first_appearance,
     build_generator_level,
     clip_to_domain,
     perturbed,
@@ -57,6 +58,20 @@ def test_rotated_grid_on_disk():
     m = rotated_grid("disk", 16)
     assert odmap.validate(m).passed
     assert np.all(np.hypot(*m.positions.T) <= 1 + 1e-12)
+
+
+@given(keys=st.lists(st.integers(0, 60), max_size=300))
+@example(keys=[])
+@settings(max_examples=60, deadline=None)
+def test_first_appearance_matches_unique(keys):
+    """The direct-addressed first appearances and ranks are those of
+    np.unique's first indices put in order of appearance."""
+    keys = np.array(keys, int)
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    got_first, got_rank = _first_appearance(keys)
+    assert np.array_equal(got_first, first[order])
+    assert np.array_equal(got_rank, np.argsort(order)[inv])
 
 
 def test_rect_uniform_reduces_to_rotated_combinatorics():

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 import odmap
 from odmap.dirichlet import exit_measure_vs_arcs
@@ -35,7 +37,7 @@ from odmap.network import (
     _stopped_chain,
 )
 
-from conftest import random_network
+from conftest import central_primal_vertex, random_network
 
 DATA = Path(__file__).parent / "data"
 
@@ -808,15 +810,48 @@ class _TwoSearchTable(_AliasTable):
         q += np.arange(b - a) - starts[row]
 
 
-def _assert_matches_two_search_sweep(table, P, k):
-    """``table`` (of P^k) has the cut and alias of the two-search sweep, bit
-    for bit; P^k is squared again as `_leap_table` squares it."""
-    Q = P
+def _leap_power(P, k):
+    """P^k, squared as `_leap_table` squares it."""
     for _ in range(k.bit_length() - 1):
-        Q = Q @ Q
-    ref = _TwoSearchTable(Q.copy())
+        P = P @ P
+    return P
+
+
+def _restricted(Q, states):
+    """Q's rows and columns on the ascending ``states``, renumbered 0, 1, ...
+    in place; Q must map the states into themselves."""
+    R = Q[states]
+    assert np.isin(R.indices, states).all()
+    return sp.csr_matrix((R.data, np.searchsorted(states, R.indices), R.indptr), shape=(states.size,) * 2)
+
+
+def _assert_matches_two_search_sweep(table, P, k, states):
+    """``table`` (of P^k on ``states``) has the cut and alias of the
+    two-search sweep of P^k's rows on them, bit for bit."""
+    ref = _TwoSearchTable(_restricted(_leap_power(P, k), states))
     assert np.array_equal(table.cut, ref.cut)
     assert np.array_equal(table.alias, ref.alias)
+
+
+def _table_rows(table, states, n):
+    """The rows of P^k that ``table`` draws from, on its ``states``, over all n vertices."""
+    length = table.length.astype(int)
+    row = np.repeat(np.arange(states.size), length)
+    keep = table.cut - (np.arange(table.cut.size) - table.start[row])
+    got = np.zeros((states.size, n))
+    np.add.at(got, (row, states[table.col]), keep / length[row])
+    np.add.at(got, (row, states[table.col[table.alias]]), (1.0 - keep) / length[row])
+    return got
+
+
+def _whole_chain_k(P, inner, max_steps):
+    """k as squaring the whole chain sets it: the rule of `_leap_table` with
+    every state kept."""
+    Q, k = P, 1
+    while (2 * k <= max_steps and (Q @ inner)[inner].max() > np.finfo(float).eps
+           and np.diff(Q.indptr)[Q.indices].sum() <= _LEAP_CAP * P.nnz):
+        Q, k = Q @ Q, 2 * k
+    return k
 
 
 @given(seed=st.integers(0, 10_000), hub=st.integers(500, 700), extra=st.integers(0, 300),
@@ -832,57 +867,137 @@ def _assert_matches_two_search_sweep(table, P, k):
 def test_alias_table_reconstructs_leap_matrix(seed, hub, extra, log_range, integral, hub_c,
                                               absorb, max_steps):
     """Every alias row gives its row of P^k to 1e-12, against a dense power
-    of the stopped chain; keep lies in [0, 1] and each alias stays in its
-    row; cut and alias equal the two-search sweep's bit for bit; k <=
-    max_steps, the table never passes the cap, and a hub with hundreds of
-    interior neighbours keeps k = 1.  Equal conductances put the running
-    deficit and excess sums on one another, where the sweep breaks ties.
-    max_steps stays at or below 4096 because the rounding of either power
-    grows with k: a pocket of 14 vertices held by conductances near 1e-6
-    squares on to k = 2^23, where the two powers differ by 1.7e-10 (2.4e-13
-    at k = 4096)."""
+    of the stopped chain, and P^k keeps the kept states' mass on them; keep
+    lies in [0, 1] and each alias stays in its row; cut and alias equal the
+    two-search sweep's bit for bit; k <= max_steps, the table never passes
+    the cap, and a hub with hundreds of interior neighbours keeps k = 1.
+    Equal conductances put the running deficit and excess sums on one
+    another, where the sweep breaks ties.  max_steps stays at or below 4096
+    because the rounding of either power grows with k: a pocket of 14
+    vertices held by conductances near 1e-6 squares on to k = 2^23, where
+    the two powers differ by 1.7e-10 (2.4e-13 at k = 4096)."""
     net, boundary = _hub_network(seed, hub, extra, log_range, integral, hub_c, absorb)
     is_boundary = np.zeros(net.n_vertices, bool)
     is_boundary[boundary] = True
+    inner = np.flatnonzero(~is_boundary)
+    start = int(inner[seed % inner.size])
     P = _stopped_chain(net, is_boundary)
     nnz_p = P.nnz
-    table, k = _leap_table(P, ~is_boundary, max_steps)
+    table, k, states = _leap_table(P, ~is_boundary, start, max_steps)
     assert k <= max_steps
     if absorb == "few":
         assert k == 1
     assert table.cut.size <= _LEAP_CAP * nnz_p
-    n = net.n_vertices
+    assert np.all(np.diff(states) > 0) and start in states
     length = table.length.astype(int)
-    row = np.repeat(np.arange(n), length)
+    row = np.repeat(np.arange(states.size), length)
     place = np.arange(table.cut.size) - table.start[row]
     keep = table.cut - place
     assert keep.min() >= 0.0 and keep.max() <= 1.0
     assert np.all((table.alias >= table.start[row]) & (table.alias < table.start[row] + length[row]))
-    got = np.zeros((n, n))
-    np.add.at(got, (row, table.col), keep / length[row])
-    np.add.at(got, (row, table.col[table.alias]), (1.0 - keep) / length[row])
-    want = np.linalg.matrix_power(_dense_stopped_chain(net, boundary), k)
-    assert np.abs(got - want).max() <= 1e-12
+    want = np.linalg.matrix_power(_dense_stopped_chain(net, boundary), k)[states]
+    assert np.abs(_table_rows(table, states, net.n_vertices) - want).max() <= 1e-12
+    assert not np.delete(want, states, axis=1).any()
     # a table of P itself consumed P.data
-    _assert_matches_two_search_sweep(table, _stopped_chain(net, is_boundary), k)
+    _assert_matches_two_search_sweep(table, _stopped_chain(net, is_boundary), k, states)
 
 
 def test_leap_table_stops_once_walks_have_left(diamond):
     """Squaring stops once every interior row of P^k keeps at most float eps
     of its mass inside: on the diamond one step from the hub exits, so k = 1
     at the default max_steps; on a disk grid the size cap sets k = 4, and
-    the table of P^4 holds at most 8 nnz(P) slots (about 6).  Both tables
-    equal the two-search sweep's bit for bit (the disk's is the one the
-    pinned sampled walks use)."""
-    for omap, k_want in ((diamond, 1), (odmap.rotated_grid("disk", 32), 4)):
+    the table of P^4 holds at most 8 nnz(P) slots (about 3, on half the
+    states).  Both tables equal the two-search sweep's bit for bit (the
+    disk's is the one the pinned sampled walks use)."""
+    disk = odmap.rotated_grid("disk", 32)
+    for omap, start, k_want in ((diamond, 0, 1), (disk, central_primal_vertex(disk), 4)):
         net = omap.primal_network()
         is_boundary = np.zeros(net.n_vertices, bool)
         is_boundary[net.indices_of(omap.boundary_vertices()[0])] = True
         P = _stopped_chain(net, is_boundary)
-        table, k = _leap_table(P, ~is_boundary, 10_000_000)
+        table, k, states = _leap_table(P, ~is_boundary, net.index_of(start), 10_000_000)
         assert k == k_want
         assert table.cut.size <= 8 * P.nnz
-        _assert_matches_two_search_sweep(table, _stopped_chain(net, is_boundary), k)
+        _assert_matches_two_search_sweep(table, _stopped_chain(net, is_boundary), k, states)
+
+
+def _leap_case(m, start):
+    net = m.primal_network()
+    is_boundary = np.zeros(net.n_vertices, bool)
+    is_boundary[net.indices_of(m.boundary_vertices()[0])] = True
+    s = net.index_of(start)
+    P = _stopped_chain(net, is_boundary)
+    table, k, states = _leap_table(P, ~is_boundary, s, 10_000_000)
+    return net, is_boundary, s, table, k, states
+
+
+LATTICES = {
+    "disk": lambda: odmap.rotated_grid("disk", 16),
+    "square": lambda: odmap.rotated_grid("square", 17),
+    "perturbed": lambda: odmap.perturbed(odmap.rotated_grid("disk", 16), 0.3, seed=2),
+    "perturbed_square": lambda: odmap.perturbed(odmap.rotated_grid("square", 16), 0.3, seed=4),
+    "rect_nonuniform": lambda: odmap.rect_nonuniform(np.cumsum(np.r_[0.0, np.linspace(1, 2, 12)]),
+                                                     np.cumsum(np.r_[0.0, np.linspace(2, 1, 9)])),
+}
+
+
+@pytest.mark.parametrize("family", LATTICES)
+def test_leap_table_keeps_the_start_colour_class(family):
+    """On a lattice map the primal network is bipartite, so P^k (k even)
+    keeps the walk on its start's colour class: the kept states are that
+    class's interior vertices and every boundary vertex next to an interior
+    one (a walk stops on either colour; a corner with no interior neighbour
+    is never reached).  They are closed under P^k, whose kept rows match a
+    dense power to 1e-12 and the two-search sweep bit for bit; k is the
+    whole chain's, and the table stays under the cap."""
+    m = LATTICES[family]()
+    interior, _ = m.interior_vertices()
+    for start in interior[[0, interior.size // 2, -1]]:
+        net, is_boundary, s, table, k, states = _leap_case(m, int(start))
+        adjacency = net.laplacian != 0
+        depth = csgraph.shortest_path(adjacency, indices=s, unweighted=True)
+        assert np.all(depth[net.tails] != depth[net.heads])  # bipartite
+        same_colour = depth % 2 == 0
+        touches_inner = adjacency @ (~is_boundary).astype(int) > 0
+        want = np.flatnonzero(same_colour & ~is_boundary | is_boundary & touches_inner)
+        assert np.array_equal(states, want)
+        P = _stopped_chain(net, is_boundary)
+        assert k == 4 == _whole_chain_k(P, ~is_boundary, 10_000_000)
+        assert table.cut.size <= _LEAP_CAP * P.nnz
+        Pk = _leap_power(P, k)
+        assert np.isin(Pk[states].indices, states).all()  # closed under P^k
+        dense = np.linalg.matrix_power(_dense_stopped_chain(net, np.flatnonzero(is_boundary)), k)
+        assert np.abs(_table_rows(table, states, net.n_vertices) - dense[states]).max() <= 1e-12
+        _assert_matches_two_search_sweep(table, _stopped_chain(net, is_boundary), k, states)
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_compact_leap_table_is_the_whole_chains_on_its_rows(n):
+    """From the centre of the disk grids that the pinned walks (n = 32) and
+    the disk_queries benchmark (n = 128) use, each kept row of the compact
+    table has the whole chain's slots, cut and alias bit for bit, so the
+    seeded walks are those of a table over every vertex."""
+    m = odmap.rotated_grid("disk", n)
+    net, is_boundary, s, table, k, states = _leap_case(m, central_primal_vertex(m))
+    whole = _AliasTable(_leap_power(_stopped_chain(net, is_boundary), k))
+    slots = np.concatenate([np.arange(whole.start[v], whole.start[v] + int(whole.length[v])) for v in states])
+    assert np.array_equal(table.length, whole.length[states])
+    assert np.array_equal(states[table.col], whole.col[slots])
+    assert np.array_equal(table.cut, whole.cut[slots])
+    assert np.array_equal(slots[table.alias], whole.alias[slots])
+
+
+def test_leap_table_keeps_every_state_of_a_packed_triangulation():
+    """A packed triangulation's primal network has triangles, so P^2 reaches
+    every state from any start and nothing is dropped; k is the whole
+    chain's."""
+    tri = odmap.random_delaunay_triangulation(200, seed=1)
+    m = odmap.orthodiagonal_from_packing(tri, odmap.pack_in_disk(tri))
+    interior, _ = m.interior_vertices()
+    for start in interior[[0, interior.size // 2, -1]]:
+        net, is_boundary, s, table, k, states = _leap_case(m, int(start))
+        assert np.array_equal(states, np.arange(net.n_vertices))
+        assert k == _whole_chain_k(_stopped_chain(net, is_boundary), ~is_boundary, 10_000_000)
 
 
 def test_sampled_exit_measure_runs_in_bounded_memory():
